@@ -39,6 +39,7 @@ from .errors import InvalidArgumentError, InvalidWeightError, UnsupportedDimensi
 from .parallel import map_ordered
 from .radial import (
     RadialMeasure,
+    _s_k_density,
     RadialProfile,
     domain_volume,
     exp_integral,
@@ -46,7 +47,7 @@ from .radial import (
     solve_dirichlet,
     volume_integral,
 )
-from .report import CheckRecord
+from .report import CheckRecord, upper_bound
 
 __all__ = [
     "WEIGHT_KINDS",
@@ -245,12 +246,6 @@ def barrier_epsilon(amplitude: float, k: int) -> float:
     return ((k + 1.0) / k) ** (k / (k + 1.0)) * amplitude ** (1.0 / (k + 1.0))
 
 
-def _radial_density(dim: HessianDim, second, ratio):
-    # S_k of a radial function from u'' and u'/r.
-    n, k = dim.n, dim.k
-    return math.comb(n - 1, k - 1) * second * ratio ** (k - 1) + math.comb(n - 1, k) * ratio**k
-
-
 def verify_gk(
     dim: HessianDim,
     density,
@@ -313,23 +308,20 @@ def verify_gk(
     c = alpha_val / q
     psi_slope = c * hp * psi1.slope
     psi_second = c * hp * psi1_second - c * c * hs * psi1.slope**2
-    sk_psi = _radial_density(dim, psi_second, psi_slope / nodes)
+    sk_psi = _s_k_density(dim, psi_second, psi_slope / nodes)
 
     absorb = np.minimum(np.exp(s), g)
     residual = g - (sk_psi + absorb)
     worst = float(np.max(residual))
     tol = 1e-6 * float(np.max(g))
-    passed = bool(worst <= tol and moment_ok)
     n_sharp = int(np.sum(big_g >= s))
-    return CheckRecord(
-        check=f"gk-pointwise[n={n},k={k},{weight.kind}]",
-        anchor="gk-pointwise",
-        inputs={"n": n, "k": k, "weight": weight.kind, "q": q, "alpha": alpha_val, "R": R},
-        lhs=worst,
-        rhs=tol,
-        margin=tol - worst,
-        passed=passed,
-        details={
+    return upper_bound(
+        f"gk-pointwise[n={n},k={k},{weight.kind}]",
+        "gk-pointwise",
+        {"n": n, "k": k, "weight": weight.kind, "q": q, "alpha": alpha_val, "R": R},
+        worst,
+        tol,
+        {
             "budget": budget,
             "moment_ratio": moment / moment_bound,
             "moment_ok": bool(moment_ok),
@@ -337,6 +329,7 @@ def verify_gk(
             "branch_absorbed": int(big_g.size - n_sharp),
             "s0": barrier.s0,
         },
+        holds=moment_ok,
     )
 
 
@@ -505,20 +498,18 @@ def fixed_budget_variation_check(
     variation = float((np.max(sups) - np.min(sups)) / np.max(sups))
     height_ratio = float(np.max(heights) / np.min(heights))
     budget_spread = float(np.ptp(budgets) / np.max(budgets))
-    passed = bool(variation <= variation_tol and height_ratio >= inf_norm_factor)
-    return CheckRecord(
-        check=f"abp-fixed-budget[n={dim.n},k={dim.k}]",
-        anchor="abp-fixed-budget",
-        inputs={"n": dim.n, "k": dim.k, "weight": weight.kind, "R": R, "members": len(members)},
-        lhs=variation,
-        rhs=variation_tol,
-        margin=variation_tol - variation,
-        passed=passed,
-        details={
+    return upper_bound(
+        f"abp-fixed-budget[n={dim.n},k={dim.k}]",
+        "abp-fixed-budget",
+        {"n": dim.n, "k": dim.k, "weight": weight.kind, "R": R, "members": len(members)},
+        variation,
+        variation_tol,
+        {
             "sup_values": [float(v) for v in sups],
             "height_ratio": height_ratio,
             "budget_spread": budget_spread,
         },
+        holds=height_ratio >= inf_norm_factor,
     )
 
 

@@ -29,7 +29,7 @@ from .core import HessianDim
 from .errors import DegenerateProfileError, InvalidArgumentError, UnsupportedDimensionError
 from .families import FamilySpec, make_family, make_profile
 from .radial import domain_volume, exp_integral, hessian_mass, lp_norm, weak_lp_quasinorm
-from .report import CheckRecord
+from .report import CheckRecord, upper_bound
 
 __all__ = ["BMQuery", "bm_lp_check", "bm_exp_check", "sharpness_probe"]
 
@@ -248,16 +248,13 @@ def sharpness_probe(
     diverges_at_sharp = not np.isfinite(exp_integral(u, alpha0, beta_val))
     diverges_above = not np.isfinite(exp_integral(u, alpha0 * (1 + 1e-9), beta_val))
     tol = 1e-6
-    passed = bool(worst_rel <= tol and diverges_at_sharp and diverges_above)
-    return CheckRecord(
-        check=f"sharpness[n={dim.n},beta=ceiling,levels={levels}]",
-        anchor="exp-moment-sharpness",
-        inputs={"n": dim.n, "k": dim.k, "beta": beta_val, "R": R, "levels": levels},
-        lhs=worst_rel,
-        rhs=tol,
-        margin=tol - worst_rel,
-        passed=passed,
-        details={
+    return upper_bound(
+        f"sharpness[n={dim.n},beta=ceiling,levels={levels}]",
+        "exp-moment-sharpness",
+        {"n": dim.n, "k": dim.k, "beta": beta_val, "R": R, "levels": levels},
+        worst_rel,
+        tol,
+        {
             "rungs": rungs,
             "divergence_boundary": alpha0,
             # At the boundary the log-family integrand behaves like
@@ -265,4 +262,5 @@ def sharpness_probe(
             "local_exponent_at_boundary": float(dim.n),
             "diverges_at_boundary": diverges_at_sharp,
         },
+        holds=diverges_at_sharp and diverges_above,
     )

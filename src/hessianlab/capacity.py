@@ -24,7 +24,7 @@ import numpy as np
 from . import quadrature as quad
 from .core import HessianDim
 from .errors import InvalidArgumentError, PreconditionError, UnsupportedDimensionError
-from .radial import RadialMeasure, RadialProfile, hessian_mass, level_set_radius, profile_from_slope, s_k_radial
+from .radial import RadialMeasure, RadialProfile, hessian_mass, level_set_log_ratio, profile_from_slope, s_k_radial
 from .report import CheckRecord
 
 __all__ = [
@@ -57,18 +57,21 @@ class CapacityConfig:
             )
 
 
-def _cap_value(dim: HessianDim, rho: float, R: float) -> float:
+def _cap_value(dim: HessianDim, L: float, R: float) -> float:
+    """Capacity of the closed ball of radius rho inside B_R, from
+    L = log(R/rho); rho^-m - R^-m is written as R^-m expm1(m L), which
+    keeps its digits when rho is close to R."""
     n, k = dim.n, dim.k
     binom_omega = dim.n_choose_k * dim.ball_volume
     if dim.is_intermediate:
-        return binom_omega / math.log(R / rho) ** k
+        return binom_omega / L**k
     m = (n - 2.0 * k) / k
-    return binom_omega * m**k / (rho**-m - R**-m) ** k
+    return binom_omega * m**k / (R**-m * math.expm1(m * L)) ** k
 
 
 def cap_concentric(cfg: CapacityConfig) -> float:
     """Closed-form relative capacity of the concentric condenser."""
-    return _cap_value(cfg.dim, cfg.inner, cfg.outer)
+    return _cap_value(cfg.dim, math.log(cfg.outer / cfg.inner), cfg.outer)
 
 
 def extremal_profile(cfg: CapacityConfig, grid_n: int = quad.DEFAULT_GRID_N) -> RadialProfile:
@@ -165,12 +168,12 @@ def levelset_cap_check(u: RadialProfile, t_values, tol: float = 1e-8) -> CheckRe
     dim = u.dim
     ratios = []
     for t in ts:
-        rho = level_set_radius(u, float(t))
+        L = level_set_log_ratio(u, float(t))
         bound = mass / float(t) ** dim.k
-        if rho <= 0.0:
+        if math.isinf(L):
             ratios.append(0.0)
             continue
-        cap = _cap_value(dim, rho, u.R)
+        cap = _cap_value(dim, L, u.R)
         ratios.append(cap / bound if bound > 0 else float("inf"))
     worst = float(np.max(ratios))
     return CheckRecord(

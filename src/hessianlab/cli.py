@@ -13,7 +13,7 @@ import sys
 
 from .errors import ConfigError, ProfileFormatError
 from .report import emit_report
-from .suites import FORMATS, SUITES, config_from_sources, load_config_file, run_suite
+from .suites import CONFIG_KEYS, FORMATS, SUITES, config_from_sources, load_config_file, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,21 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse destination -> external config key (shared with JSON files).
-_DEST_TO_KEY = {
-    "suite": "suite",
-    "n": "n",
-    "k": "k",
-    "radius": "radius",
-    "grid_n": "grid_n",
-    "lam": "lambda",
-    "beta": "beta",
-    "p": "p",
-    "family": "family",
-    "out": "out",
-    "fmt": "format",
-    "tol": "tol",
-}
+# argparse destination (the config field name) -> external config key.
+_DEST_TO_KEY = {field: key for key, field in CONFIG_KEYS.items()}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,7 +22,6 @@ from .errors import InvalidArgumentError, UnsupportedDimensionError
 
 __all__ = [
     "HessianDim",
-    "DerivedConstants",
     "unit_ball_volume",
     "elem_sym",
     "elem_sym_all",
@@ -30,7 +29,6 @@ __all__ = [
     "principal_minor_sum",
     "gamma_k_membership",
     "maclaurin_means",
-    "derived_constants",
 ]
 
 
@@ -119,32 +117,6 @@ class HessianDim:
                 f"the strong integrability endpoint needs 2k < n, got (n, k) = ({self.n}, {self.k})"
             )
         return self.k * self.n / (self.n - 2.0 * self.k)
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    n: int
-    k: int
-    ball_volume: float
-    n_choose_k: int
-    moser_constant: float
-    beta_max: float | None
-
-    def concentration_quantum(self, p_prime: float = 1.0) -> float:
-        return HessianDim(self.n, self.k).concentration_quantum(p_prime)
-
-
-def derived_constants(dim: HessianDim) -> DerivedConstants:
-    """Snapshot of the dimensional constants for (n, k)."""
-    beta = dim.beta_max if dim.is_intermediate else None
-    return DerivedConstants(
-        n=dim.n,
-        k=dim.k,
-        ball_volume=dim.ball_volume,
-        n_choose_k=dim.n_choose_k,
-        moser_constant=dim.moser_constant,
-        beta_max=beta,
-    )
 
 
 def _as_spectrum(eigs) -> np.ndarray:

@@ -5,6 +5,8 @@ on: the log family (point mass in the intermediate regime), the pure
 power family (point mass in the subcritical regime, Newtonian potential
 at n = 3, k = 1), the quadratic family (constant density), and the
 mollified log family (bounded regularization of the log profile).
+Their formulas live in radial.CLOSED_FORMS, one record per kind; this
+module samples them on the grid and sweeps families of them.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import numpy as np
 
 from . import quadrature as quad
 from .core import HessianDim
-from .errors import InvalidArgumentError, UnsupportedDimensionError
-from .radial import RadialProfile, profile_from_slope
+from .errors import InvalidArgumentError
+from .radial import CLOSED_FORMS, RadialProfile, kind_params, profile_from_slope
 
-KINDS = ("log", "power", "quadratic", "mollified-log", "newtonian")
+KINDS = tuple(CLOSED_FORMS)
 
 __all__ = ["FamilySpec", "KINDS", "make_profile", "make_family"]
 
@@ -49,42 +51,18 @@ def make_profile(
     R: float = 1.0,
     grid_n: int = quad.DEFAULT_GRID_N,
 ) -> RadialProfile:
-    """Build one canonical profile on the standard graded grid."""
+    """Build one canonical profile on the standard graded grid from its
+    closed-form record."""
     r = quad.radial_grid(R, grid_n)
-    c = spec.amplitude
-    params = {"amplitude": c}
-    if spec.kind == "log":
-        values = c * np.log(r / R)
-        slope = c / r
-        return profile_from_slope(
-            dim, R, r, slope, 0.0, values=values, kind="log", params=params, unbounded_origin=True
-        )
-    if spec.kind in ("power", "newtonian"):
-        if spec.kind == "newtonian" and (dim.n, dim.k) != (3, 1):
-            raise UnsupportedDimensionError("the newtonian kind is the (n, k) = (3, 1) power profile")
-        if not dim.is_subcritical:
-            raise UnsupportedDimensionError(
-                f"power profiles need 2k < n, got (n, k) = ({dim.n}, {dim.k})"
-            )
-        m = (dim.n - 2.0 * dim.k) / dim.k
-        values = -c * (r**-m - R**-m)
-        slope = c * m * r ** (-m - 1.0)
-        return profile_from_slope(
-            dim, R, r, slope, 0.0, values=values, kind=spec.kind, params=params, unbounded_origin=True
-        )
-    if spec.kind == "quadratic":
-        values = c * (r**2 - R**2) / 2.0
-        slope = c * r
-        return profile_from_slope(
-            dim, R, r, slope, 0.0, values=values, kind="quadratic", params=params, unbounded_origin=False
-        )
-    # mollified-log: c log(sqrt(r^2 + eps^2) / sqrt(R^2 + eps^2))
-    eps = spec.mollification
-    params["mollification"] = eps
-    values = 0.5 * c * (np.log(r**2 + eps**2) - np.log(R**2 + eps**2))
-    slope = c * r / (r**2 + eps**2)
+    form = CLOSED_FORMS[spec.kind]
+    form.check_dim(dim)
+    params = {"amplitude": spec.amplitude}
+    if spec.mollification:
+        params["mollification"] = spec.mollification
+    p = kind_params(dim, R, params)
     return profile_from_slope(
-        dim, R, r, slope, 0.0, values=values, kind="mollified-log", params=params, unbounded_origin=False
+        dim, R, r, form.slope(r, p), 0.0, values=form.value(r, p),
+        kind=spec.kind, params=params, unbounded_origin=form.unbounded,
     )
 
 

@@ -39,7 +39,7 @@ from .radial import (
     solve_dirichlet,
     value_at,
 )
-from .report import CheckRecord
+from .report import CheckRecord, upper_bound
 
 __all__ = [
     "LiouvilleProblem",
@@ -521,18 +521,16 @@ def singular_comparison_check(
     excess = float(np.max(shifted - offset))
     scale = max(1.0, abs(offset))
     tol = 1e-9 * scale
-    return CheckRecord(
-        check=f"singular-comparison[n={dim.n},k={dim.k},p'={p_prime:g},factor={atom_factor:g}]",
-        anchor="singular-log-comparison",
-        inputs={
+    return upper_bound(
+        f"singular-comparison[n={dim.n},k={dim.k},p'={p_prime:g},factor={atom_factor:g}]",
+        "singular-log-comparison",
+        {
             "n": dim.n, "k": dim.k, "p_prime": p_prime, "R": R,
             "atom_factor": atom_factor, "background": background,
         },
-        lhs=excess,
-        rhs=tol,
-        margin=tol - excess,
-        passed=bool(excess <= tol),
-        details={"atom": atom, "quantum": quantum, "boundary_offset": offset},
+        excess,
+        tol,
+        {"atom": atom, "quantum": quantum, "boundary_offset": offset},
     )
 
 

@@ -19,7 +19,9 @@ Atoms at the origin are the r -> 0 limit of m.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,10 @@ from .errors import (
 )
 
 __all__ = [
+    "CLOSED_FORMS",
+    "ClosedForm",
+    "KindParams",
+    "kind_params",
     "RadialProfile",
     "RadialMeasure",
     "profile_from_slope",
@@ -43,6 +49,7 @@ __all__ = [
     "hessian_integral",
     "phi_norm",
     "level_set_radius",
+    "level_set_log_ratio",
     "lp_norm",
     "weak_lp_quasinorm",
     "exp_integral",
@@ -193,6 +200,117 @@ class RadialMeasure:
         return cls(dim, R, nodes, float(atom), f, cumulative)
 
 
+class KindParams(NamedTuple):
+    """What the closed forms read: amplitude c, domain radius R, power
+    exponent m = (n - 2k)/k, and mollification scale eps."""
+
+    c: float
+    R: float
+    m: float
+    eps: float
+
+
+def _require_subcritical(dim: HessianDim) -> None:
+    if not dim.is_subcritical:
+        raise UnsupportedDimensionError(
+            f"power profiles need 2k < n, got (n, k) = ({dim.n}, {dim.k})"
+        )
+
+
+def _require_newtonian(dim: HessianDim) -> None:
+    if (dim.n, dim.k) != (3, 1):
+        raise UnsupportedDimensionError("the newtonian kind is the (n, k) = (3, 1) power profile")
+
+
+def _neg_half_log1p(x: float) -> float:
+    # -log(rho/R) from x = (rho/R)^2 - 1; the sublevel ball is empty at x <= -1
+    return -0.5 * math.log1p(x) if x > -1.0 else math.inf
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """Closed forms of one canonical profile kind, each taking KindParams p.
+
+    value(r, p) and slope(r, p) give u and u' on an array of radii;
+    log_ratio(t, p) gives log(R/rho) for the sublevel ball
+    {u < -t} = B_rho (inf when it is empty); exponent(p) gives m with
+    u ~ -c r^(-m) at the origin, 0 for log-type or no divergence.
+    unbounded says whether u -> -inf at the origin, and check_dim
+    raises when (n, k) cannot host the kind.
+    """
+
+    value: Callable
+    slope: Callable
+    log_ratio: Callable
+    exponent: Callable
+    unbounded: bool
+    check_dim: Callable = lambda dim: None
+
+
+def _power_form(check_dim: Callable) -> ClosedForm:
+    # u = -c (r^-m - R^-m), the point-mass profile of the subcritical regime
+    return ClosedForm(
+        value=lambda r, p: -p.c * (r**-p.m - p.R**-p.m),
+        slope=lambda r, p: p.c * p.m * r ** (-p.m - 1.0),
+        log_ratio=lambda t, p: math.log1p(t * p.R**p.m / p.c) / p.m,
+        exponent=lambda p: p.m,
+        unbounded=True,
+        check_dim=check_dim,
+    )
+
+
+# The one home of each canonical kind's formulas.  Tags without a record
+# ("bubble", "cap-extremal", untagged profiles) use the grid.
+CLOSED_FORMS: dict[str, ClosedForm] = {
+    # u = c log(r/R): the point mass of the intermediate regime
+    "log": ClosedForm(
+        value=lambda r, p: p.c * np.log(r / p.R),
+        slope=lambda r, p: p.c / r,
+        log_ratio=lambda t, p: t / p.c,
+        exponent=lambda p: 0.0,
+        unbounded=True,
+    ),
+    "power": _power_form(_require_subcritical),
+    # u = c (r^2 - R^2)/2: constant density
+    "quadratic": ClosedForm(
+        value=lambda r, p: p.c * (r**2 - p.R**2) / 2.0,
+        slope=lambda r, p: p.c * r,
+        log_ratio=lambda t, p: _neg_half_log1p(-2.0 * t / (p.c * p.R**2)),
+        exponent=lambda p: 0.0,
+        unbounded=False,
+    ),
+    # u = c log(sqrt(r^2 + eps^2) / sqrt(R^2 + eps^2)): the bounded log
+    "mollified-log": ClosedForm(
+        value=lambda r, p: 0.5 * p.c * (np.log(r**2 + p.eps**2) - np.log(p.R**2 + p.eps**2)),
+        slope=lambda r, p: p.c * r / (r**2 + p.eps**2),
+        log_ratio=lambda t, p: _neg_half_log1p((1.0 + (p.eps / p.R) ** 2) * math.expm1(-2.0 * t / p.c)),
+        exponent=lambda p: 0.0,
+        unbounded=False,
+    ),
+    # the (3, 1) power profile, the Newtonian potential
+    "newtonian": _power_form(_require_newtonian),
+}
+
+
+def kind_params(dim: HessianDim, R: float, params: dict) -> KindParams:
+    """The closed-form parameters of a canonical profile's params dict."""
+    return KindParams(
+        c=params["amplitude"],
+        R=R,
+        m=(dim.n - 2.0 * dim.k) / dim.k,
+        eps=params.get("mollification", 0.0),
+    )
+
+
+def _closed_form(u: RadialProfile) -> tuple[ClosedForm, KindParams] | None:
+    form = CLOSED_FORMS.get(u.kind)
+    params = u.params or {}
+    c = params.get("amplitude")
+    if form is None or c is None or c <= 0:
+        return None
+    return form, kind_params(u.dim, u.R, params)
+
+
 def _slope_origin_exponent(nodes: np.ndarray, slope: np.ndarray) -> float | None:
     """Local power-law exponent of u' at the inner edge, or None."""
     if slope[0] <= 0 or slope[1] <= 0:
@@ -242,6 +360,12 @@ def _mass_coefficient(dim: HessianDim) -> float:
     return dim.n * dim.ball_volume * math.comb(dim.n - 1, dim.k - 1) / dim.k
 
 
+def _s_k_density(dim: HessianDim, second, ratio):
+    # S_k of a radial function from u'' and u'/r
+    n, k = dim.n, dim.k
+    return math.comb(n - 1, k - 1) * second * ratio ** (k - 1) + math.comb(n - 1, k) * ratio**k
+
+
 def s_k_radial(u: RadialProfile) -> RadialMeasure:
     """k-Hessian measure of a radial profile.
 
@@ -261,10 +385,7 @@ def s_k_radial(u: RadialProfile) -> RadialMeasure:
     atom = float(m[0])
     if atom < 1e-10 * total:
         atom = 0.0
-    upp = np.gradient(u.slope, r)
-    ratio = u.slope / r
-    density = math.comb(n - 1, k - 1) * upp * ratio ** (k - 1) + math.comb(n - 1, k) * ratio**k
-    density = np.maximum(density, 0.0)
+    density = np.maximum(_s_k_density(dim, np.gradient(u.slope, r), u.slope / r), 0.0)
     return RadialMeasure(dim=dim, R=u.R, nodes=r, atom=atom, density=density, cumulative=m)
 
 
@@ -321,70 +442,58 @@ def phi_norm(u: RadialProfile) -> float:
     return total ** (1.0 / (u.dim.k + 1))
 
 
-def _level_radius_closed_form(u: RadialProfile, t: float) -> float | None:
-    """Exact sublevel radius for the canonical profile kinds.
-
-    Grid interpolation biases the radius by O(h^2), which is fatal for
-    equality checks at 1e-8; canonical kinds invert analytically.
-    """
-    c = (u.params or {}).get("amplitude")
-    if u.kind is None or c is None or c <= 0:
-        return None
-    R = u.R
-    if u.kind == "log":
-        return R * math.exp(-t / c)
-    if u.kind in ("power", "newtonian"):
-        m = (u.dim.n - 2.0 * u.dim.k) / u.dim.k
-        return (t / c + R**-m) ** (-1.0 / m)
-    if u.kind == "quadratic":
-        arg = R * R - 2.0 * t / c
-        return math.sqrt(arg) if arg > 0 else 0.0
-    if u.kind == "mollified-log":
-        eps = u.params.get("mollification", 0.0)
-        arg = (R * R + eps * eps) * math.exp(-2.0 * t / c) - eps * eps
-        return math.sqrt(arg) if arg > 0 else 0.0
-    return None
+def _require_level(t: float) -> None:
+    if not np.isfinite(t) or t <= 0:
+        raise InvalidArgumentError(f"level t must be positive, got {t!r}")
 
 
 def value_at(u: RadialProfile, r: float) -> float:
     """Profile value at radius r.
 
-    Canonical kinds evaluate by closed form (same rationale as the
-    sublevel inversion above); anything else interpolates the grid in
-    log radius, holding the first node's value below it.
+    Canonical kinds evaluate their closed form (grid interpolation
+    biases by O(h^2), which is fatal for equality checks at 1e-8);
+    anything else interpolates the grid in log radius, holding the
+    first node's value below it.
     """
     if not (np.isfinite(r) and 0.0 <= r <= u.R * (1.0 + 1e-12)):
         raise InvalidArgumentError(f"need 0 <= r <= {u.R:g}, got {r!r}")
     r = min(float(r), u.R)
-    c = (u.params or {}).get("amplitude")
-    if u.kind is not None and c is not None and c > 0:
-        R = u.R
-        if u.kind == "log":
-            return c * math.log(r / R) if r > 0 else -math.inf
-        if u.kind in ("power", "newtonian"):
-            m = (u.dim.n - 2.0 * u.dim.k) / u.dim.k
-            return -c * (r**-m - R**-m) if r > 0 else -math.inf
-        if u.kind == "quadratic":
-            return c * (r * r - R * R) / 2.0
-        if u.kind == "mollified-log":
-            eps = u.params.get("mollification", 0.0)
-            if r * r + eps * eps == 0.0:
-                return -math.inf
-            return 0.5 * c * (math.log(r * r + eps * eps) - math.log(R * R + eps * eps))
+    closed = _closed_form(u)
+    if closed is not None:
+        form, p = closed
+        # the same array expression make_profile samples, so nodes agree exactly
+        with np.errstate(divide="ignore"):
+            return float(form.value(np.array([r]), p)[0])
     if r <= u.nodes[0]:
         return float(u.values[0])
     return float(np.interp(math.log(r), np.log(u.nodes), u.values))
 
 
+def level_set_log_ratio(u: RadialProfile, t: float) -> float:
+    """log(R/rho) for the sublevel ball {u < -t} = B_rho: 0 when it is
+    the whole ball, inf when it is empty.
+
+    Canonical kinds return the logarithm in closed form, so it stays
+    accurate when rho is close to R, where forming rho first cancels.
+    """
+    closed = _closed_form(u)
+    if closed is None:
+        rho = level_set_radius(u, t)
+        return math.log(u.R / rho) if rho > 0 else math.inf
+    _require_level(t)
+    if u.boundary < -t:
+        return 0.0
+    form, p = closed
+    return form.log_ratio(t, p)
+
+
 def level_set_radius(u: RadialProfile, t: float) -> float:
     """Radius of the sublevel ball {u < -t}; 0 when the set is empty."""
-    if not np.isfinite(t) or t <= 0:
-        raise InvalidArgumentError(f"level t must be positive, got {t!r}")
+    if _closed_form(u) is not None:
+        return float(u.R * math.exp(-level_set_log_ratio(u, t)))
+    _require_level(t)
     if u.boundary < -t:
         return float(u.R)
-    exact = _level_radius_closed_form(u, t)
-    if exact is not None:
-        return float(min(exact, u.R))
     v = u.values
     if v[0] >= -t:
         return 0.0
@@ -415,13 +524,14 @@ def volume_integral(dim: HessianDim, nodes: np.ndarray, g: np.ndarray) -> float:
 def _power_singularity(u: RadialProfile) -> float | None:
     """Exponent m with u ~ -c r^(-m) near the origin, if any.
 
-    Canonical kinds report it exactly; otherwise it is estimated from
-    the inner nodes.  Log-type divergence reports ~0 and never trips
-    the power-divergence tests.
+    Canonical kinds report it exactly (0 for log-type divergence, which
+    never trips the power-divergence tests); otherwise it is estimated
+    from the inner nodes.
     """
-    dim = u.dim
-    if u.kind in ("power", "newtonian"):
-        return (dim.n - 2.0 * dim.k) / dim.k
+    closed = _closed_form(u)
+    if closed is not None:
+        form, p = closed
+        return form.exponent(p)
     if not u.unbounded_origin:
         return None
     depth = -float(u.values[0])
@@ -469,8 +579,9 @@ def weak_lp_quasinorm(u: RadialProfile, p: float) -> float:
         endpoint = dim.n / m_sing
         if p > endpoint * (1.0 + 1e-12):
             return float("inf")
-        if abs(p - endpoint) <= 1e-12 * endpoint and u.kind in ("power", "newtonian"):
-            c = float(u.params.get("amplitude", 1.0))
+        closed = _closed_form(u)
+        if abs(p - endpoint) <= 1e-12 * endpoint and closed is not None:
+            c = closed[1].c
             tail = dim.ball_volume ** (1.0 / p) * c ** (dim.n / (m_sing * p))
             best = max(best, tail)
     return best

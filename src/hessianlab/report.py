@@ -21,7 +21,9 @@ from .errors import InvalidArgumentError
 
 CSV_HEADER = ["suite", "check", "anchor", "inputs", "lhs", "rhs", "margin", "pass", "ms"]
 
-__all__ = ["CheckRecord", "ReportRow", "CSV_HEADER", "digest_inputs", "row_from_record", "emit_report"]
+__all__ = [
+    "CheckRecord", "ReportRow", "CSV_HEADER", "digest_inputs", "row_from_record", "emit_report", "upper_bound",
+]
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,32 @@ class CheckRecord:
     margin: float
     passed: bool
     details: dict = field(default_factory=dict)
+
+
+def upper_bound(
+    check: str,
+    anchor: str,
+    inputs: dict,
+    value: float,
+    tol: float,
+    details: dict | None = None,
+    holds: bool = True,
+) -> CheckRecord:
+    """Record of the one-sided claim value <= tol, with margin tol - value.
+
+    holds carries any side condition the check also asserts; the record
+    passes only when both hold.
+    """
+    return CheckRecord(
+        check=check,
+        anchor=anchor,
+        inputs=inputs,
+        lhs=value,
+        rhs=tol,
+        margin=tol - value,
+        passed=bool(value <= tol and holds),
+        details=details or {},
+    )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Experiment configuration and the named verification suites.
 
-Each suite assembles a deterministic catalog of checks from the
-submodules; run_suite executes them (concurrently when allowed) and
-returns order-stable report rows.  Without explicit (n, k) a suite runs
+Each suite is a catalog: `_suite_<name>(cfg, soft)` validates the
+config against the suite's regime, then returns a list of jobs, each a
+module-level check function bound to its arguments with
+functools.partial (for example `partial(_roundtrip, cfg, dim)`).  A job
+returns one CheckRecord or a list of them.  run_suite executes the jobs
+(concurrently when allowed) and returns order-stable report rows.  Without explicit (n, k) a suite runs
 its canonical dimensions.  With an explicit pair, a named suite rejects
 a regime mismatch as a config error, while the combined "all" run
 simply skips the suites that cannot host that pair; genuine parameter
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -36,7 +40,7 @@ from .radial import (
     s_k_radial,
     solve_dirichlet,
 )
-from .report import CheckRecord, ReportRow, row_from_record
+from .report import CheckRecord, ReportRow, row_from_record, upper_bound
 
 SUITES = ("sym", "solve", "capacity", "bm", "abp", "degiorgi", "liouville", "all")
 FORMATS = ("csv", "jsonl")
@@ -47,6 +51,7 @@ _FIXTURE_FAMILIES = ("standard", "constant")
 __all__ = [
     "SUITES",
     "FORMATS",
+    "CONFIG_KEYS",
     "ExperimentConfig",
     "config_from_sources",
     "load_config_file",
@@ -103,8 +108,9 @@ class ExperimentConfig:
         return None if self.n is None else HessianDim(self.n, self.k)
 
 
-# JSON config keys and CLI flags share this map onto config fields.
-_KEY_TO_FIELD = {
+# JSON config keys and CLI flags share this map onto config fields; the
+# CLI's argparse destinations are the field names.
+CONFIG_KEYS = {
     "suite": "suite",
     "n": "n",
     "k": "k",
@@ -153,13 +159,13 @@ def config_from_sources(file_data: dict | None = None, overrides: dict | None = 
         if not source:
             continue
         for key, value in source.items():
-            if key not in _KEY_TO_FIELD:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(
-                    f"unknown {origin} key {key!r}; expected one of {sorted(_KEY_TO_FIELD)}"
+                    f"unknown {origin} key {key!r}; expected one of {sorted(CONFIG_KEYS)}"
                 )
             if value is None:
                 continue
-            merged[_KEY_TO_FIELD[key]] = _coerce(_KEY_TO_FIELD[key], value)
+            merged[CONFIG_KEYS[key]] = _coerce(CONFIG_KEYS[key], value)
     return ExperimentConfig(**merged)
 
 
@@ -176,10 +182,18 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-# --- suite builders -------------------------------------------------
-# Each builder returns a list of thunks; a thunk yields one CheckRecord
-# or a list of them.  Builders validate the config against their regime
-# up front, so a bad request fails before any computation starts.
+# --- suite catalogs --------------------------------------------------
+# Catalog functions validate the config up front, so a bad request
+# fails before any computation starts.
+
+
+def _constant(r, c=1.0):
+    return np.full_like(r, c)
+
+
+def _tol(cfg: ExperimentConfig, default: float) -> float:
+    """The --tol override of a grid-accuracy tolerance, else its default."""
+    return cfg.tol if cfg.tol is not None else default
 
 
 def _dims_for(cfg: ExperimentConfig, canonical, predicate, regime: str, soft: bool):
@@ -197,222 +211,161 @@ def _load_sym_fixtures():
     return json.loads(text)
 
 
+def _sym_two_routes(cfg):
+    tol = _tol(cfg, 1e-9)
+    records = []
+    for i, entry in enumerate(_load_sym_fixtures()["matrices"]):
+        mat = np.asarray(entry["entries"], dtype=float)
+        n = mat.shape[0]
+        eig_route = np.array([s_k_of_matrix(mat, k) for k in range(1, n + 1)])
+        minor_route = np.array([principal_minor_sum(mat, k) for k in range(1, n + 1)])
+        spread = float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+        scale = np.maximum(
+            np.maximum(np.abs(eig_route), np.abs(minor_route)),
+            [math.comb(n, k) * spread**k for k in range(1, n + 1)],
+        )
+        rel = float(np.max(np.abs(eig_route - minor_route) / scale))
+        records.append(upper_bound(
+            f"sym-two-routes[{i:02d}]", "sigma-k-two-routes", {"index": i, "n": n},
+            rel, tol, {"orders": n},
+        ))
+    return records
+
+
 def _suite_sym(cfg: ExperimentConfig, soft: bool = False):
     # The fixture matrices span several sizes; (n, k) restrictions do
     # not apply here.
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-
-    def run():
-        data = _load_sym_fixtures()
-        records = []
-        for i, entry in enumerate(data["matrices"]):
-            mat = np.asarray(entry["entries"], dtype=float)
-            n = mat.shape[0]
-            eig_route = np.array([s_k_of_matrix(mat, k) for k in range(1, n + 1)])
-            minor_route = np.array([principal_minor_sum(mat, k) for k in range(1, n + 1)])
-            spread = float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-            scale = np.maximum(
-                np.maximum(np.abs(eig_route), np.abs(minor_route)),
-                [math.comb(n, k) * spread**k for k in range(1, n + 1)],
-            )
-            rel = float(np.max(np.abs(eig_route - minor_route) / scale))
-            records.append(
-                CheckRecord(
-                    check=f"sym-two-routes[{i:02d}]",
-                    anchor="sigma-k-two-routes",
-                    inputs={"index": i, "n": n},
-                    lhs=rel,
-                    rhs=tol,
-                    margin=tol - rel,
-                    passed=bool(rel <= tol),
-                    details={"orders": n},
-                )
-            )
-        return records
-
-    return [run]
+    return [partial(_sym_two_routes, cfg)]
 
 
 _SOLVE_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2), HessianDim(3, 1))
 
 
-def _suite_solve(cfg: ExperimentConfig, soft: bool = False):
-    dims = _dims_for(cfg, _SOLVE_CANONICAL, lambda d: True, "radial", soft)
+def _roundtrip(cfg, dim):
     R = cfg.radius
-    grid_n = cfg.grid_n
+    u = make_profile(FamilySpec("quadratic"), dim, R, cfg.grid_n)
+    back = solve_dirichlet(s_k_radial(u), u.boundary)
+    err = float(np.max(np.abs(back.values - u.values)))
+    tol = _tol(cfg, 1e-8) * max(1.0, float(np.max(np.abs(u.values))))
+    return upper_bound(
+        f"roundtrip-quadratic[n={dim.n},k={dim.k}]", "dirichlet-roundtrip",
+        {"n": dim.n, "k": dim.k, "R": R}, err, tol, {"mass": hessian_mass(u)},
+    )
+
+
+def _fundamental(cfg, dim):
+    R = cfg.radius
+    atom = dim.n_choose_k * dim.ball_volume
+    nodes = quad.radial_grid(R, cfg.grid_n)
+    u = solve_dirichlet(RadialMeasure.from_atom(dim, R, nodes, atom), 0.0)
+    target = np.log(nodes / R)
+    mask = nodes >= 1e-6 * R
+    err = float(np.max(np.abs(u.values[mask] - target[mask])))
+    return upper_bound(
+        f"fundamental-log[n={dim.n},k={dim.k}]", "fundamental-solution",
+        {"n": dim.n, "k": dim.k, "R": R, "atom": atom}, err, _tol(cfg, 1e-6), {"atom": atom},
+    )
+
+
+def _mass_constancy(cfg, dim):
+    R = cfg.radius
+    mu = s_k_radial(make_profile(FamilySpec("log"), dim, R, cfg.grid_n))
+    expected = dim.n_choose_k * dim.ball_volume
+    rel = float(np.max(np.abs(mu.cumulative - expected)) / expected)
+    return upper_bound(
+        f"fundamental-mass-constancy[n={dim.n},k={dim.k}]", "fundamental-solution",
+        {"n": dim.n, "k": dim.k, "R": R}, rel, _tol(cfg, 1e-8), {"expected": expected},
+    )
+
+
+def _newtonian(cfg, dim):
+    R = cfg.radius
+    mass = hessian_mass(make_profile(FamilySpec("newtonian"), dim, R, cfg.grid_n))
+    expected = 4.0 * math.pi  # unit-amplitude point mass at (3, 1)
+    rel = abs(mass - expected) / expected
+    return upper_bound(
+        f"newtonian-mass[n={dim.n},k={dim.k}]", "newtonian-atom",
+        {"n": dim.n, "k": dim.k, "R": R}, rel, _tol(cfg, 1e-9), {"mass": mass},
+    )
+
+
+def _suite_solve(cfg: ExperimentConfig, soft: bool = False):
     jobs = []
-
-    def roundtrip(dim):
-        def run():
-            u = make_profile(FamilySpec("quadratic"), dim, R, grid_n)
-            mu = s_k_radial(u)
-            back = solve_dirichlet(mu, u.boundary)
-            err = float(np.max(np.abs(back.values - u.values)))
-            scale = max(1.0, float(np.max(np.abs(u.values))))
-            tol = (cfg.tol if cfg.tol is not None else 1e-8) * scale
-            return CheckRecord(
-                check=f"roundtrip-quadratic[n={dim.n},k={dim.k}]",
-                anchor="dirichlet-roundtrip",
-                inputs={"n": dim.n, "k": dim.k, "R": R},
-                lhs=err, rhs=tol, margin=tol - err, passed=bool(err <= tol),
-                details={"mass": hessian_mass(u)},
-            )
-
-        return run
-
-    def fundamental(dim):
-        def run():
-            atom = dim.n_choose_k * dim.ball_volume
-            nodes = quad.radial_grid(R, grid_n)
-            mu = RadialMeasure.from_atom(dim, R, nodes, atom)
-            u = solve_dirichlet(mu, 0.0)
-            target = np.log(nodes / R)
-            mask = nodes >= 1e-6 * R
-            err = float(np.max(np.abs(u.values[mask] - target[mask])))
-            tol = cfg.tol if cfg.tol is not None else 1e-6
-            return CheckRecord(
-                check=f"fundamental-log[n={dim.n},k={dim.k}]",
-                anchor="fundamental-solution",
-                inputs={"n": dim.n, "k": dim.k, "R": R, "atom": atom},
-                lhs=err, rhs=tol, margin=tol - err, passed=bool(err <= tol),
-                details={"atom": atom},
-            )
-
-        return run
-
-    def mass_constancy(dim):
-        def run():
-            u = make_profile(FamilySpec("log"), dim, R, grid_n)
-            mu = s_k_radial(u)
-            expected = dim.n_choose_k * dim.ball_volume
-            running = mu.cumulative
-            rel = float(np.max(np.abs(running - expected)) / expected)
-            tol = cfg.tol if cfg.tol is not None else 1e-8
-            return CheckRecord(
-                check=f"fundamental-mass-constancy[n={dim.n},k={dim.k}]",
-                anchor="fundamental-solution",
-                inputs={"n": dim.n, "k": dim.k, "R": R},
-                lhs=rel, rhs=tol, margin=tol - rel, passed=bool(rel <= tol),
-                details={"expected": expected},
-            )
-
-        return run
-
-    def newtonian(dim):
-        def run():
-            u = make_profile(FamilySpec("newtonian"), dim, R, grid_n)
-            mass = hessian_mass(u)
-            expected = 4.0 * math.pi  # unit-amplitude point mass at (3, 1)
-            rel = abs(mass - expected) / expected
-            tol = cfg.tol if cfg.tol is not None else 1e-9
-            return CheckRecord(
-                check=f"newtonian-mass[n={dim.n},k={dim.k}]",
-                anchor="newtonian-atom",
-                inputs={"n": dim.n, "k": dim.k, "R": R},
-                lhs=rel, rhs=tol, margin=tol - rel, passed=bool(rel <= tol),
-                details={"mass": mass},
-            )
-
-        return run
-
-    for dim in dims:
-        jobs.append(roundtrip(dim))
+    for dim in _dims_for(cfg, _SOLVE_CANONICAL, lambda d: True, "radial", soft):
+        jobs.append(partial(_roundtrip, cfg, dim))
         if dim.is_intermediate:
-            jobs.append(fundamental(dim))
-            jobs.append(mass_constancy(dim))
+            jobs.append(partial(_fundamental, cfg, dim))
+            jobs.append(partial(_mass_constancy, cfg, dim))
         if (dim.n, dim.k) == (3, 1):
-            jobs.append(newtonian(dim))
+            jobs.append(partial(_newtonian, cfg, dim))
     return jobs
 
 
 _CAP_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2), HessianDim(3, 1))
 
 
+def _condenser(cfg, dim, frac=0.3):
+    return cap_mod.CapacityConfig(dim, frac * cfg.radius, cfg.radius)
+
+
+def _saturation(cfg, dim, frac):
+    return cap_mod.isocapacitary_margin(_condenser(cfg, dim, frac), dim.beta_max)
+
+
+def _volume_bound(cfg, dim, q):
+    return cap_mod.isocapacitary_margin(_condenser(cfg, dim), q)
+
+
+def _extremal_mass(cfg, dim):
+    c = _condenser(cfg, dim)
+    cap = cap_mod.cap_concentric(c)
+    mass = hessian_mass(cap_mod.extremal_profile(c, cfg.grid_n))
+    rel = abs(mass - cap) / cap
+    return upper_bound(
+        f"extremal-mass[n={dim.n},k={dim.k}]", "cap-extremal-mass",
+        {"n": dim.n, "k": dim.k, "inner": 0.3 * cfg.radius, "outer": cfg.radius},
+        rel, _tol(cfg, 1e-6), {"cap": cap, "mass": mass},
+    )
+
+
+def _levelset(cfg, dim, kind):
+    u = make_profile(FamilySpec(kind), dim, cfg.radius, cfg.grid_n)
+    ts = np.linspace(0.1, 0.9, 5) * min(float(-u.values[0]), 20.0)
+    return cap_mod.levelset_cap_check(u, ts, tol=_tol(cfg, 1e-8))
+
+
+def _comparisons(cfg, dim):
+    R, grid_n = cfg.radius, cfg.grid_n
+    if not dim.is_intermediate:
+        return [cap_mod.comparison_check(
+            make_profile(FamilySpec("power", amplitude=2.0), dim, R, grid_n),
+            make_profile(FamilySpec("power", amplitude=1.0), dim, R, grid_n),
+        )]
+    deep = make_profile(FamilySpec("log", amplitude=2.0), dim, R, grid_n)
+    shallow = make_profile(FamilySpec("log", amplitude=1.0), dim, R, grid_n)
+    return [
+        cap_mod.comparison_check(deep, shallow),
+        cap_mod.comparison_check(
+            cap_mod.extremal_profile(_condenser(cfg, dim), grid_n),
+            make_profile(FamilySpec("quadratic"), dim, R, grid_n),
+        ),
+    ]
+
+
 def _suite_capacity(cfg: ExperimentConfig, soft: bool = False):
-    dims = _dims_for(cfg, _CAP_CANONICAL, lambda d: 2 * d.k <= d.n, "capacity (2k <= n)", soft)
-    R = cfg.radius
-    grid_n = cfg.grid_n
     jobs = []
-
-    def saturation(dim, frac):
-        def run():
-            c = cap_mod.CapacityConfig(dim, frac * R, R)
-            return cap_mod.isocapacitary_margin(c, dim.beta_max)
-
-        return run
-
-    def volume_bound(dim, q):
-        def run():
-            c = cap_mod.CapacityConfig(dim, 0.3 * R, R)
-            return cap_mod.isocapacitary_margin(c, q)
-
-        return run
-
-    def extremal_mass(dim):
-        def run():
-            c = cap_mod.CapacityConfig(dim, 0.3 * R, R)
-            cap = cap_mod.cap_concentric(c)
-            u = cap_mod.extremal_profile(c, grid_n)
-            mass = hessian_mass(u)
-            rel = abs(mass - cap) / cap
-            tol = cfg.tol if cfg.tol is not None else 1e-6
-            return CheckRecord(
-                check=f"extremal-mass[n={dim.n},k={dim.k}]",
-                anchor="cap-extremal-mass",
-                inputs={"n": dim.n, "k": dim.k, "inner": 0.3 * R, "outer": R},
-                lhs=rel, rhs=tol, margin=tol - rel, passed=bool(rel <= tol),
-                details={"cap": cap, "mass": mass},
-            )
-
-        return run
-
-    def levelset(dim, kind):
-        def run():
-            u = make_profile(FamilySpec(kind), dim, R, grid_n)
-            depth = float(-u.values[0])
-            ts = np.linspace(0.1, 0.9, 5) * min(depth, 20.0)
-            tol = cfg.tol if cfg.tol is not None else 1e-8
-            return cap_mod.levelset_cap_check(u, ts, tol=tol)
-
-        return run
-
-    def comparisons(dim):
-        def run():
-            records = []
-            if dim.is_intermediate:
-                deep = make_profile(FamilySpec("log", amplitude=2.0), dim, R, grid_n)
-                shallow = make_profile(FamilySpec("log", amplitude=1.0), dim, R, grid_n)
-                records.append(cap_mod.comparison_check(deep, shallow))
-                c = cap_mod.CapacityConfig(dim, 0.3 * R, R)
-                records.append(
-                    cap_mod.comparison_check(
-                        cap_mod.extremal_profile(c, grid_n),
-                        make_profile(FamilySpec("quadratic"), dim, R, grid_n),
-                    )
-                )
-            else:
-                records.append(
-                    cap_mod.comparison_check(
-                        make_profile(FamilySpec("power", amplitude=2.0), dim, R, grid_n),
-                        make_profile(FamilySpec("power", amplitude=1.0), dim, R, grid_n),
-                    )
-                )
-            return records
-
-        return run
-
-    for dim in dims:
-        jobs.append(extremal_mass(dim))
-        jobs.append(levelset(dim, "quadratic"))
-        jobs.append(comparisons(dim))
+    for dim in _dims_for(cfg, _CAP_CANONICAL, lambda d: 2 * d.k <= d.n, "capacity (2k <= n)", soft):
+        jobs.append(partial(_extremal_mass, cfg, dim))
+        jobs.append(partial(_levelset, cfg, dim, "quadratic"))
+        jobs.append(partial(_comparisons, cfg, dim))
         if dim.is_intermediate:
             for frac in (0.5, 0.1, 0.01):
-                jobs.append(saturation(dim, frac))
-            jobs.append(levelset(dim, "log"))
+                jobs.append(partial(_saturation, cfg, dim, frac))
+            jobs.append(partial(_levelset, cfg, dim, "log"))
         else:
-            jobs.append(volume_bound(dim, 2.0))
+            jobs.append(partial(_volume_bound, cfg, dim, 2.0))
             if (dim.n, dim.k) == (3, 1):
-                jobs.append(levelset(dim, "newtonian"))
+                jobs.append(partial(_levelset, cfg, dim, "newtonian"))
     return jobs
 
 
@@ -423,68 +376,52 @@ _EXP_KINDS = ("log", "mollified-log", "quadratic")
 _LP_KINDS = ("power", "newtonian")
 
 
+def _exp_checks(cfg, dim, lam, kind):
+    spec = FamilySpec(kind, mollification=0.05) if kind == "mollified-log" else FamilySpec(kind)
+    return bm_mod.bm_exp_check(bm_mod.BMQuery(
+        dim=dim, branch="exp", family=spec, R=cfg.radius,
+        lam=lam, beta=cfg.beta, amplitudes=3, grid_n=cfg.grid_n,
+    ))
+
+
+def _sharpness(cfg, dim):
+    return bm_mod.sharpness_probe(dim, R=cfg.radius, grid_n=cfg.grid_n)
+
+
+def _lp_checks(cfg, dim, p, kind):
+    return bm_mod.bm_lp_check(bm_mod.BMQuery(
+        dim=dim, branch="lp", family=FamilySpec(kind), R=cfg.radius,
+        p=p, amplitudes=3, grid_n=cfg.grid_n,
+    ))
+
+
+def _lp_monotone(cfg, dim, kind):
+    R = cfg.radius
+    u = make_profile(FamilySpec(kind), dim, R, cfg.grid_n)
+    volume = domain_volume(dim, R)
+    ps = (1.0, 2.0, 2.9)
+    means = [lp_norm(u, p) / volume ** (1.0 / p) for p in ps]
+    worst = float(np.min(np.diff(means)))
+    return CheckRecord(
+        check=f"lp-normalized-monotone[n={dim.n},k={dim.k}]",
+        anchor="mass-normalized-lp",
+        inputs={"n": dim.n, "k": dim.k, "R": R, "ps": list(ps)},
+        lhs=worst, rhs=0.0, margin=worst, passed=bool(worst >= -1e-12),
+        details={"means": [float(m) for m in means]},
+    )
+
+
 def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
     dims = _dims_for(
         cfg, _BM_CANONICAL, lambda d: d.is_intermediate or d.is_subcritical,
         "integrability", soft,
     )
-    R = cfg.radius
-    grid_n = cfg.grid_n
     family = cfg.family
     if family in _FIXTURE_FAMILIES:
         if not soft:
             raise ConfigError(f"family {family!r} belongs to the degiorgi suite")
         family = None
     jobs = []
-
-    def exp_spec(kind):
-        if kind == "mollified-log":
-            return FamilySpec(kind, mollification=0.05)
-        return FamilySpec(kind)
-
-    def exp_checks(dim, lam, kind):
-        def run():
-            q = bm_mod.BMQuery(
-                dim=dim, branch="exp", family=exp_spec(kind), R=R,
-                lam=lam, beta=cfg.beta, amplitudes=3, grid_n=grid_n,
-            )
-            return bm_mod.bm_exp_check(q)
-
-        return run
-
-    def sharpness(dim):
-        def run():
-            return bm_mod.sharpness_probe(dim, R=R, grid_n=grid_n)
-
-        return run
-
-    def lp_checks(dim, p, kind):
-        def run():
-            q = bm_mod.BMQuery(
-                dim=dim, branch="lp", family=FamilySpec(kind), R=R,
-                p=p, amplitudes=3, grid_n=grid_n,
-            )
-            return bm_mod.bm_lp_check(q)
-
-        return run
-
-    def lp_monotone(dim, kind):
-        def run():
-            u = make_profile(FamilySpec(kind), dim, R, grid_n)
-            volume = domain_volume(dim, R)
-            ps = (1.0, 2.0, 2.9)
-            means = [lp_norm(u, p) / volume ** (1.0 / p) for p in ps]
-            worst = float(np.min(np.diff(means)))
-            return CheckRecord(
-                check=f"lp-normalized-monotone[n={dim.n},k={dim.k}]",
-                anchor="mass-normalized-lp",
-                inputs={"n": dim.n, "k": dim.k, "R": R, "ps": list(ps)},
-                lhs=worst, rhs=0.0, margin=worst, passed=bool(worst >= -1e-12),
-                details={"means": [float(m) for m in means]},
-            )
-
-        return run
-
     for dim in dims:
         if dim.is_intermediate:
             alpha0 = dim.moser_constant
@@ -502,10 +439,10 @@ def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
                 )
             exp_kind = family if family in _EXP_KINDS else "log"
             for lam in lams:
-                jobs.append(exp_checks(dim, lam, exp_kind))
+                jobs.append(partial(_exp_checks, cfg, dim, lam, exp_kind))
             if exp_kind == "log":
-                jobs.append(exp_checks(dim, alpha0 / 2, "mollified-log"))
-            jobs.append(sharpness(dim))
+                jobs.append(partial(_exp_checks, cfg, dim, alpha0 / 2, "mollified-log"))
+            jobs.append(partial(_sharpness, cfg, dim))
         else:
             endpoint = dim.lp_endpoint()
             if cfg.p is not None:
@@ -521,58 +458,53 @@ def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
             if lp_kind == "newtonian" and (dim.n, dim.k) != (3, 1):
                 lp_kind = "power"
             for p in ps:
-                jobs.append(lp_checks(dim, p, lp_kind))
-            jobs.append(lp_monotone(dim, lp_kind))
+                jobs.append(partial(_lp_checks, cfg, dim, p, lp_kind))
+            jobs.append(partial(_lp_monotone, cfg, dim, lp_kind))
     return jobs
 
 
 _ABP_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2))
 
 
+def _bump_density(r):
+    return 1.0 + 3.0 * np.exp(-(r**2) / (2 * 0.2**2))
+
+
+def _degiorgi_density(r):
+    return 1.0 + 4.0 * np.exp(-(r**2) / (2 * 0.25**2))
+
+
+def _gk(cfg, dim, density):
+    weight = abp_mod.OrliczWeight("exp", dim.k, rate=float(dim.k))
+    return abp_mod.verify_gk(dim, density, weight, R=cfg.radius, grid_n=cfg.grid_n)
+
+
+def _abp_bound(cfg, dim):
+    R, grid_n = cfg.radius, cfg.grid_n
+    weight = abp_mod.OrliczWeight("exp", dim.k, rate=1.0)
+    family = abp_mod.mollified_dirac_family(dim, weight, R=R, grid_n=grid_n)
+    return abp_mod.abp_bound_check(dim, family, weight, R=R, grid_n=grid_n)
+
+
+def _abp_degiorgi(cfg, dim):
+    return abp_mod.abp_degiorgi_check(dim, _degiorgi_density, R=cfg.radius, grid_n=cfg.grid_n)
+
+
+def _fixed_budget(cfg, dim):
+    weight = abp_mod.OrliczWeight("exp", dim.k, rate=1.0)
+    return abp_mod.fixed_budget_variation_check(dim, weight, R=cfg.radius, grid_n=cfg.grid_n)
+
+
 def _suite_abp(cfg: ExperimentConfig, soft: bool = False):
-    dims = _dims_for(cfg, _ABP_CANONICAL, lambda d: d.is_intermediate, "barrier (2k = n)", soft)
-    R = cfg.radius
-    grid_n = cfg.grid_n
     jobs = []
-
-    def gk(dim, density):
-        def run():
-            weight = abp_mod.OrliczWeight("exp", dim.k, rate=float(dim.k))
-            return abp_mod.verify_gk(dim, density, weight, R=R, grid_n=grid_n)
-
-        return run
-
-    def bound(dim):
-        def run():
-            weight = abp_mod.OrliczWeight("exp", dim.k, rate=1.0)
-            family = abp_mod.mollified_dirac_family(dim, weight, R=R, grid_n=grid_n)
-            return abp_mod.abp_bound_check(dim, family, weight, R=R, grid_n=grid_n)
-
-        return run
-
-    def degiorgi_run(dim):
-        def run():
-            return abp_mod.abp_degiorgi_check(
-                dim, lambda r: 1.0 + 4.0 * np.exp(-(r**2) / (2 * 0.25**2)), R=R, grid_n=grid_n
-            )
-
-        return run
-
-    def fixed_budget(dim):
-        def run():
-            weight = abp_mod.OrliczWeight("exp", dim.k, rate=1.0)
-            return abp_mod.fixed_budget_variation_check(dim, weight, R=R, grid_n=grid_n)
-
-        return run
-
-    for dim in dims:
-        const = float(dim.n_choose_k)
-        jobs.append(gk(dim, lambda r, c=const: np.full_like(r, c)))
-        jobs.append(gk(dim, lambda r: 1.0 + 3.0 * np.exp(-(r**2) / (2 * 0.2**2))))
-        jobs.append(bound(dim))
-        jobs.append(degiorgi_run(dim))
+    for dim in _dims_for(cfg, _ABP_CANONICAL, lambda d: d.is_intermediate, "barrier (2k = n)", soft):
+        const = partial(_constant, c=float(dim.n_choose_k))
+        jobs.append(partial(_gk, cfg, dim, const))
+        jobs.append(partial(_gk, cfg, dim, _bump_density))
+        jobs.append(partial(_abp_bound, cfg, dim))
+        jobs.append(partial(_abp_degiorgi, cfg, dim))
         if (dim.n, dim.k) == (4, 2):
-            jobs.append(fixed_budget(dim))
+            jobs.append(partial(_fixed_budget, cfg, dim))
     return jobs
 
 
@@ -588,6 +520,54 @@ _DEGIORGI_STANDARD = (
     (10.0, 2, 0.5), (0.25, 3, 2.0),
 )
 
+# (label, degiorgi_threshold arguments, closed-form threshold)
+_DEGIORGI_THRESHOLDS = (
+    ("unit", (1.0, 1.0, 0.25, 0.0), 1.0),
+    ("shifted", (2.0, 0.5, 1.0, 3.0), 4.0 / (1.0 - 2.0**-0.5) + 3.0),
+    ("zero-mass", (7.0, 1.3, 0.0, 2.5), 2.5),
+)
+
+
+def _threshold_row(label, args, expected):
+    got = abp_mod.degiorgi_threshold(*args)
+    rel = abs(got - expected) / max(1.0, abs(expected))
+    return upper_bound(
+        f"threshold[{label}]", "degiorgi-threshold", {"args": list(args)},
+        rel, 1e-12, {"value": got, "expected": expected},
+    )
+
+
+def _fit_row(i, phi0, m, a):
+    s = np.linspace(0.0, 4.0 * a, 33)
+    phi = phi0 * np.maximum(1.0 - s / a, 0.0) ** m
+    data = abp_mod.degiorgi_fit_and_verify(s, phi)
+    vanish = data.vanish_level if data.vanish_level is not None else math.inf
+    return CheckRecord(
+        check=f"degiorgi-fit[{i:02d},phi0={phi0:g},m={m},a={a:g}]",
+        anchor="degiorgi-vanishing",
+        inputs={"phi0": phi0, "m": m, "a": a},
+        lhs=vanish,
+        rhs=data.s_inf,
+        margin=data.s_inf - vanish if math.isfinite(data.s_inf) else -math.inf,
+        passed=data.verified,
+        details={"c0": data.c0, "delta": data.delta},
+    )
+
+
+def _constant_row():
+    s = np.linspace(0.0, 2.0, 12)
+    data = abp_mod.degiorgi_fit_and_verify(s, np.full_like(s, 0.7))
+    return CheckRecord(
+        check="degiorgi-fit[constant]",
+        anchor="degiorgi-vanishing",
+        inputs={"phi0": 0.7},
+        lhs=math.inf,
+        rhs=data.s_inf,
+        margin=-math.inf,
+        passed=data.verified,
+        details={"c0": data.c0},
+    )
+
 
 def _suite_degiorgi(cfg: ExperimentConfig, soft: bool = False):
     fixture = "standard"
@@ -597,70 +577,11 @@ def _suite_degiorgi(cfg: ExperimentConfig, soft: bool = False):
         raise ConfigError(
             f"degiorgi fixtures are {_FIXTURE_FAMILIES}, got family {cfg.family!r}"
         )
-    jobs = []
-
-    def threshold_row(label, args, expected):
-        def run():
-            got = abp_mod.degiorgi_threshold(*args)
-            rel = abs(got - expected) / max(1.0, abs(expected))
-            tol = 1e-12
-            return CheckRecord(
-                check=f"threshold[{label}]",
-                anchor="degiorgi-threshold",
-                inputs={"args": list(args)},
-                lhs=rel, rhs=tol, margin=tol - rel, passed=bool(rel <= tol),
-                details={"value": got, "expected": expected},
-            )
-
-        return run
-
-    def fit_row(i, phi0, m, a):
-        def run():
-            s = np.linspace(0.0, 4.0 * a, 33)
-            phi = phi0 * np.maximum(1.0 - s / a, 0.0) ** m
-            data = abp_mod.degiorgi_fit_and_verify(s, phi)
-            vanish = data.vanish_level if data.vanish_level is not None else math.inf
-            return CheckRecord(
-                check=f"degiorgi-fit[{i:02d},phi0={phi0:g},m={m},a={a:g}]",
-                anchor="degiorgi-vanishing",
-                inputs={"phi0": phi0, "m": m, "a": a},
-                lhs=vanish,
-                rhs=data.s_inf,
-                margin=data.s_inf - vanish if math.isfinite(data.s_inf) else -math.inf,
-                passed=data.verified,
-                details={"c0": data.c0, "delta": data.delta},
-            )
-
-        return run
-
-    def constant_row():
-        def run():
-            s = np.linspace(0.0, 2.0, 12)
-            phi = np.full_like(s, 0.7)
-            data = abp_mod.degiorgi_fit_and_verify(s, phi)
-            return CheckRecord(
-                check="degiorgi-fit[constant]",
-                anchor="degiorgi-vanishing",
-                inputs={"phi0": 0.7},
-                lhs=math.inf,
-                rhs=data.s_inf,
-                margin=-math.inf,
-                passed=data.verified,
-                details={"c0": data.c0},
-            )
-
-        return run
-
     if fixture == "constant":
-        jobs.append(constant_row())
-        return jobs
-    jobs.append(threshold_row("unit", (1.0, 1.0, 0.25, 0.0), 1.0))
-    jobs.append(
-        threshold_row("shifted", (2.0, 0.5, 1.0, 3.0), 4.0 / (1.0 - 2.0**-0.5) + 3.0)
-    )
-    jobs.append(threshold_row("zero-mass", (7.0, 1.3, 0.0, 2.5), 2.5))
+        return [_constant_row]
+    jobs = [partial(_threshold_row, *row) for row in _DEGIORGI_THRESHOLDS]
     for i, (phi0, m, a) in enumerate(_DEGIORGI_STANDARD):
-        jobs.append(fit_row(i, phi0, m, a))
+        jobs.append(partial(_fit_row, i, phi0, m, a))
     return jobs
 
 
@@ -672,6 +593,133 @@ _LIU_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2))
 _BUBBLE_GRID_N = 8192
 
 
+def _bubble_identity(cfg):
+    residual = liu_mod.bubble_residual_sup(4.0, R=1.0, grid_n=cfg.grid_n)
+    return upper_bound("bubble-identity", "bubble-oracle", {"lam": 4.0}, residual, 1e-12)
+
+
+def _solver_vs_bubble(cfg, lam):
+    bg = max(cfg.grid_n, _BUBBLE_GRID_N)
+    initial = liu_mod.bubble_profile(lam, grid_n=bg)
+    u = liu_mod.solve_liouville(liu_mod.bubble_problem(lam, grid_n=bg), initial=initial)
+    err = float(np.max(np.abs(u.values - initial.values)))
+    return upper_bound(f"solver-bubble[lam={lam:g}]", "bubble-oracle", {"lam": lam}, err, 1e-4)
+
+
+def _bubble_mass(cfg):
+    lam = 4.0
+    u = liu_mod.bubble_profile(lam, grid_n=cfg.grid_n)
+    worst = 0.0
+    for r in (0.25, 1.0):
+        got = liu_mod.local_mass(u, np.ones_like, r)
+        expected = liu_mod.bubble_local_mass(lam, r)
+        worst = max(worst, abs(got - expected) / expected)
+    return upper_bound("bubble-local-mass", "bubble-oracle", {"lam": lam}, worst, 1e-6)
+
+
+def _classify_concentration(cfg):
+    lams = [2.0**j for j in range(1, 9)]
+    problems = tuple(liu_mod.bubble_problem(lam, grid_n=cfg.grid_n) for lam in lams)
+    profiles = tuple(liu_mod.bubble_profile(lam, grid_n=cfg.grid_n) for lam in lams)
+    report = liu_mod.classify_alternative(liu_mod.SolutionSequence(problems=problems, profiles=profiles))
+    atom = report.atom_masses[0] if report.atom_masses else 0.0
+    good = report.classification == "concentration"
+    return CheckRecord(
+        check="classify-concentration",
+        anchor="blowup-trichotomy",
+        inputs={"lams": lams},
+        lhs=atom,
+        rhs=report.threshold,
+        margin=atom - report.threshold,
+        passed=bool(good and atom >= report.threshold * (1 - 1e-3)),
+        details={"classification": report.classification},
+    )
+
+
+def _classification(check, inputs, problems, expected):
+    report = liu_mod.classify_alternative(liu_mod.solve_sequence(problems))
+    good = report.classification == expected
+    return CheckRecord(
+        check=check,
+        anchor="blowup-trichotomy",
+        inputs=inputs,
+        lhs=1.0 if good else 0.0, rhs=1.0,
+        margin=0.0 if good else -1.0,
+        passed=bool(good),
+        details={"classification": report.classification},
+    )
+
+
+def _classify_divergence(cfg):
+    problems = tuple(
+        liu_mod.LiouvilleProblem(
+            dim=HessianDim(2, 1),
+            V=partial(_constant, c=math.exp(-j)),
+            boundary=float(j),
+            grid_n=cfg.grid_n,
+            label=f"lifted-{j}",
+        )
+        for j in (5, 10, 15, 20)
+    )
+    return _classification(
+        "classify-divergence", {"boundaries": [5, 10, 15, 20]}, problems, "uniform-divergence"
+    )
+
+
+def _classify_bounded(cfg):
+    problems = tuple(
+        liu_mod.LiouvilleProblem(
+            dim=HessianDim(2, 1), V=_constant, boundary=0.0,
+            grid_n=cfg.grid_n, label=f"steady-{i}",
+        )
+        for i in range(4)
+    )
+    return _classification("classify-bounded", {"members": 4}, problems, "bounded")
+
+
+def _smallness(cfg, dim, levels):
+    problems = tuple(
+        liu_mod.LiouvilleProblem(
+            dim=dim,
+            V=partial(_constant, c=c),
+            boundary=0.0,
+            grid_n=cfg.grid_n,
+            label=f"const-{c:g}",
+        )
+        for c in levels
+    )
+    return liu_mod.smallness_check(liu_mod.solve_sequence(problems))
+
+
+def _harnack(cfg):
+    u = make_profile(FamilySpec("quadratic"), HessianDim(2, 1), 1.0, cfg.grid_n)
+    ratios = [liu_mod.harnack_ratio(u, r, 10.0, 0.5).ratio for r in (0.4, 0.2, 0.1)]
+    expected = 1.0 / (1.0 - 0.4**2)
+    rel = abs(ratios[0] - expected) / expected
+    return upper_bound(
+        "harnack-quadratic", "harnack-ratio", {"radii": [0.4, 0.2, 0.1]}, rel, 1e-9,
+        {"ratios": [float(x) for x in ratios]}, holds=all(np.isfinite(ratios)),
+    )
+
+
+def _singular(cfg, dim, factor, background):
+    return liu_mod.singular_comparison_check(
+        dim, atom_factor=factor, background=background, grid_n=cfg.grid_n
+    )
+
+
+def _residual_row(cfg, dim):
+    prob = liu_mod.LiouvilleProblem(dim=dim, V=_constant, boundary=0.0, grid_n=cfg.grid_n)
+    u = liu_mod.solve_liouville(prob)
+    mu_lhs = s_k_radial(u)
+    mu_rhs = RadialMeasure.from_density(dim, prob.R, u.nodes, np.exp(-u.values))
+    mismatch = float(np.max(np.abs(mu_lhs.cumulative - mu_rhs.cumulative)))
+    return upper_bound(
+        f"solve-residual[n={dim.n},k={dim.k}]", "exp-equation-residual",
+        {"n": dim.n, "k": dim.k}, mismatch / mu_rhs.total, 1e-6, {"total_mass": mu_rhs.total},
+    )
+
+
 def _suite_liouville(cfg: ExperimentConfig, soft: bool = False):
     dims = _dims_for(
         cfg,
@@ -680,223 +728,28 @@ def _suite_liouville(cfg: ExperimentConfig, soft: bool = False):
         "exponential equation ((2,1) or (4,2))",
         soft,
     )
-    grid_n = cfg.grid_n
     jobs = []
-
-    def bubble_identity():
-        def run():
-            residual = liu_mod.bubble_residual_sup(4.0, R=1.0, grid_n=grid_n)
-            tol = 1e-12
-            return CheckRecord(
-                check="bubble-identity",
-                anchor="bubble-oracle",
-                inputs={"lam": 4.0},
-                lhs=residual, rhs=tol, margin=tol - residual, passed=bool(residual <= tol),
-                details={},
-            )
-
-        return run
-
-    def solver_vs_bubble(lam):
-        def run():
-            bg = max(grid_n, _BUBBLE_GRID_N)
-            prob = liu_mod.bubble_problem(lam, grid_n=bg)
-            initial = liu_mod.bubble_profile(lam, grid_n=bg)
-            u = liu_mod.solve_liouville(prob, initial=initial)
-            err = float(np.max(np.abs(u.values - initial.values)))
-            tol = 1e-4
-            return CheckRecord(
-                check=f"solver-bubble[lam={lam:g}]",
-                anchor="bubble-oracle",
-                inputs={"lam": lam},
-                lhs=err, rhs=tol, margin=tol - err, passed=bool(err <= tol),
-                details={},
-            )
-
-        return run
-
-    def bubble_mass():
-        def run():
-            lam = 4.0
-            u = liu_mod.bubble_profile(lam, grid_n=grid_n)
-            worst = 0.0
-            for r in (0.25, 1.0):
-                got = liu_mod.local_mass(u, lambda x: np.ones_like(x), r)
-                expected = liu_mod.bubble_local_mass(lam, r)
-                worst = max(worst, abs(got - expected) / expected)
-            tol = 1e-6
-            return CheckRecord(
-                check="bubble-local-mass",
-                anchor="bubble-oracle",
-                inputs={"lam": lam},
-                lhs=worst, rhs=tol, margin=tol - worst, passed=bool(worst <= tol),
-                details={},
-            )
-
-        return run
-
-    def classify_concentration():
-        def run():
-            lams = [2.0**j for j in range(1, 9)]
-            problems = tuple(liu_mod.bubble_problem(lam, grid_n=grid_n) for lam in lams)
-            profiles = tuple(liu_mod.bubble_profile(lam, grid_n=grid_n) for lam in lams)
-            seq = liu_mod.SolutionSequence(problems=problems, profiles=profiles)
-            report = liu_mod.classify_alternative(seq)
-            atom = report.atom_masses[0] if report.atom_masses else 0.0
-            good = report.classification == "concentration"
-            return CheckRecord(
-                check="classify-concentration",
-                anchor="blowup-trichotomy",
-                inputs={"lams": lams},
-                lhs=atom,
-                rhs=report.threshold,
-                margin=atom - report.threshold,
-                passed=bool(good and atom >= report.threshold * (1 - 1e-3)),
-                details={"classification": report.classification},
-            )
-
-        return run
-
-    def classify_divergence():
-        def run():
-            problems = tuple(
-                liu_mod.LiouvilleProblem(
-                    dim=HessianDim(2, 1),
-                    V=(lambda r, c=math.exp(-j): np.full_like(r, c)),
-                    boundary=float(j),
-                    grid_n=grid_n,
-                    label=f"lifted-{j}",
-                )
-                for j in (5, 10, 15, 20)
-            )
-            seq = liu_mod.solve_sequence(problems)
-            report = liu_mod.classify_alternative(seq)
-            good = report.classification == "uniform-divergence"
-            return CheckRecord(
-                check="classify-divergence",
-                anchor="blowup-trichotomy",
-                inputs={"boundaries": [5, 10, 15, 20]},
-                lhs=1.0 if good else 0.0, rhs=1.0,
-                margin=0.0 if good else -1.0,
-                passed=bool(good),
-                details={"classification": report.classification},
-            )
-
-        return run
-
-    def classify_bounded():
-        def run():
-            problems = tuple(
-                liu_mod.LiouvilleProblem(
-                    dim=HessianDim(2, 1),
-                    V=(lambda r: np.full_like(r, 1.0)),
-                    boundary=0.0,
-                    grid_n=grid_n,
-                    label=f"steady-{i}",
-                )
-                for i in range(4)
-            )
-            seq = liu_mod.solve_sequence(problems)
-            report = liu_mod.classify_alternative(seq)
-            good = report.classification == "bounded"
-            return CheckRecord(
-                check="classify-bounded",
-                anchor="blowup-trichotomy",
-                inputs={"members": 4},
-                lhs=1.0 if good else 0.0, rhs=1.0,
-                margin=0.0 if good else -1.0,
-                passed=bool(good),
-                details={"classification": report.classification},
-            )
-
-        return run
-
-    def smallness(dim, levels):
-        def run():
-            problems = tuple(
-                liu_mod.LiouvilleProblem(
-                    dim=dim,
-                    V=(lambda r, c=c: np.full_like(r, c)),
-                    boundary=0.0,
-                    grid_n=grid_n,
-                    label=f"const-{c:g}",
-                )
-                for c in levels
-            )
-            seq = liu_mod.solve_sequence(problems)
-            return liu_mod.smallness_check(seq)
-
-        return run
-
-    def harnack():
-        def run():
-            dim = HessianDim(2, 1)
-            u = make_profile(FamilySpec("quadratic"), dim, 1.0, grid_n)
-            ratios = [liu_mod.harnack_ratio(u, r, 10.0, 0.5).ratio for r in (0.4, 0.2, 0.1)]
-            expected = 1.0 / (1.0 - 0.4**2)
-            rel = abs(ratios[0] - expected) / expected
-            tol = 1e-9
-            return CheckRecord(
-                check="harnack-quadratic",
-                anchor="harnack-ratio",
-                inputs={"radii": [0.4, 0.2, 0.1]},
-                lhs=rel, rhs=tol, margin=tol - rel,
-                passed=bool(rel <= tol and all(np.isfinite(ratios))),
-                details={"ratios": [float(x) for x in ratios]},
-            )
-
-        return run
-
-    def singular(dim, factor, background):
-        def run():
-            return liu_mod.singular_comparison_check(
-                dim, atom_factor=factor, background=background, grid_n=grid_n
-            )
-
-        return run
-
-    def residual_row(dim):
-        def run():
-            prob = liu_mod.LiouvilleProblem(
-                dim=dim, V=(lambda r: np.full_like(r, 1.0)), boundary=0.0, grid_n=grid_n
-            )
-            u = liu_mod.solve_liouville(prob)
-            mu_lhs = s_k_radial(u)
-            density = np.exp(-u.values)
-            mu_rhs = RadialMeasure.from_density(dim, prob.R, u.nodes, density)
-            mismatch = float(np.max(np.abs(mu_lhs.cumulative - mu_rhs.cumulative)))
-            rel = mismatch / mu_rhs.total
-            tol = 1e-6
-            return CheckRecord(
-                check=f"solve-residual[n={dim.n},k={dim.k}]",
-                anchor="exp-equation-residual",
-                inputs={"n": dim.n, "k": dim.k},
-                lhs=rel, rhs=tol, margin=tol - rel, passed=bool(rel <= tol),
-                details={"total_mass": mu_rhs.total},
-            )
-
-        return run
-
     for dim in dims:
         if (dim.n, dim.k) == (2, 1):
-            jobs.append(bubble_identity())
+            jobs.append(partial(_bubble_identity, cfg))
             for lam in (1.0, 4.0, 16.0):
-                jobs.append(solver_vs_bubble(lam))
-            jobs.append(bubble_mass())
-            jobs.append(classify_concentration())
-            jobs.append(classify_divergence())
-            jobs.append(classify_bounded())
+                jobs.append(partial(_solver_vs_bubble, cfg, lam))
+            jobs.append(partial(_bubble_mass, cfg))
+            jobs.append(partial(_classify_concentration, cfg))
+            jobs.append(partial(_classify_divergence, cfg))
+            jobs.append(partial(_classify_bounded, cfg))
             # The constant-weight problem folds at c = 2 on the unit
             # ball; the sweep stays below it so the minimal branch is
             # uniformly contracting.
-            jobs.append(smallness(dim, tuple(float(c) for c in np.linspace(0.15, 1.9, 12))))
-            jobs.append(harnack())
-            jobs.append(singular(dim, 1.0, 0.0))
-            jobs.append(singular(dim, 2.0, float(dim.n_choose_k)))
+            levels = tuple(float(c) for c in np.linspace(0.15, 1.9, 12))
+            jobs.append(partial(_smallness, cfg, dim, levels))
+            jobs.append(partial(_harnack, cfg))
+            jobs.append(partial(_singular, cfg, dim, 1.0, 0.0))
+            jobs.append(partial(_singular, cfg, dim, 2.0, float(dim.n_choose_k)))
         else:
-            jobs.append(residual_row(dim))
-            jobs.append(smallness(dim, (1.0, 4.0, 10.0, 25.0)))
-            jobs.append(singular(dim, 1.0, 0.0))
+            jobs.append(partial(_residual_row, cfg, dim))
+            jobs.append(partial(_smallness, cfg, dim, (1.0, 4.0, 10.0, 25.0)))
+            jobs.append(partial(_singular, cfg, dim, 1.0, 0.0))
     return jobs
 
 

@@ -8,6 +8,7 @@ profile's Hessian mass, and scaling laws.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hessianlab.errors import (
 )
 from hessianlab.families import FamilySpec, make_profile
 from hessianlab.radial import RadialProfile, hessian_mass
+from hessianlab.suites import config_from_sources, run_suite
 
 D21 = HessianDim(2, 1)
 D42 = HessianDim(4, 2)
@@ -150,6 +152,30 @@ class TestLevelsetBound:
         rec = levelset_cap_check(u, [0.5, 1.0, 4.0])
         assert rec.passed
         assert np.max(np.abs(np.array(rec.details["ratios"]) - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("R", [1e-6, 1.0, 1e6])
+    def test_quadratic_ratio_at_any_radius(self, R):
+        # (2,1) hand form with x = t/(c R^2): ratio = 2x / (-log(1 - 2x)),
+        # taken in 40-digit decimal arithmetic.  Levels near the boundary
+        # (x ~ 1e-11) are where forming rho = sqrt(R^2 - 2t/c) first lost
+        # the ratio to cancellation.
+        u = make_profile(FamilySpec("quadratic"), D21, R)
+        levels = [x * R * R for x in (1e-11, 1e-6, 0.1, 0.4)]
+        rec = levelset_cap_check(u, levels)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            expected = []
+            for t in levels:
+                x2 = 2 * Decimal(t) / (Decimal(R) * Decimal(R))
+                expected.append(float(x2 / -(1 - x2).ln()))
+        assert rec.details["ratios"] == pytest.approx(expected, rel=1e-12)
+        assert rec.passed and rec.lhs == pytest.approx(max(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("R", [1e-6, 1.0, 1e6])
+    def test_capacity_suite_passes_at_any_radius(self, R):
+        rows, status = run_suite(config_from_sources(None, {"suite": "capacity", "radius": R}))
+        assert [row.check for row in rows if not row.passed] == []
+        assert status == 0
 
     def test_deep_level_empty_set(self):
         u = make_profile(FamilySpec("quadratic"), D21)

@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from hessianlab.core import (
-    DerivedConstants,
     HessianDim,
-    derived_constants,
     elem_sym,
     elem_sym_all,
     gamma_k_membership,
@@ -170,7 +168,10 @@ class TestConstants:
 
     def test_exponent_ceiling(self):
         assert HessianDim(2, 1).beta_max == pytest.approx(2.0, rel=1e-15)
-        assert HessianDim(4, 2).beta_max == pytest.approx(1.5, rel=1e-15)
+        d42 = HessianDim(4, 2)
+        assert d42.beta_max == pytest.approx(1.5, rel=1e-15)
+        assert d42.n_choose_k == 6
+        assert d42.ball_volume == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
         with pytest.raises(UnsupportedDimensionError):
             HessianDim(3, 1).beta_max
 
@@ -198,15 +199,6 @@ class TestConstants:
             HessianDim(3, 5)
         with pytest.raises(UnsupportedDimensionError):
             HessianDim(0, 0)
-
-    def test_derived_constants_snapshot(self):
-        snap = derived_constants(HessianDim(4, 2))
-        assert isinstance(snap, DerivedConstants)
-        assert snap.n_choose_k == 6
-        assert snap.ball_volume == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
-        assert snap.beta_max == pytest.approx(1.5)
-        assert derived_constants(HessianDim(3, 1)).beta_max is None
-        assert snap.concentration_quantum() == pytest.approx(48.0 * math.pi**2, rel=1e-14)
 
 
 @settings(max_examples=30)

@@ -26,7 +26,7 @@ from hessianlab.errors import (
     NotAdmissibleError,
     UnsupportedDimensionError,
 )
-from hessianlab.families import FamilySpec, make_profile
+from hessianlab.families import KINDS, FamilySpec, make_profile
 from hessianlab.radial import (
     RadialMeasure,
     RadialProfile,
@@ -48,6 +48,16 @@ from hessianlab.radial import (
 D21 = HessianDim(2, 1)
 D42 = HessianDim(4, 2)
 D31 = HessianDim(3, 1)
+
+RADII = [1e-6, 1.0, 1e6]
+
+
+def canonical(kind: str, R: float) -> RadialProfile:
+    """One profile of the kind on the ball of radius R; the power kinds
+    live at (3, 1), the others at (2, 1)."""
+    dim = D31 if kind in ("power", "newtonian") else D21
+    spec = FamilySpec(kind, mollification=0.05 * R) if kind == "mollified-log" else FamilySpec(kind)
+    return make_profile(spec, dim, R, grid_n=257)
 
 
 def fd_hessian(fn, x0: np.ndarray, h: float = 1e-3) -> np.ndarray:
@@ -270,6 +280,16 @@ class TestLevelSets:
             for t in (0.1, 0.5, 1.0, 2.0):
                 assert level_set_radius(u, t) == pytest.approx(inverse(t), abs=1e-15)
 
+    @pytest.mark.parametrize("R", RADII)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_inverts_level_set(self, kind, R):
+        u = canonical(kind, R)
+        for t in np.linspace(0.1, 0.9, 5) * min(-u.min_value(), 20.0):
+            rho = level_set_radius(u, float(t))
+            # u(rho) moves by rho u'(rho) per unit relative change of rho
+            cond = 1.0 + rho * float(np.interp(rho, u.nodes, u.slope))
+            assert abs(value_at(u, rho) + t) <= 1e-12 * t + 1e-14 * cond
+
     def test_mollified_log_inversion(self):
         eps = 0.05
         u = make_profile(FamilySpec("mollified-log", amplitude=1.0, mollification=eps), D21)
@@ -310,6 +330,12 @@ class TestValueAt:
         ulog = make_profile(FamilySpec("log"), D21)
         assert value_at(ulog, 0.25) == pytest.approx(math.log(0.25), rel=1e-15)
         assert value_at(ulog, 0.0) == -math.inf
+
+    @pytest.mark.parametrize("R", RADII)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_closed_form_matches_nodes(self, kind, R):
+        u = canonical(kind, R)
+        assert [value_at(u, float(r)) for r in u.nodes] == u.values.tolist()
 
     def test_generic_interpolation(self):
         base = make_profile(FamilySpec("quadratic"), D21)

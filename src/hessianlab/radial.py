@@ -476,24 +476,19 @@ def level_set_log_ratio(u: RadialProfile, t: float) -> float:
     Canonical kinds return the logarithm in closed form, so it stays
     accurate when rho is close to R, where forming rho first cancels.
     """
-    closed = _closed_form(u)
-    if closed is None:
-        rho = level_set_radius(u, t)
-        return math.log(u.R / rho) if rho > 0 else math.inf
     _require_level(t)
     if u.boundary < -t:
         return 0.0
-    form, p = closed
-    return form.log_ratio(t, p)
+    closed = _closed_form(u)
+    if closed is not None:
+        form, p = closed
+        return form.log_ratio(t, p)
+    rho = _grid_level_radius(u, t)
+    return math.log(u.R / rho) if rho > 0 else math.inf
 
 
-def level_set_radius(u: RadialProfile, t: float) -> float:
-    """Radius of the sublevel ball {u < -t}; 0 when the set is empty."""
-    if _closed_form(u) is not None:
-        return float(u.R * math.exp(-level_set_log_ratio(u, t)))
-    _require_level(t)
-    if u.boundary < -t:
-        return float(u.R)
+def _grid_level_radius(u: RadialProfile, t: float) -> float:
+    """Sublevel radius by log-radius interpolation of the grid values."""
     v = u.values
     if v[0] >= -t:
         return 0.0
@@ -505,6 +500,11 @@ def level_set_radius(u: RadialProfile, t: float) -> float:
     w = (-t - lo) / (hi - lo)
     log_r = (1 - w) * np.log(u.nodes[i - 1]) + w * np.log(u.nodes[i])
     return float(np.exp(log_r))
+
+
+def level_set_radius(u: RadialProfile, t: float) -> float:
+    """Radius of the sublevel ball {u < -t}; 0 when the set is empty."""
+    return float(u.R * math.exp(-level_set_log_ratio(u, t)))
 
 
 def domain_volume(dim: HessianDim, R: float) -> float:

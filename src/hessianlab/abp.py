@@ -31,12 +31,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature as quad
 from .core import HessianDim
 from .errors import InvalidArgumentError, InvalidWeightError, UnsupportedDimensionError
-from .parallel import map_ordered
 from .radial import (
     RadialMeasure,
     _s_k_density,
@@ -383,9 +381,7 @@ def abp_bound_check(
             raise InvalidArgumentError(f"density {label!r} has an infinite Orlicz budget")
         samples.append((g, budget))
 
-    sups = map_ordered(
-        lambda sample: -float(_solve_density(dim, R, nodes, sample[0]).values[0]), samples
-    )
+    sups = [-float(_solve_density(dim, R, nodes, g).values[0]) for g, _ in samples]
     x = np.array([budget ** (1.0 / dim.k) for _, budget in samples])
     y = np.array(sups)
     calib = np.arange(len(items)) < (len(items) + 1) // 2
@@ -417,6 +413,30 @@ def abp_bound_check(
     return records
 
 
+def _increasing_root(f, lo: float, hi: float, tol: float = 1e-15) -> float:
+    """Root of an increasing f with f(lo) < 0 <= f(hi), by regula falsi
+    with the Illinois fix: when one end moves twice in a row, the other
+    end's value is halved, so both ends close in.  Stops at an exact
+    zero or once the bracket is narrower than tol * (1 + hi); the
+    default is a few ulps of the root, where f is rounding noise."""
+    f_lo, f_hi = f(lo), f(hi)
+    x, fx, moved = hi, f_hi, None
+    while fx != 0 and hi - lo > tol * (1.0 + hi):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx < 0:
+            if moved == "lo":
+                f_hi /= 2
+            lo, f_lo, moved = x, fx, "lo"
+        else:
+            if moved == "hi":
+                f_lo /= 2
+            hi, f_hi, moved = x, fx, "hi"
+    return x
+
+
 def mollified_dirac_family(
     dim: HessianDim,
     weight: OrliczWeight,
@@ -426,7 +446,8 @@ def mollified_dirac_family(
     scales: tuple[float, ...] = (2**-3, 2**-4, 2**-5, 2**-6, 2**-7, 2**-8),
     grid_n: int = quad.DEFAULT_GRID_N,
 ) -> list[tuple[str, object]]:
-    """Fixed-budget densities base + A(eps) exp(-r^2 / (2 eps^2)).
+    """Fixed-budget densities base + A(eps) exp(-r^2 / (2 eps^2)), with
+    eps = R * frac for each fraction in `scales`.
 
     Every member has the same Orlicz budget (the flat density's budget
     times `budget_lift`), enforced by root-solving the bump amplitude,
@@ -447,9 +468,10 @@ def mollified_dirac_family(
     target = budget_lift * flat
 
     members = []
-    for eps in scales:
-        if not 0 < eps < R:
-            raise InvalidArgumentError(f"bump scale must sit in (0, R), got {eps!r}")
+    for frac in scales:
+        if not 0 < frac < 1:
+            raise InvalidArgumentError(f"bump scale must be a fraction of R in (0, 1), got {frac!r}")
+        eps = R * frac
         bump = np.exp(-(nodes**2) / (2.0 * eps * eps))
 
         def gap(amp, bump=bump):
@@ -460,7 +482,7 @@ def mollified_dirac_family(
             hi *= 4.0
             if hi > 1e18:
                 raise InvalidArgumentError("bump amplitude search failed to bracket the budget")
-        amp = brentq(gap, 0.0, hi, xtol=1e-14, rtol=1e-14)
+        amp = _increasing_root(gap, 0.0, hi)
 
         def density(r, amp=amp, eps=eps):
             return base + amp * np.exp(-(r**2) / (2.0 * eps * eps))
@@ -493,8 +515,7 @@ def fixed_budget_variation_check(
         gs.append(g)
         heights.append(float(np.max(g)))
         budgets.append(_orlicz_budget(dim, nodes, g, weight))
-    sups = map_ordered(lambda g: -float(_solve_density(dim, R, nodes, g).values[0]), gs)
-    sups = np.array(sups)
+    sups = np.array([-float(_solve_density(dim, R, nodes, g).values[0]) for g in gs])
     variation = float((np.max(sups) - np.min(sups)) / np.max(sups))
     height_ratio = float(np.max(heights) / np.min(heights))
     budget_spread = float(np.ptp(budgets) / np.max(budgets))

@@ -159,11 +159,14 @@ def levelset_cap_check(u: RadialProfile, t_values, tol: float = 1e-8) -> CheckRe
     {u < -t} has capacity at most (M^(1/k) / t)^k in the outer ball.
 
     The record carries the worst ratio over the supplied levels; the
-    closed-form point-mass families saturate it with equality.
+    closed-form point-mass families saturate it with equality.  The
+    bound is for functions that vanish on the outer sphere.
     """
     ts = np.atleast_1d(np.asarray(t_values, dtype=float))
     if ts.size == 0 or np.any(~np.isfinite(ts)) or np.any(ts <= 0):
         raise InvalidArgumentError("levels must be a nonempty collection of positive numbers")
+    if u.boundary != 0:
+        raise PreconditionError(f"the level-set bound needs u = 0 on the boundary, got {u.boundary!r}")
     mass = hessian_mass(u)
     dim = u.dim
     ratios = []

@@ -31,7 +31,6 @@ from .errors import (
     PreconditionError,
     UnsupportedDimensionError,
 )
-from .parallel import map_ordered
 from .radial import (
     RadialMeasure,
     RadialProfile,
@@ -227,18 +226,13 @@ class SolutionSequence:
 
 
 def solve_sequence(problems, continuation: bool = False, **kwargs) -> SolutionSequence:
-    """Solve a sweep; with continuation each solve starts from the
-    previous solution (sequential), otherwise members run concurrently.
-    """
+    """Solve a sweep in order; with continuation each solve starts from
+    the previous solution, otherwise each starts cold."""
     problems = tuple(problems)
-    if continuation:
-        profiles = []
-        prev: RadialProfile | None = None
-        for prob in problems:
-            prev = solve_liouville(prob, initial=prev, **kwargs)
-            profiles.append(prev)
-    else:
-        profiles = map_ordered(lambda prob: solve_liouville(prob, **kwargs), problems)
+    profiles = []
+    for prob in problems:
+        initial = profiles[-1] if continuation and profiles else None
+        profiles.append(solve_liouville(prob, initial=initial, **kwargs))
     return SolutionSequence(problems=problems, profiles=tuple(profiles))
 
 

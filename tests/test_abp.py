@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hessianlab import (
     HessianDim,
@@ -22,6 +23,9 @@ from hessianlab import (
     orlicz_h,
     verify_gk,
 )
+from hessianlab import abp
+from hessianlab import quadrature as quad
+from hessianlab.suites import config_from_sources, run_suite
 
 # Twenty decay curves phi0 (1 - s/a)_+^m satisfying the lemma's
 # hypotheses, spanning mass scales, decay powers, and vanish levels.
@@ -316,6 +320,30 @@ class TestFixedBudgetFamily:
             mollified_dirac_family(dim, w, base=0.0)
         with pytest.raises(InvalidArgumentError, match="scale"):
             mollified_dirac_family(dim, w, scales=(1.5,))
+
+    def test_amplitudes_match_brentq(self, intermediate_dim):
+        # scipy's brentq on the same budget gap is the oracle for the
+        # bracketing root find; a member's height at r = 0 is 1 + amplitude.
+        dim = intermediate_dim
+        weight = OrliczWeight("exp", dim.k, rate=1.0)
+        nodes = quad.radial_grid(1.0, 2048)
+        target = 1.05 * abp._orlicz_budget(dim, nodes, np.ones_like(nodes), weight)
+        family = mollified_dirac_family(dim, weight, grid_n=2048)
+        assert len(family) == 6
+        for j, (_, fn) in enumerate(family, start=3):
+            bump = np.exp(-(nodes**2) / (2.0 * 4.0**-j))
+
+            def gap(amp, bump=bump):
+                return abp._orlicz_budget(dim, nodes, 1.0 + amp * bump, weight) - target
+
+            expected = brentq(gap, 0.0, 1e6, xtol=1e-14, rtol=1e-14)
+            assert float(fn(np.array([0.0]))[0]) - 1.0 == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("R", [1e-6, 1.0, 1e6])
+    def test_abp_suite_passes_at_any_radius(self, R):
+        rows, status = run_suite(config_from_sources(None, {"suite": "abp", "radius": R}))
+        assert [row.check for row in rows if not row.passed] == []
+        assert status == 0
 
     def test_variation_check_passes(self):
         rec = fixed_budget_variation_check(HessianDim(4, 2), OrliczWeight("exp", 2, rate=1.0))

@@ -13,6 +13,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from hessianlab import quadrature as quad
 from hessianlab.capacity import (
     CapacityConfig,
     cap_concentric,
@@ -28,7 +29,7 @@ from hessianlab.errors import (
     UnsupportedDimensionError,
 )
 from hessianlab.families import FamilySpec, make_profile
-from hessianlab.radial import RadialProfile, hessian_mass
+from hessianlab.radial import RadialMeasure, RadialProfile, hessian_mass, solve_dirichlet
 from hessianlab.suites import config_from_sources, run_suite
 
 D21 = HessianDim(2, 1)
@@ -188,6 +189,14 @@ class TestLevelsetBound:
             levelset_cap_check(u, [])
         with pytest.raises(InvalidArgumentError):
             levelset_cap_check(u, [-1.0])
+
+    def test_nonzero_boundary_rejected(self):
+        # u = -1 on the sphere, so for t = 0.5 the sublevel set
+        # {u < -t} is the whole ball; the bound is for u = 0 there.
+        mu = RadialMeasure.from_density(D21, 1.0, quad.radial_grid(1.0, 512), lambda r: np.ones_like(r))
+        u = solve_dirichlet(mu, -1.0)
+        with pytest.raises(PreconditionError, match="boundary"):
+            levelset_cap_check(u, [0.5])
 
 
 class TestComparison:

@@ -5,10 +5,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hessianlab
 from hessianlab import (
     CheckRecord,
     ConfigError,
@@ -19,17 +24,25 @@ from hessianlab import (
     config_from_sources,
     emit_report,
     load_profile,
-    main,
     make_profile,
     row_from_record,
     rows_status,
     run_suite,
     save_profile,
 )
+from hessianlab.cli import main
 from hessianlab.families import FamilySpec
 from hessianlab.profile_io import FORMAT
 from hessianlab.report import CSV_HEADER
 from hessianlab.suites import ExperimentConfig
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this package's source tree."""
+    src = str(Path(hessianlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def run_cli(capsys, *argv):
@@ -294,3 +307,17 @@ class TestRecordInvariants:
         monkeypatch.setenv("HESSIAN_LAB_THREADS", "4")
         _, parallel, _ = run_cli(capsys, *argv)
         assert serial == parallel
+
+
+class TestProcess:
+    def test_module_run_is_quiet_on_stderr(self):
+        proc = run_python("-m", "hessianlab.cli", "--suite", "solve")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(",".join(CSV_HEADER))
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, hessianlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

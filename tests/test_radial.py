@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 from scipy.integrate import quad as sciquad
 
 from hessianlab import quadrature as quad
@@ -79,6 +80,23 @@ def fd_hessian(fn, x0: np.ndarray, h: float = 1e-3) -> np.ndarray:
 
 def sigma_k(eigs: np.ndarray, k: int) -> float:
     return float(sum(math.prod(sub) for sub in combinations(eigs.tolist(), k)))
+
+
+class TestQuadratureKernel:
+    @pytest.mark.parametrize("grid_n", [16, 17, 2048, 2049])
+    def test_matches_scipy_on_geometric_grids(self, grid_n):
+        nodes = quad.radial_grid(1.0, grid_n)
+        samples = np.exp(-nodes) * np.cos(7.0 * nodes) + nodes**-0.5
+        expected = cumulative_simpson(samples * nodes, x=np.log(nodes), initial=0.0)
+        assert np.array_equal(quad.cumulative_from_left(nodes, samples), expected)
+        assert quad.integral(nodes, samples) == expected[-1]
+
+    def test_matches_scipy_on_random_grid(self):
+        rng = np.random.default_rng(20260)
+        nodes = np.sort(rng.uniform(1e-3, 2.0, 301))
+        samples = rng.normal(size=nodes.size)
+        expected = cumulative_simpson(samples * nodes, x=np.log(nodes), initial=0.0)
+        assert np.array_equal(quad.cumulative_from_left(nodes, samples), expected)
 
 
 class TestAgainstFullHessian:

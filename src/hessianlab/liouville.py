@@ -1,14 +1,15 @@
 """Radial solver and blow-up diagnostics for S_k[u] = V exp(-u) with
 2k = n.
 
-A damped Picard iteration drives u toward the fixed point of
-u <- dirichlet_solve(V exp(-u) dx, b).  On top of the solver sit the
-diagnostics: local masses of V exp(-u), the uniform-boundedness check
-under a sub-threshold mass budget, the regular/singular split of limit
-atoms against the quantum (a0/p')^k, the three-way limit classification
-of solution sweeps (bounded / uniform divergence / concentration at the
-center), the Harnack-type ratio probe, and the logarithmic comparison
-bound near a singular point.
+An Anderson-accelerated fixed-point iteration drives u toward the
+fixed point of u <- dirichlet_solve(V exp(-u) dx, b).  On top of the
+solver sit the diagnostics: local masses of V exp(-u), the
+uniform-boundedness check under a sub-threshold mass budget, the
+regular/singular split of limit atoms against the quantum (a0/p')^k,
+the three-way limit classification of solution sweeps (bounded /
+uniform divergence / concentration at the center), the Harnack-type
+ratio probe, and the logarithmic comparison bound near a singular
+point.
 
 Dimensions are restricted to (n, k) = (2, 1) and (4, 2): the first has
 an exact closed-form oracle (the bubble below), the second is the first
@@ -115,10 +116,42 @@ class LiouvilleProblem:
         return v
 
 
-def _picard_residual(prob: LiouvilleProblem, u: RadialProfile, target: RadialMeasure) -> float:
-    # Sup mismatch of cumulative masses: S_k[u] against V exp(-u) dx.
-    own = s_k_radial(u)
-    return float(np.max(np.abs(own.cumulative - target.cumulative)))
+# Anderson depth, and the number of steps without halving the best step
+# after which a solve counts as stalled.
+_DEPTH = 5
+_STALL = 20
+# exp(-u) is clipped at exp(700) inside the loop, below overflow.
+_EXP_CLIP = 700.0
+
+
+def _image(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, x: np.ndarray) -> RadialProfile | None:
+    """One application of the map u -> dirichlet_solve(V exp(-u) dx, b),
+    or None when the clipped density is too large to integrate."""
+    density = v * np.exp(np.minimum(-x, _EXP_CLIP))
+    try:
+        target = RadialMeasure.from_density(prob.dim, prob.R, nodes, density)
+    except InvalidMeasureError:
+        # Super-exponential growth between nodes breaks the quadrature;
+        # that only happens on a divergent iteration.
+        return None
+    if not np.isfinite(target.total):
+        return None
+    return solve_dirichlet(target, prob.boundary)
+
+
+def _residual(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, u: RadialProfile) -> float:
+    """Sup mismatch of cumulative masses, S_k[u] against the unclipped
+    V exp(-u) dx, over the total mass; inf where exp(-u) passes the
+    loop's clip."""
+    if np.max(-u.values) > _EXP_CLIP:
+        return math.inf
+    try:
+        target = RadialMeasure.from_density(prob.dim, prob.R, nodes, v * np.exp(-u.values))
+    except InvalidMeasureError:
+        return math.inf
+    if target.total == 0.0:
+        return 0.0
+    return float(np.max(np.abs(s_k_radial(u).cumulative - target.cumulative))) / target.total
 
 
 def solve_liouville(
@@ -128,71 +161,76 @@ def solve_liouville(
     update_tol: float = 1e-10,
     residual_tol: float = 1e-6,
 ) -> RadialProfile:
-    """Damped fixed-point solve of S_k[u] = V exp(-u), u(R) = boundary.
+    """Anderson-accelerated fixed-point solve of S_k[u] = V exp(-u),
+    u(R) = boundary.
 
-    The damping factor starts at 1 and is halved (floor 1/64) whenever
-    the sup-norm update grows; plain iteration oscillates or diverges
-    near the blow-up regime while a convergent one contracts its steps.
-    Stops on a relative sup-norm update below `update_tol` or at the
-    iteration cap; the result must carry a cumulative-mass residual
-    below `residual_tol` times the total mass, else no-solution.
+    Iterates G: u -> dirichlet_solve(V exp(-u) dx, b) with one Dirichlet
+    solve per iteration; the next iterate mixes the last five images by
+    the weights that minimize the mixed residual G(u) - u (Anderson
+    acceleration; Walker & Ni, SINUM 2011).  Stops when the sup-norm
+    step |G(u) - u| falls below `update_tol` (relative to
+    max(1, sup |G(u)|)), when 20 steps in a row fail to halve the best
+    step (a stall: how the iteration behaves past the fold), or at
+    `max_iter`.  The last image is returned when its cumulative-mass
+    residual against the unclipped V exp(-u) is below `residual_tol`
+    times the total mass, else no-solution.
     """
     if max_iter < 1:
         raise InvalidArgumentError("max_iter must be at least 1")
     nodes = quad.radial_grid(prob.R, prob.grid_n)
     v = prob.density_on(nodes)
     if initial is None:
-        u_vals = np.full_like(nodes, float(prob.boundary))
-        u_slope = np.zeros_like(nodes)
+        x = np.full_like(nodes, float(prob.boundary))
     else:
         if initial.dim != prob.dim:
             raise InvalidArgumentError("initial guess has a different (n, k)")
-        logr = np.log(nodes)
-        u_vals = np.interp(logr, np.log(initial.nodes), initial.values)
-        u_slope = np.interp(logr, np.log(initial.nodes), initial.slope)
-        u_vals = u_vals + (prob.boundary - u_vals[-1])
-    theta = 1.0
-    prev_step = math.inf
-    u = None
-    for _ in range(max_iter):
-        # exp is clipped so the divergent regime surfaces as
-        # non-convergence instead of overflow.
-        density = v * np.exp(np.minimum(-u_vals, 700.0))
-        try:
-            target = RadialMeasure.from_density(prob.dim, prob.R, nodes, density)
-        except InvalidMeasureError as exc:
-            # Super-exponential growth between nodes breaks the
-            # quadrature; that only happens on a divergent iteration.
-            raise NoSolutionError(f"density blow-up during iteration: {exc}") from exc
-        image = solve_dirichlet(target, prob.boundary)
-        new_vals = (1.0 - theta) * u_vals + theta * image.values
-        new_slope = (1.0 - theta) * u_slope + theta * image.slope
-        step = float(np.max(np.abs(new_vals - u_vals)))
-        u_vals, u_slope = new_vals, new_slope
-        u = RadialProfile(
-            dim=prob.dim, R=prob.R, nodes=nodes, values=u_vals, slope=u_slope,
-            boundary=prob.boundary,
-        )
-        if step > prev_step * (1.0 + 1e-12):
-            theta = max(theta / 2.0, 1.0 / 64.0)
-        prev_step = step
-        if step <= update_tol * max(1.0, float(np.max(np.abs(u_vals)))):
+        x = np.interp(np.log(nodes), np.log(initial.nodes), initial.values)
+        x += prob.boundary - x[-1]
+    # Rows hold differences of successive residuals G(x) - x and of
+    # successive images G(x); the oldest row is overwritten first.
+    d_f = np.empty((_DEPTH, nodes.size))
+    d_g = np.empty((_DEPTH, nodes.size))
+    f_prev = g_prev = image = None
+    step = best = math.inf
+    since_best = 0
+    reason = "iteration cap"
+    for it in range(1, max_iter + 1):
+        image = _image(prob, nodes, v, x)
+        if image is None:
+            reason = "clip/overflow"
             break
-    # Acceptance is decided by the equation residual of the final iterate
-    # against its own density, not by whether the step tolerance was
-    # reached before the iteration cap.
-    final_density = v * np.exp(np.minimum(-u_vals, 700.0))
-    try:
-        final_target = RadialMeasure.from_density(prob.dim, prob.R, nodes, final_density)
-    except InvalidMeasureError as exc:
-        raise NoSolutionError(f"density blow-up during iteration: {exc}") from exc
-    res = _picard_residual(prob, u, final_target)
-    total = final_target.total
-    if total == 0.0 or res < residual_tol * max(total, np.finfo(float).tiny):
-        return u
+        g = image.values
+        f = g - x
+        step = float(np.max(np.abs(f)))
+        if step <= update_tol * max(1.0, float(np.max(np.abs(g)))):
+            reason = "converged"
+            break
+        since_best = 0 if step <= best / 2.0 else since_best + 1
+        best = min(best, step)
+        if since_best >= _STALL:
+            reason = "stalled"
+            break
+        if f_prev is None:
+            x = g
+        else:
+            row = (it - 2) % _DEPTH
+            np.subtract(f, f_prev, out=d_f[row])
+            np.subtract(g, g_prev, out=d_g[row])
+            depth = min(it - 1, _DEPTH)
+            gram = d_f[:depth] @ d_f[:depth].T
+            weights = np.linalg.lstsq(gram, d_f[:depth] @ f, rcond=1e-14)[0]
+            x = g - weights @ d_g[:depth]
+        f_prev, g_prev = f, g
+    # Acceptance is decided by the equation residual of the last image
+    # against its own density, not by why the loop stopped.
+    res = math.inf if image is None else _residual(prob, nodes, v, image)
+    if res < residual_tol:
+        return image
+    if math.isinf(res):
+        reason = "clip/overflow"
     raise NoSolutionError(
-        f"no fixed point after {max_iter} iterations "
-        f"(last residual {res:.3e}, damping {theta:g}); "
+        f"no fixed point: {reason} after {it} iterations "
+        f"(last step {step:.3e}, last residual {res:.3e}); "
         "expected near the blow-up regime"
     )
 

@@ -1,8 +1,10 @@
 """Deterministic fan-out over independent work items.
 
-Thread count comes from HESSIAN_LAB_THREADS; 0 or unset means one
-worker per CPU.  Results always come back in input order, so report
-output is identical whatever the worker count.
+Thread count comes from HESSIAN_LAB_THREADS; unset means one thread
+(the checks are small-array numpy work that holds the GIL, so threads
+make runs slower), 0 means one worker per CPU.  Results always come
+back in input order, so report output is identical whatever the worker
+count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ __all__ = ["ENV_THREADS", "thread_count", "map_ordered"]
 def thread_count() -> int:
     raw = os.environ.get(ENV_THREADS)
     if raw is None or raw.strip() == "":
-        return os.cpu_count() or 1
+        return 1
     try:
         value = int(raw)
     except ValueError:

@@ -395,11 +395,21 @@ def _lp_checks(cfg, dim, p, kind):
     ))
 
 
+# The default strong-norm exponents; a dimension keeps those below its
+# endpoint kn/(n - 2k), where bm_lp_check switches to the weak quasinorm.
+_LP_LADDER = (1.0, 2.0, 2.9)
+
+
+def _strong_ps(dim) -> tuple[float, ...]:
+    endpoint = dim.lp_endpoint()
+    return tuple(p for p in _LP_LADDER if p < endpoint)
+
+
 def _lp_monotone(cfg, dim, kind):
     R = cfg.radius
     u = make_profile(FamilySpec(kind), dim, R, cfg.grid_n)
     volume = domain_volume(dim, R)
-    ps = (1.0, 2.0, 2.9)
+    ps = _strong_ps(dim)
     means = [lp_norm(u, p) / volume ** (1.0 / p) for p in ps]
     worst = float(np.min(np.diff(means)))
     return CheckRecord(
@@ -445,6 +455,7 @@ def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
             jobs.append(partial(_sharpness, cfg, dim))
         else:
             endpoint = dim.lp_endpoint()
+            strong = _strong_ps(dim)
             if cfg.p is not None:
                 if not 1.0 <= cfg.p <= endpoint:
                     raise ConfigError(
@@ -452,14 +463,16 @@ def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
                     )
                 ps = [cfg.p]
             else:
-                ps = [1.0, 2.0, 2.9, endpoint]
+                ps = [*strong, endpoint]
             default_kind = "newtonian" if (dim.n, dim.k) == (3, 1) else "power"
             lp_kind = family if family in _LP_KINDS else default_kind
             if lp_kind == "newtonian" and (dim.n, dim.k) != (3, 1):
                 lp_kind = "power"
             for p in ps:
                 jobs.append(partial(_lp_checks, cfg, dim, p, lp_kind))
-            jobs.append(partial(_lp_monotone, cfg, dim, lp_kind))
+            if len(strong) > 1:
+                # monotonicity needs two strong exponents to compare
+                jobs.append(partial(_lp_monotone, cfg, dim, lp_kind))
     return jobs
 
 

@@ -32,6 +32,7 @@ from hessianlab import (
 )
 from hessianlab.cli import main
 from hessianlab.families import FamilySpec
+from hessianlab.parallel import ENV_THREADS, thread_count
 from hessianlab.profile_io import FORMAT
 from hessianlab.report import CSV_HEADER
 from hessianlab.suites import ExperimentConfig
@@ -93,6 +94,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--suite", "abp", "--n", "3", "--k", "1")
         assert code == 2
         assert "regime" in err
+
+    @pytest.mark.parametrize("suite, n, k", [("bm", "4", "1"), ("all", "5", "1")])
+    def test_default_lp_ladder_stops_below_the_endpoint(self, capsys, suite, n, k):
+        # The endpoints kn/(n-2k) are 2 and 5/3: the default ladder keeps
+        # only its strong exponents below them, then the endpoint itself.
+        code, out, err = run_cli(capsys, "--suite", suite, "--n", n, "--k", k)
+        assert (code, err) == (0, "")
+        checks = [r["check"] for r in csv.DictReader(io.StringIO(out)) if r["suite"] == "bm"]
+        assert {c.split(",p=")[1].split(",")[0] for c in checks} == {"1", f"{int(n) / (int(n) - 2):g}"}
 
 
 class TestConfigMerging:
@@ -299,6 +309,10 @@ class TestRecordInvariants:
         rows, _ = run_suite(ExperimentConfig(suite="solve", grid_n=512))
         for row in rows:
             assert row.passed == (row.margin >= 0)
+
+    def test_unset_threads_env_means_serial(self, monkeypatch):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        assert thread_count() == 1
 
     def test_threads_env_does_not_change_output(self, capsys, monkeypatch):
         argv = ("--suite", "solve", "--grid-n", "512")

@@ -27,6 +27,7 @@ from hessianlab import (
     solve_liouville,
     solve_sequence,
 )
+from hessianlab import liouville as liouville_mod
 from hessianlab.families import FamilySpec
 from hessianlab.liouville import SolutionSequence
 
@@ -83,6 +84,7 @@ class TestSolver:
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 1.9])
     def test_flat_start_finds_the_small_branch(self, c):
         u = solve_liouville(constant_problem(c))
+        assert not u.unbounded_origin
         b = minimal_branch_scale(c)
         exact = 2.0 * np.log1p(b * u.nodes**2) - math.log(8.0 * b / c)
         assert float(np.max(np.abs(u.values - exact))) <= 1e-7
@@ -122,6 +124,66 @@ class TestSolver:
         for c, mass in zip(cs, masses):
             b = minimal_branch_scale(c)
             assert mass == pytest.approx(8.0 * math.pi * b / (1.0 + b), rel=1e-7)
+
+
+class TestIterationBudget:
+    """Anderson acceleration bounds the Dirichlet solves per Liouville
+    solve; each iteration makes exactly one."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        inner = liouville_mod.solve_dirichlet
+
+        def counted(mu, boundary):
+            calls.append(boundary)
+            return inner(mu, boundary)
+
+        monkeypatch.setattr(liouville_mod, "solve_dirichlet", counted)
+        return calls
+
+    def test_near_the_fold(self, solves):
+        # damped Picard needed 178 solves here
+        solve_liouville(constant_problem(1.99, grid_n=2048))
+        assert len(solves) <= 20
+
+    def test_fully_nonlinear_case(self, solves):
+        # damped Picard needed 38 solves here
+        prob = LiouvilleProblem(HessianDim(4, 2), lambda r: np.full_like(r, 25.0), grid_n=2048)
+        solve_liouville(prob)
+        assert len(solves) <= 20
+
+    def test_past_the_fold_stalls_early(self, solves):
+        # damped Picard needed about 492 solves to give up here
+        with pytest.raises(NoSolutionError, match="stalled"):
+            solve_liouville(constant_problem(2.05, grid_n=2048))
+        assert len(solves) <= 60
+
+    @pytest.mark.parametrize(
+        "c, seed_error",
+        [(0.3, 6.3e-9), (1.0, 2.4e-9), (1.9, 2.1e-9), (1.99, 7.6e-9), (1.995, 1.1e-8)],
+    )
+    def test_oracle_error_is_no_worse_than_damped_picard(self, c, seed_error):
+        # seed_error: damped Picard's sup |u - exact| / sup |exact| at grid 2048
+        u = solve_liouville(constant_problem(c, grid_n=2048))
+        b = minimal_branch_scale(c)
+        exact = 2.0 * np.log1p(b * u.nodes**2) - math.log(8.0 * b / c)
+        assert np.max(np.abs(u.values - exact)) / np.max(np.abs(exact)) <= seed_error
+
+    def test_clipped_fixed_point_is_rejected(self):
+        # Past the (4,2) fold the iteration settles on a fixed point of the
+        # exp-clipped map with min u near -1e152; the unclipped residual
+        # exposes it.
+        prob = LiouvilleProblem(HessianDim(4, 2), lambda r: np.full_like(r, 48.0), grid_n=2048)
+        with pytest.raises(NoSolutionError, match="clip/overflow"):
+            solve_liouville(prob)
+
+    def test_failure_message_explains_the_stop(self):
+        with pytest.raises(NoSolutionError) as exc:
+            solve_liouville(constant_problem(2.2), max_iter=3)
+        message = str(exc.value)
+        assert "iteration cap after 3 iterations" in message
+        assert "last step" in message and "last residual" in message
 
 
 class TestProblemValidation:

@@ -5,202 +5,30 @@ solves, concentric capacities, sharp integrability bounds, Orlicz
 barrier estimates, level-set decay certificates, and the exponential
 (Liouville-type) equation, wired into named suites with a CSV/JSON
 report and a CLI.
+
+The package API is the union of the `__all__` lists of the modules
+below; each module's list is the one place a public name is declared.
 """
 
-from .abp import (
-    WEIGHT_KINDS,
-    DeGiorgiData,
-    OrliczBarrier,
-    OrliczWeight,
-    abp_bound_check,
-    abp_degiorgi_check,
-    barrier_epsilon,
-    degiorgi_fit_and_verify,
-    degiorgi_from_run,
-    degiorgi_threshold,
-    fixed_budget_variation_check,
-    mollified_dirac_family,
-    orlicz_h,
-    verify_gk,
+from . import (
+    abp, brezis_merle, capacity, core, errors, families, liouville, profile_io, radial, report, suites,
 )
-from .brezis_merle import BRANCHES, BMQuery, bm_exp_check, bm_lp_check, sharpness_probe
-from .capacity import (
-    CapacityConfig,
-    cap_concentric,
-    comparison_check,
-    extremal_profile,
-    isocapacitary_margin,
-    levelset_cap_check,
-)
-from .core import (
-    HessianDim,
-    elem_sym,
-    elem_sym_all,
-    gamma_k_membership,
-    maclaurin_means,
-    principal_minor_sum,
-    s_k_of_matrix,
-    unit_ball_volume,
-)
-from .errors import (
-    ConfigError,
-    DegenerateProfileError,
-    HessianLabError,
-    InvalidArgumentError,
-    InvalidMeasureError,
-    InvalidWeightError,
-    NoSolutionError,
-    NotAdmissibleError,
-    PreconditionError,
-    ProfileFormatError,
-    UnsupportedDimensionError,
-)
-from .families import KINDS, FamilySpec, make_family, make_profile
-from .liouville import (
-    SUPPORTED_DIMS,
-    BlowupReport,
-    HarnackRecord,
-    LiouvilleProblem,
-    SolutionSequence,
-    bubble_local_mass,
-    bubble_problem,
-    bubble_profile,
-    bubble_residual_sup,
-    classify_alternative,
-    harnack_ratio,
-    local_mass,
-    regular_point_classify,
-    singular_comparison_check,
-    smallness_check,
-    solve_liouville,
-    solve_sequence,
-)
+from .abp import *  # noqa: F403
+from .brezis_merle import *  # noqa: F403
+from .capacity import *  # noqa: F403
+from .core import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .families import *  # noqa: F403
+from .liouville import *  # noqa: F403
+from .profile_io import *  # noqa: F403
 from .profile_io import FORMAT as PROFILE_FORMAT
-from .profile_io import load_profile, save_profile
-from .radial import (
-    RadialMeasure,
-    RadialProfile,
-    domain_volume,
-    exp_integral,
-    hessian_integral,
-    hessian_mass,
-    level_set_radius,
-    lp_norm,
-    phi_norm,
-    profile_from_slope,
-    s_k_radial,
-    solve_dirichlet,
-    value_at,
-    volume_integral,
-    weak_lp_quasinorm,
-)
-from .report import CSV_HEADER, CheckRecord, ReportRow, emit_report, row_from_record
-from .suites import (
-    FORMATS,
-    SUITES,
-    ExperimentConfig,
-    config_from_sources,
-    load_config_file,
-    rows_status,
-    run_suite,
-)
+from .radial import *  # noqa: F403
+from .report import *  # noqa: F403
+from .suites import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRANCHES",
-    "CSV_HEADER",
-    "FORMATS",
-    "KINDS",
-    "PROFILE_FORMAT",
-    "SUITES",
-    "SUPPORTED_DIMS",
-    "WEIGHT_KINDS",
-    "BMQuery",
-    "BlowupReport",
-    "CapacityConfig",
-    "CheckRecord",
-    "ConfigError",
-    "DeGiorgiData",
-    "DegenerateProfileError",
-    "ExperimentConfig",
-    "FamilySpec",
-    "HarnackRecord",
-    "HessianDim",
-    "HessianLabError",
-    "InvalidArgumentError",
-    "InvalidMeasureError",
-    "InvalidWeightError",
-    "LiouvilleProblem",
-    "NoSolutionError",
-    "NotAdmissibleError",
-    "OrliczBarrier",
-    "OrliczWeight",
-    "PreconditionError",
-    "ProfileFormatError",
-    "RadialMeasure",
-    "RadialProfile",
-    "ReportRow",
-    "SolutionSequence",
-    "UnsupportedDimensionError",
-    "abp_bound_check",
-    "abp_degiorgi_check",
-    "barrier_epsilon",
-    "bm_exp_check",
-    "bm_lp_check",
-    "bubble_local_mass",
-    "bubble_problem",
-    "bubble_profile",
-    "bubble_residual_sup",
-    "cap_concentric",
-    "classify_alternative",
-    "comparison_check",
-    "config_from_sources",
-    "degiorgi_fit_and_verify",
-    "degiorgi_from_run",
-    "degiorgi_threshold",
-    "domain_volume",
-    "elem_sym",
-    "elem_sym_all",
-    "emit_report",
-    "exp_integral",
-    "extremal_profile",
-    "fixed_budget_variation_check",
-    "gamma_k_membership",
-    "harnack_ratio",
-    "hessian_integral",
-    "hessian_mass",
-    "isocapacitary_margin",
-    "level_set_radius",
-    "levelset_cap_check",
-    "load_config_file",
-    "load_profile",
-    "local_mass",
-    "lp_norm",
-    "maclaurin_means",
-    "make_family",
-    "make_profile",
-    "mollified_dirac_family",
-    "orlicz_h",
-    "phi_norm",
-    "principal_minor_sum",
-    "profile_from_slope",
-    "regular_point_classify",
-    "row_from_record",
-    "rows_status",
-    "run_suite",
-    "s_k_of_matrix",
-    "s_k_radial",
-    "save_profile",
-    "sharpness_probe",
-    "singular_comparison_check",
-    "smallness_check",
-    "solve_dirichlet",
-    "solve_liouville",
-    "solve_sequence",
-    "unit_ball_volume",
-    "verify_gk",
-    "value_at",
-    "volume_integral",
-    "weak_lp_quasinorm",
-]
+_MODULES = (
+    abp, brezis_merle, capacity, core, errors, families, liouville, profile_io, radial, report, suites,
+)
+__all__ = [name for module in _MODULES for name in module.__all__] + ["PROFILE_FORMAT", "__version__"]

@@ -187,12 +187,7 @@ class OrliczBarrier:
         return -self.scale * self.weight.tail(s)
 
     def h_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        w = self.weight
-        if w.kind == "power":
-            base = (1.0 + np.maximum(s, 0.0)) ** (-w.exponent / w.k)
-            return self.scale * base
-        return self.scale * w.value(s) ** (-1.0 / w.k)
+        return self.scale * self.weight.value(s) ** (-1.0 / self.weight.k)
 
     def h_second(self, s):
         s = np.asarray(s, dtype=float)
@@ -493,6 +488,7 @@ def mollified_dirac_family(
 
 def fixed_budget_variation_check(
     dim: HessianDim,
+    densities,
     weight: OrliczWeight,
     R: float = 1.0,
     grid_n: int = quad.DEFAULT_GRID_N,
@@ -501,11 +497,13 @@ def fixed_budget_variation_check(
 ) -> CheckRecord:
     """Uniform boundedness of sup u across the fixed-budget sweep.
 
+    `densities` is the sweep as (label, callable) pairs, normally the
+    mollified_dirac_family built with the same weight, R and grid_n.
     Passes when the relative spread of sup u stays under the tolerance
     while the family's sup-norm ratio exceeds the required factor, i.e.
     the maximum estimate really ignores the density's height.
     """
-    members = mollified_dirac_family(dim, weight, R=R, grid_n=grid_n)
+    members = list(densities)
     nodes = quad.radial_grid(R, grid_n)
     heights = []
     budgets = []

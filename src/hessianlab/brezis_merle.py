@@ -31,7 +31,7 @@ from .families import FamilySpec, make_family, make_profile
 from .radial import domain_volume, exp_integral, hessian_mass, lp_norm, weak_lp_quasinorm
 from .report import CheckRecord, upper_bound
 
-__all__ = ["BMQuery", "bm_lp_check", "bm_exp_check", "sharpness_probe"]
+__all__ = ["BRANCHES", "BMQuery", "bm_lp_check", "bm_exp_check", "sharpness_probe"]
 
 BRANCHES = ("lp", "exp")
 

@@ -2,8 +2,11 @@
 
 Runs one named suite (or all of them), prints or writes the report,
 and exits 0 when every row passed, 1 when any failed, 2 on an invalid
-configuration.  Flags override config-file values which override the
-defaults.
+configuration, and 3 when a check raised a HessianLabError (an input
+it could not handle, or a solver that found no solution); exit 3
+prints one `hessianlab: ...` line to stderr and no report.  Flags
+override config-file values which override the defaults; the flags
+come from the option table `suites.OPTIONS`.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, ProfileFormatError
+from .errors import ConfigError, HessianLabError, ProfileFormatError
 from .report import emit_report
-from .suites import CONFIG_KEYS, FORMATS, SUITES, config_from_sources, load_config_file, run_suite
+from .suites import OPTIONS, ExperimentConfig, config_from_sources, load_config_file, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,36 +25,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the k-Hessian verification suites and emit a pass/fail report.",
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags override it")
-    parser.add_argument("--suite", choices=SUITES, help="suite to run (default: all)")
-    parser.add_argument("--n", type=int, help="ambient dimension")
-    parser.add_argument("--k", type=int, help="Hessian order, 1 <= k <= n")
-    parser.add_argument("--radius", type=float, help="domain ball radius (default 1)")
-    parser.add_argument("--grid-n", type=int, dest="grid_n", help="radial grid size (default 2048)")
-    parser.add_argument("--lambda", type=float, dest="lam", help="exponential-moment coefficient")
-    parser.add_argument("--beta", type=float, help="exponential-moment exponent")
-    parser.add_argument("--p", type=float, help="integrability exponent")
-    parser.add_argument("--family", help="profile family or fixture name")
-    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=FORMATS, dest="fmt", help="report format (default csv)")
-    parser.add_argument("--tol", type=float, help="override the grid-accuracy tolerances")
+    for opt in OPTIONS:
+        # argparse passes strings through unconverted when given no type.
+        kind = None if opt.type is str else opt.type
+        parser.add_argument(
+            opt.flag, dest=opt.field, type=kind, choices=opt.choices, metavar=opt.metavar, help=opt.help,
+        )
     return parser
 
 
-# argparse destination (the config field name) -> external config key.
-_DEST_TO_KEY = {field: key for key, field in CONFIG_KEYS.items()}
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge defaults <- the --config file <- the flags given."""
+    file_data = load_config_file(args.config) if args.config else None
+    return config_from_sources(file_data, {opt.key: getattr(args, opt.field) for opt in OPTIONS})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        file_data = load_config_file(args.config) if args.config else None
-        overrides = {
-            key: getattr(args, dest)
-            for dest, key in _DEST_TO_KEY.items()
-            if getattr(args, dest) is not None
-        }
-        cfg = config_from_sources(file_data, overrides)
+        cfg = config_from_args(args)
         rows, status = run_suite(cfg)
         text = emit_report(rows, out_path=cfg.out, fmt=cfg.fmt)
         if cfg.out is None:
@@ -59,6 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ProfileFormatError) as exc:
         print(f"hessianlab: {exc}", file=sys.stderr)
         return 2
+    except HessianLabError as exc:
+        print(f"hessianlab: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"hessianlab: cannot write report: {exc}", file=sys.stderr)
         return 2

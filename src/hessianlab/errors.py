@@ -5,6 +5,12 @@ class; everything inherits from HessianLabError so scripts can catch
 the whole family at once.
 """
 
+__all__ = [
+    "HessianLabError", "InvalidArgumentError", "UnsupportedDimensionError", "NotAdmissibleError",
+    "InvalidMeasureError", "DegenerateProfileError", "InvalidWeightError", "NoSolutionError",
+    "PreconditionError", "ProfileFormatError", "ConfigError",
+]
+
 
 class HessianLabError(Exception):
     pass

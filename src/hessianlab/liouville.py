@@ -42,6 +42,7 @@ from .radial import (
 from .report import CheckRecord, upper_bound
 
 __all__ = [
+    "SUPPORTED_DIMS",
     "LiouvilleProblem",
     "SolutionSequence",
     "solve_liouville",
@@ -279,7 +280,7 @@ def local_mass(u: RadialProfile, V, r: float) -> float:
     if not (np.isfinite(r) and 0 <= r <= u.R * (1.0 + 1e-12)):
         raise InvalidArgumentError(f"need 0 <= r <= {u.R:g}, got {r!r}")
     v = np.asarray(V(u.nodes), dtype=float)
-    density = v * np.exp(np.minimum(-u.values, 700.0))
+    density = v * np.exp(np.minimum(-u.values, _EXP_CLIP))
     mu = RadialMeasure.from_density(u.dim, u.R, u.nodes, density)
     return mu.cumulative_at(min(r, u.R))
 
@@ -423,50 +424,30 @@ def classify_alternative(
     rising_center = _trend(near0, +1.0, trend_margin)
     rising_annulus = _trend(annulus_min, +1.0, trend_margin)
 
+    blowup_radii: tuple[float, ...] = ()
+    atom_masses: tuple[float, ...] = ()
     if sinking_center and rising_annulus:
         atom = float(seq.local_masses(atom_radius_factor * R)[-1])
+        atom_masses = (atom,)
+        margins = {"atom_minus_threshold": atom - threshold}
         if atom >= threshold * (1.0 - tol):
-            return BlowupReport(
-                classification="concentration",
-                blowup_radii=(0.0,),
-                atom_masses=(atom,),
-                threshold=threshold,
-                margins={"atom_minus_threshold": atom - threshold},
-                diagnostics=diagnostics,
-            )
-        return BlowupReport(
-            classification="inconclusive",
-            blowup_radii=(),
-            atom_masses=(atom,),
-            threshold=threshold,
-            margins={"atom_minus_threshold": atom - threshold},
-            diagnostics=diagnostics,
-        )
-    if rising_annulus and rising_center:
-        return BlowupReport(
-            classification="uniform-divergence",
-            blowup_radii=(),
-            atom_masses=(),
-            threshold=threshold,
-            margins={"annulus_rise": float(annulus_min[-1] - annulus_min[0])},
-            diagnostics=diagnostics,
-        )
-    spread = float(np.max(annulus_sup) - np.min(annulus_sup))
-    if not (sinking_center or rising_center or rising_annulus) and spread <= bounded_spread:
-        return BlowupReport(
-            classification="bounded",
-            blowup_radii=(),
-            atom_masses=(),
-            threshold=threshold,
-            margins={"annulus_spread": spread},
-            diagnostics=diagnostics,
-        )
+            classification, blowup_radii = "concentration", (0.0,)
+        else:
+            classification = "inconclusive"
+    elif rising_annulus and rising_center:
+        classification = "uniform-divergence"
+        margins = {"annulus_rise": float(annulus_min[-1] - annulus_min[0])}
+    else:
+        spread = float(np.max(annulus_sup) - np.min(annulus_sup))
+        margins = {"annulus_spread": spread}
+        steady = not (sinking_center or rising_center or rising_annulus)
+        classification = "bounded" if steady and spread <= bounded_spread else "inconclusive"
     return BlowupReport(
-        classification="inconclusive",
-        blowup_radii=(),
-        atom_masses=(),
+        classification=classification,
+        blowup_radii=blowup_radii,
+        atom_masses=atom_masses,
         threshold=threshold,
-        margins={"annulus_spread": spread},
+        margins=margins,
         diagnostics=diagnostics,
     )
 

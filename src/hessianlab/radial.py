@@ -50,6 +50,7 @@ __all__ = [
     "phi_norm",
     "level_set_radius",
     "level_set_log_ratio",
+    "value_at",
     "lp_norm",
     "weak_lp_quasinorm",
     "exp_integral",

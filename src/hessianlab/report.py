@@ -5,7 +5,8 @@ sides of the inequality or identity it examined, the margin, and a
 pass flag.  ReportRow is its flattened, serializable form.  Reports
 are required to be byte-identical across runs for a fixed
 configuration, so every field is derived from the inputs alone; in
-particular the ms column is pinned to zero rather than wall time.
+particular the ms column is always zero rather than wall time (timing
+lives in the perfbench harness).
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class ReportRow:
     rhs: float
     margin: float
     passed: bool
-    ms: float = 0.0
 
 
 def _canonical(obj):
@@ -139,45 +139,24 @@ def emit_report(rows: list[ReportRow], out_path: str | None = None, fmt: str = "
         raise InvalidArgumentError("refusing to emit an empty report")
     if fmt not in ("csv", "jsonl"):
         raise InvalidArgumentError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    # One row's cells in CSV_HEADER order; pass stays a bool until
+    # rendered, and ms is the constant zero.
+    cells = [
+        [row.suite, row.check, row.anchor, row.inputs,
+         _fmt(row.lhs), _fmt(row.rhs), _fmt(row.margin), bool(row.passed), _fmt(0.0)]
+        for row in rows
+    ]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.suite,
-                    row.check,
-                    row.anchor,
-                    row.inputs,
-                    _fmt(row.lhs),
-                    _fmt(row.rhs),
-                    _fmt(row.margin),
-                    "true" if row.passed else "false",
-                    _fmt(row.ms),
-                ]
-            )
+        for line in cells:
+            writer.writerow([("true" if c else "false") if isinstance(c, bool) else c for c in line])
         text = buf.getvalue()
     else:
-        lines = []
-        for row in rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "suite": row.suite,
-                        "check": row.check,
-                        "anchor": row.anchor,
-                        "inputs": row.inputs,
-                        "lhs": _fmt(row.lhs),
-                        "rhs": _fmt(row.rhs),
-                        "margin": _fmt(row.margin),
-                        "pass": row.passed,
-                        "ms": _fmt(row.ms),
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        text = "".join(
+            json.dumps(dict(zip(CSV_HEADER, line)), separators=(",", ":")) + "\n" for line in cells
+        )
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

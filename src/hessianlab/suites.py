@@ -2,8 +2,10 @@
 
 Each suite is a catalog: `_suite_<name>(cfg, soft)` validates the
 config against the suite's regime, then returns a list of jobs, each a
-module-level check function bound to its arguments with
-functools.partial (for example `partial(_roundtrip, cfg, dim)`).  A job
+check function bound to its arguments with functools.partial: a check
+module's own function where it needs nothing else (for example
+`partial(cap_mod.isocapacitary_margin, condenser, q)`), else one
+defined here (`partial(_roundtrip, cfg, dim)`).  A job
 returns one CheckRecord or a list of them.  run_suite executes the jobs
 (concurrently when allowed) and returns order-stable report rows.  Without explicit (n, k) a suite runs
 its canonical dimensions.  With an explicit pair, a named suite rejects
@@ -51,7 +53,9 @@ _FIXTURE_FAMILIES = ("standard", "constant")
 __all__ = [
     "SUITES",
     "FORMATS",
+    "OPTIONS",
     "CONFIG_KEYS",
+    "Option",
     "ExperimentConfig",
     "config_from_sources",
     "load_config_file",
@@ -108,36 +112,53 @@ class ExperimentConfig:
         return None if self.n is None else HessianDim(self.n, self.k)
 
 
-# JSON config keys and CLI flags share this map onto config fields; the
-# CLI's argparse destinations are the field names.
-CONFIG_KEYS = {
-    "suite": "suite",
-    "n": "n",
-    "k": "k",
-    "radius": "radius",
-    "grid_n": "grid_n",
-    "lambda": "lam",
-    "beta": "beta",
-    "p": "p",
-    "family": "family",
-    "out": "out",
-    "format": "fmt",
-    "tol": "tol",
-}
+@dataclass(frozen=True)
+class Option:
+    """One configuration option.  `key` is the JSON config key, and the
+    CLI flag is `--` plus the key with `_` written `-`; `field` is the
+    ExperimentConfig field and the argparse destination."""
 
-_INT_FIELDS = {"n", "k", "grid_n"}
-_FLOAT_FIELDS = {"radius", "lam", "beta", "p", "tol"}
+    key: str
+    field: str
+    type: type
+    help: str
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
 
 
-def _coerce(field_name: str, value):
+# The one table of options: config_from_sources and the CLI parser both
+# read it.
+OPTIONS = (
+    Option("suite", "suite", str, "suite to run (default: all)", choices=SUITES),
+    Option("n", "n", int, "ambient dimension"),
+    Option("k", "k", int, "Hessian order, 1 <= k <= n"),
+    Option("radius", "radius", float, "domain ball radius (default 1)"),
+    Option("grid_n", "grid_n", int, "radial grid size (default 2048)"),
+    Option("lambda", "lam", float, "exponential-moment coefficient"),
+    Option("beta", "beta", float, "exponential-moment exponent"),
+    Option("p", "p", float, "integrability exponent"),
+    Option("family", "family", str, "profile family or fixture name"),
+    Option("out", "out", str, "write the report here instead of stdout", metavar="PATH"),
+    Option("format", "fmt", str, "report format (default csv)", choices=FORMATS),
+    Option("tol", "tol", float, "override the grid-accuracy tolerances"),
+)
+_OPTION_BY_KEY = {opt.key: opt for opt in OPTIONS}
+CONFIG_KEYS = {opt.key: opt.field for opt in OPTIONS}
+
+
+def _coerce(opt: Option, value):
     try:
-        if field_name in _INT_FIELDS:
+        if opt.type is int:
             if isinstance(value, bool):
                 raise ValueError("expected an integer")
             if isinstance(value, float) and not value.is_integer():
                 raise ValueError("not an integer")
             return int(value)
-        if field_name in _FLOAT_FIELDS:
+        if opt.type is float:
             if isinstance(value, bool):
                 raise ValueError("expected a number")
             out = float(value)
@@ -148,7 +169,7 @@ def _coerce(field_name: str, value):
             raise ValueError("expected a string")
         return value
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {field_name!r}: {value!r} ({exc})") from exc
+        raise ConfigError(f"bad value for {opt.field!r}: {value!r} ({exc})") from exc
 
 
 def config_from_sources(file_data: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -159,13 +180,14 @@ def config_from_sources(file_data: dict | None = None, overrides: dict | None = 
         if not source:
             continue
         for key, value in source.items():
-            if key not in CONFIG_KEYS:
+            opt = _OPTION_BY_KEY.get(key)
+            if opt is None:
                 raise ConfigError(
                     f"unknown {origin} key {key!r}; expected one of {sorted(CONFIG_KEYS)}"
                 )
             if value is None:
                 continue
-            merged[CONFIG_KEYS[key]] = _coerce(CONFIG_KEYS[key], value)
+            merged[opt.field] = _coerce(opt, value)
     return ExperimentConfig(**merged)
 
 
@@ -238,7 +260,10 @@ def _suite_sym(cfg: ExperimentConfig, soft: bool = False):
     return [partial(_sym_two_routes, cfg)]
 
 
-_SOLVE_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2), HessianDim(3, 1))
+# Canonical dimensions of the suites that take every regime, and of
+# those that need 2k = n.
+_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2), HessianDim(3, 1))
+_CANONICAL_2K_EQ_N = (HessianDim(2, 1), HessianDim(4, 2))
 
 
 def _roundtrip(cfg, dim):
@@ -291,7 +316,7 @@ def _newtonian(cfg, dim):
 
 def _suite_solve(cfg: ExperimentConfig, soft: bool = False):
     jobs = []
-    for dim in _dims_for(cfg, _SOLVE_CANONICAL, lambda d: True, "radial", soft):
+    for dim in _dims_for(cfg, _CANONICAL, lambda d: True, "radial", soft):
         jobs.append(partial(_roundtrip, cfg, dim))
         if dim.is_intermediate:
             jobs.append(partial(_fundamental, cfg, dim))
@@ -301,19 +326,8 @@ def _suite_solve(cfg: ExperimentConfig, soft: bool = False):
     return jobs
 
 
-_CAP_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2), HessianDim(3, 1))
-
-
 def _condenser(cfg, dim, frac=0.3):
     return cap_mod.CapacityConfig(dim, frac * cfg.radius, cfg.radius)
-
-
-def _saturation(cfg, dim, frac):
-    return cap_mod.isocapacitary_margin(_condenser(cfg, dim, frac), dim.beta_max)
-
-
-def _volume_bound(cfg, dim, q):
-    return cap_mod.isocapacitary_margin(_condenser(cfg, dim), q)
 
 
 def _extremal_mass(cfg, dim):
@@ -354,45 +368,31 @@ def _comparisons(cfg, dim):
 
 def _suite_capacity(cfg: ExperimentConfig, soft: bool = False):
     jobs = []
-    for dim in _dims_for(cfg, _CAP_CANONICAL, lambda d: 2 * d.k <= d.n, "capacity (2k <= n)", soft):
+    for dim in _dims_for(cfg, _CANONICAL, lambda d: 2 * d.k <= d.n, "capacity (2k <= n)", soft):
         jobs.append(partial(_extremal_mass, cfg, dim))
         jobs.append(partial(_levelset, cfg, dim, "quadratic"))
         jobs.append(partial(_comparisons, cfg, dim))
         if dim.is_intermediate:
             for frac in (0.5, 0.1, 0.01):
-                jobs.append(partial(_saturation, cfg, dim, frac))
+                jobs.append(partial(cap_mod.isocapacitary_margin, _condenser(cfg, dim, frac), dim.beta_max))
             jobs.append(partial(_levelset, cfg, dim, "log"))
         else:
-            jobs.append(partial(_volume_bound, cfg, dim, 2.0))
+            jobs.append(partial(cap_mod.isocapacitary_margin, _condenser(cfg, dim), 2.0))
             if (dim.n, dim.k) == (3, 1):
                 jobs.append(partial(_levelset, cfg, dim, "newtonian"))
     return jobs
 
-
-_BM_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2), HessianDim(3, 1))
 
 # Branch-compatible profile kinds for the --family override.
 _EXP_KINDS = ("log", "mollified-log", "quadratic")
 _LP_KINDS = ("power", "newtonian")
 
 
-def _exp_checks(cfg, dim, lam, kind):
+def _bm_query(cfg, dim, branch, kind, **params):
     spec = FamilySpec(kind, mollification=0.05) if kind == "mollified-log" else FamilySpec(kind)
-    return bm_mod.bm_exp_check(bm_mod.BMQuery(
-        dim=dim, branch="exp", family=spec, R=cfg.radius,
-        lam=lam, beta=cfg.beta, amplitudes=3, grid_n=cfg.grid_n,
-    ))
-
-
-def _sharpness(cfg, dim):
-    return bm_mod.sharpness_probe(dim, R=cfg.radius, grid_n=cfg.grid_n)
-
-
-def _lp_checks(cfg, dim, p, kind):
-    return bm_mod.bm_lp_check(bm_mod.BMQuery(
-        dim=dim, branch="lp", family=FamilySpec(kind), R=cfg.radius,
-        p=p, amplitudes=3, grid_n=cfg.grid_n,
-    ))
+    return bm_mod.BMQuery(
+        dim=dim, branch=branch, family=spec, R=cfg.radius, amplitudes=3, grid_n=cfg.grid_n, **params,
+    )
 
 
 # The default strong-norm exponents; a dimension keeps those below its
@@ -423,7 +423,7 @@ def _lp_monotone(cfg, dim, kind):
 
 def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
     dims = _dims_for(
-        cfg, _BM_CANONICAL, lambda d: d.is_intermediate or d.is_subcritical,
+        cfg, _CANONICAL, lambda d: d.is_intermediate or d.is_subcritical,
         "integrability", soft,
     )
     family = cfg.family
@@ -448,11 +448,13 @@ def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
                     f"beta must lie in [1, {dim.beta_max:g}] for (n, k) = ({dim.n}, {dim.k})"
                 )
             exp_kind = family if family in _EXP_KINDS else "log"
-            for lam in lams:
-                jobs.append(partial(_exp_checks, cfg, dim, lam, exp_kind))
+            exp_runs = [(lam, exp_kind) for lam in lams]
             if exp_kind == "log":
-                jobs.append(partial(_exp_checks, cfg, dim, alpha0 / 2, "mollified-log"))
-            jobs.append(partial(_sharpness, cfg, dim))
+                exp_runs.append((alpha0 / 2, "mollified-log"))
+            for lam, kind in exp_runs:
+                query = _bm_query(cfg, dim, "exp", kind, lam=lam, beta=cfg.beta)
+                jobs.append(partial(bm_mod.bm_exp_check, query))
+            jobs.append(partial(bm_mod.sharpness_probe, dim, R=cfg.radius, grid_n=cfg.grid_n))
         else:
             endpoint = dim.lp_endpoint()
             strong = _strong_ps(dim)
@@ -469,14 +471,11 @@ def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
             if lp_kind == "newtonian" and (dim.n, dim.k) != (3, 1):
                 lp_kind = "power"
             for p in ps:
-                jobs.append(partial(_lp_checks, cfg, dim, p, lp_kind))
+                jobs.append(partial(bm_mod.bm_lp_check, _bm_query(cfg, dim, "lp", lp_kind, p=p)))
             if len(strong) > 1:
                 # monotonicity needs two strong exponents to compare
                 jobs.append(partial(_lp_monotone, cfg, dim, lp_kind))
     return jobs
-
-
-_ABP_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2))
 
 
 def _bump_density(r):
@@ -487,37 +486,27 @@ def _degiorgi_density(r):
     return 1.0 + 4.0 * np.exp(-(r**2) / (2 * 0.25**2))
 
 
-def _gk(cfg, dim, density):
-    weight = abp_mod.OrliczWeight("exp", dim.k, rate=float(dim.k))
-    return abp_mod.verify_gk(dim, density, weight, R=cfg.radius, grid_n=cfg.grid_n)
-
-
 def _abp_bound(cfg, dim):
+    """The sup-bound records of the mollified Dirac family and, at
+    (4, 2), the fixed-budget record of the same family."""
     R, grid_n = cfg.radius, cfg.grid_n
     weight = abp_mod.OrliczWeight("exp", dim.k, rate=1.0)
     family = abp_mod.mollified_dirac_family(dim, weight, R=R, grid_n=grid_n)
-    return abp_mod.abp_bound_check(dim, family, weight, R=R, grid_n=grid_n)
-
-
-def _abp_degiorgi(cfg, dim):
-    return abp_mod.abp_degiorgi_check(dim, _degiorgi_density, R=cfg.radius, grid_n=cfg.grid_n)
-
-
-def _fixed_budget(cfg, dim):
-    weight = abp_mod.OrliczWeight("exp", dim.k, rate=1.0)
-    return abp_mod.fixed_budget_variation_check(dim, weight, R=cfg.radius, grid_n=cfg.grid_n)
+    records = abp_mod.abp_bound_check(dim, family, weight, R=R, grid_n=grid_n)
+    if (dim.n, dim.k) == (4, 2):
+        records.append(abp_mod.fixed_budget_variation_check(dim, family, weight, R=R, grid_n=grid_n))
+    return records
 
 
 def _suite_abp(cfg: ExperimentConfig, soft: bool = False):
     jobs = []
-    for dim in _dims_for(cfg, _ABP_CANONICAL, lambda d: d.is_intermediate, "barrier (2k = n)", soft):
-        const = partial(_constant, c=float(dim.n_choose_k))
-        jobs.append(partial(_gk, cfg, dim, const))
-        jobs.append(partial(_gk, cfg, dim, _bump_density))
+    grid = {"R": cfg.radius, "grid_n": cfg.grid_n}
+    for dim in _dims_for(cfg, _CANONICAL_2K_EQ_N, lambda d: d.is_intermediate, "barrier (2k = n)", soft):
+        weight = abp_mod.OrliczWeight("exp", dim.k, rate=float(dim.k))
+        for density in (partial(_constant, c=float(dim.n_choose_k)), _bump_density):
+            jobs.append(partial(abp_mod.verify_gk, dim, density, weight, **grid))
         jobs.append(partial(_abp_bound, cfg, dim))
-        jobs.append(partial(_abp_degiorgi, cfg, dim))
-        if (dim.n, dim.k) == (4, 2):
-            jobs.append(partial(_fixed_budget, cfg, dim))
+        jobs.append(partial(abp_mod.abp_degiorgi_check, dim, _degiorgi_density, **grid))
     return jobs
 
 
@@ -597,8 +586,6 @@ def _suite_degiorgi(cfg: ExperimentConfig, soft: bool = False):
         jobs.append(partial(_fit_row, i, phi0, m, a))
     return jobs
 
-
-_LIU_CANONICAL = (HessianDim(2, 1), HessianDim(4, 2))
 
 # Bubble rows verify that the exact solution is a fixed point of the
 # discrete solver; the grid is pinned high enough that the first update
@@ -715,12 +702,6 @@ def _harnack(cfg):
     )
 
 
-def _singular(cfg, dim, factor, background):
-    return liu_mod.singular_comparison_check(
-        dim, atom_factor=factor, background=background, grid_n=cfg.grid_n
-    )
-
-
 def _residual_row(cfg, dim):
     prob = liu_mod.LiouvilleProblem(dim=dim, V=_constant, boundary=0.0, grid_n=cfg.grid_n)
     u = liu_mod.solve_liouville(prob)
@@ -736,13 +717,14 @@ def _residual_row(cfg, dim):
 def _suite_liouville(cfg: ExperimentConfig, soft: bool = False):
     dims = _dims_for(
         cfg,
-        _LIU_CANONICAL,
+        _CANONICAL_2K_EQ_N,
         lambda d: (d.n, d.k) in liu_mod.SUPPORTED_DIMS,
         "exponential equation ((2,1) or (4,2))",
         soft,
     )
     jobs = []
     for dim in dims:
+        singular = partial(liu_mod.singular_comparison_check, dim, grid_n=cfg.grid_n)
         if (dim.n, dim.k) == (2, 1):
             jobs.append(partial(_bubble_identity, cfg))
             for lam in (1.0, 4.0, 16.0):
@@ -757,12 +739,12 @@ def _suite_liouville(cfg: ExperimentConfig, soft: bool = False):
             levels = tuple(float(c) for c in np.linspace(0.15, 1.9, 12))
             jobs.append(partial(_smallness, cfg, dim, levels))
             jobs.append(partial(_harnack, cfg))
-            jobs.append(partial(_singular, cfg, dim, 1.0, 0.0))
-            jobs.append(partial(_singular, cfg, dim, 2.0, float(dim.n_choose_k)))
+            jobs.append(partial(singular, atom_factor=1.0, background=0.0))
+            jobs.append(partial(singular, atom_factor=2.0, background=float(dim.n_choose_k)))
         else:
             jobs.append(partial(_residual_row, cfg, dim))
             jobs.append(partial(_smallness, cfg, dim, (1.0, 4.0, 10.0, 25.0)))
-            jobs.append(partial(_singular, cfg, dim, 1.0, 0.0))
+            jobs.append(partial(singular, atom_factor=1.0, background=0.0))
     return jobs
 
 

@@ -346,7 +346,8 @@ class TestFixedBudgetFamily:
         assert status == 0
 
     def test_variation_check_passes(self):
-        rec = fixed_budget_variation_check(HessianDim(4, 2), OrliczWeight("exp", 2, rate=1.0))
+        dim, weight = HessianDim(4, 2), OrliczWeight("exp", 2, rate=1.0)
+        rec = fixed_budget_variation_check(dim, mollified_dirac_family(dim, weight), weight)
         assert rec.passed
         assert rec.lhs <= rec.rhs
         assert rec.details["height_ratio"] > 1e3

@@ -238,7 +238,7 @@ def test_criterion_08_weak_endpoint():
 def test_criterion_09_fixed_budget_boundedness():
     dim = HessianDim(4, 2)
     weight = OrliczWeight("exp", 2, rate=1.0)
-    rec = fixed_budget_variation_check(dim, weight)
+    rec = fixed_budget_variation_check(dim, mollified_dirac_family(dim, weight), weight)
     growth = rec.details["height_ratio"]
     held_ok = True
     for d in INTERMEDIATE:

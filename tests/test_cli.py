@@ -30,12 +30,12 @@ from hessianlab import (
     run_suite,
     save_profile,
 )
-from hessianlab.cli import main
+from hessianlab.cli import build_parser, config_from_args, main
 from hessianlab.families import FamilySpec
 from hessianlab.parallel import ENV_THREADS, thread_count
 from hessianlab.profile_io import FORMAT
 from hessianlab.report import CSV_HEADER
-from hessianlab.suites import ExperimentConfig
+from hessianlab.suites import CONFIG_KEYS, OPTIONS, ExperimentConfig, load_config_file
 
 
 def run_python(*args):
@@ -335,3 +335,98 @@ class TestProcess:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestCheckErrors:
+    # A check that raises a HessianLabError exits 3 with one stderr line;
+    # exit 1 stays reserved for a failed row.
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "abp", "--grid-n", "32"),
+        ("--suite", "liouville", "--grid-n", "16"),
+    ])
+    def test_check_error_exits_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("hessianlab: ")
+
+    def test_module_run_prints_no_traceback(self):
+        proc = run_python("-m", "hessianlab.cli", "--suite", "liouville", "--grid-n", "16")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("hessianlab: ") and proc.stderr.count("\n") == 1
+
+
+# One value per config key, in the types a JSON file carries.
+_KEY_SAMPLES = {
+    "suite": "bm", "n": 4, "k": 2, "radius": 2.5, "grid_n": 512, "lambda": 3.0, "beta": 1.2,
+    "p": 1.5, "family": "log", "out": "report.csv", "format": "jsonl", "tol": 1e-7,
+}
+
+
+class TestOptionTable:
+    def test_samples_cover_every_option(self):
+        assert set(_KEY_SAMPLES) == {opt.key for opt in OPTIONS} == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("keys", [("suite",), ("n", "k"), ("radius",), ("grid_n",), ("lambda",),
+                                      ("beta",), ("p",), ("family",), ("out",), ("format",), ("tol",),
+                                      tuple(_KEY_SAMPLES)])
+    def test_file_and_flag_give_the_same_config(self, tmp_path, keys):
+        data = {key: _KEY_SAMPLES[key] for key in keys}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        from_file = config_from_sources(load_config_file(str(path)))
+        argv = [arg for key in keys for arg in (f"--{key.replace('_', '-')}", str(data[key]))]
+        from_flags = config_from_args(build_parser().parse_args(argv))
+        assert from_file == from_flags
+        assert from_file != ExperimentConfig()
+
+
+class TestOneRowLayout:
+    def test_csv_and_jsonl_cells_agree(self):
+        rows, _ = run_suite(ExperimentConfig(suite="capacity", grid_n=512))
+        rows += TestReportRendering().sample_rows()
+        from_csv = list(csv.DictReader(io.StringIO(emit_report(rows, fmt="csv"))))
+        from_jsonl = [json.loads(line) for line in emit_report(rows, fmt="jsonl").splitlines()]
+        assert all(isinstance(line["pass"], bool) for line in from_jsonl)
+        for line in from_jsonl:
+            line["pass"] = "true" if line["pass"] else "false"
+        assert from_csv == from_jsonl
+        assert {line["ms"] for line in from_csv} == {format(0.0, ".17e")}
+
+
+# The package's exports before each module's __all__ became the API.
+_EARLIER_API = """
+    BRANCHES CSV_HEADER FORMATS KINDS PROFILE_FORMAT SUITES SUPPORTED_DIMS WEIGHT_KINDS BMQuery
+    BlowupReport CapacityConfig CheckRecord ConfigError DeGiorgiData DegenerateProfileError
+    ExperimentConfig FamilySpec HarnackRecord HessianDim HessianLabError InvalidArgumentError
+    InvalidMeasureError InvalidWeightError LiouvilleProblem NoSolutionError NotAdmissibleError
+    OrliczBarrier OrliczWeight PreconditionError ProfileFormatError RadialMeasure RadialProfile
+    ReportRow SolutionSequence UnsupportedDimensionError abp_bound_check abp_degiorgi_check
+    barrier_epsilon bm_exp_check bm_lp_check bubble_local_mass bubble_problem bubble_profile
+    bubble_residual_sup cap_concentric classify_alternative comparison_check config_from_sources
+    degiorgi_fit_and_verify degiorgi_from_run degiorgi_threshold domain_volume elem_sym elem_sym_all
+    emit_report exp_integral extremal_profile fixed_budget_variation_check gamma_k_membership
+    harnack_ratio hessian_integral hessian_mass isocapacitary_margin level_set_radius
+    levelset_cap_check load_config_file load_profile local_mass lp_norm maclaurin_means make_family
+    make_profile mollified_dirac_family orlicz_h phi_norm principal_minor_sum profile_from_slope
+    regular_point_classify row_from_record rows_status run_suite s_k_of_matrix s_k_radial save_profile
+    sharpness_probe singular_comparison_check smallness_check solve_dirichlet solve_liouville
+    solve_sequence unit_ball_volume verify_gk value_at volume_integral weak_lp_quasinorm
+""".split()
+
+
+class TestPackageApi:
+    def test_all_is_the_union_of_the_module_lists(self):
+        modules = [getattr(hessianlab, name) for name in (
+            "abp", "brezis_merle", "capacity", "core", "errors", "families", "liouville",
+            "profile_io", "radial", "report", "suites",
+        )]
+        expected = [name for module in modules for name in module.__all__]
+        assert hessianlab.__all__ == expected + ["PROFILE_FORMAT", "__version__"]
+        assert len(set(hessianlab.__all__)) == len(hessianlab.__all__)
+        assert all(hasattr(hessianlab, name) for name in hessianlab.__all__)
+
+    def test_earlier_exports_stay(self):
+        assert len(_EARLIER_API) == 95
+        assert set(_EARLIER_API) <= set(hessianlab.__all__)

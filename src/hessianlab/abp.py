@@ -39,8 +39,8 @@ from .radial import (
     RadialMeasure,
     _s_k_density,
     RadialProfile,
-    domain_volume,
     exp_integral,
+    exp_moment_bound,
     level_set_radius,
     solve_dirichlet,
     volume_integral,
@@ -53,6 +53,8 @@ __all__ = [
     "OrliczBarrier",
     "orlicz_h",
     "verify_gk",
+    "SampledFamily",
+    "sample_family",
     "abp_bound_check",
     "mollified_dirac_family",
     "fixed_budget_variation_check",
@@ -283,7 +285,7 @@ def verify_gk(
     psi1 = solve_dirichlet(mu, 0.0)
 
     moment = exp_integral(psi1, alpha_val, dim.beta_max)
-    moment_bound = domain_volume(dim, R) * alpha0 / (alpha0 - alpha_val)
+    moment_bound = exp_moment_bound(dim, R, alpha_val)
     moment_ok = moment <= moment_bound * (1.0 + 1e-6)
 
     n, k = dim.n, dim.k
@@ -326,11 +328,6 @@ def verify_gk(
     )
 
 
-def _solve_density(dim: HessianDim, R: float, nodes, g) -> RadialProfile:
-    mu = RadialMeasure.from_density(dim, R, nodes, g)
-    return solve_dirichlet(mu, 0.0)
-
-
 def _orlicz_budget(dim: HessianDim, nodes, g, weight: OrliczWeight) -> float:
     with np.errstate(divide="ignore"):
         logs = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), 0.0)
@@ -338,48 +335,70 @@ def _orlicz_budget(dim: HessianDim, nodes, g, weight: OrliczWeight) -> float:
     return volume_integral(dim, nodes, integrand)
 
 
-def abp_bound_check(
+@dataclass(frozen=True)
+class SampledFamily:
+    """A density family on one grid: per member its label, sup norm,
+    Orlicz budget and the sup of the solution of S_k[u] = g, u = 0 on
+    the sphere."""
+
+    dim: HessianDim
+    weight: OrliczWeight
+    R: float
+    labels: tuple[str, ...]
+    heights: tuple[float, ...]
+    budgets: tuple[float, ...]
+    sups: tuple[float, ...]
+
+
+def sample_family(
     dim: HessianDim,
     densities,
     weight: OrliczWeight,
     R: float = 1.0,
     grid_n: int = quad.DEFAULT_GRID_N,
-    slack: float = 0.10,
-) -> list[CheckRecord]:
-    """Calibrate-then-hold-out test of sup u <= c1 + c2 N^(1/k).
-
-    `densities` is a sequence of (label, callable) pairs, each callable
-    a nonnegative radial density.  The first half of the family
-    calibrates (c1, c2) by least squares (c2 clamped >= 0, c1 lifted so
-    the calibration half satisfies the bound outright); the remaining
-    members are held out and must pass with the stated multiplicative
-    slack on the c2 term.  One record per member, held-out ones marked.
-    """
-    if not dim.is_intermediate:
-        raise UnsupportedDimensionError(
-            f"the sup-bound check needs 2k = n, got (n, k) = ({dim.n}, {dim.k})"
-        )
+) -> SampledFamily:
+    """Sample each (label, callable) density on the grid, take its
+    Orlicz budget and solve its Dirichlet problem once, for the checks
+    that read the family."""
     if weight.k != dim.k:
         raise InvalidWeightError(f"weight is for k = {weight.k}, dimension has k = {dim.k}")
-    items = list(densities)
-    if len(items) < 4:
-        raise InvalidArgumentError(f"need at least 4 family members, got {len(items)}")
     nodes = quad.radial_grid(R, grid_n)
-    labels = [str(label) for label, _ in items]
-    samples = []
-    for label, fn in items:
+    labels, heights, budgets, sups = [], [], [], []
+    for label, fn in densities:
         g = np.asarray(fn(nodes), dtype=float)
         if g.shape != nodes.shape or not np.all(np.isfinite(g)) or np.any(g < 0):
             raise InvalidArgumentError(f"density {label!r} must be nonnegative, finite, radial")
         budget = _orlicz_budget(dim, nodes, g, weight)
         if not np.isfinite(budget):
             raise InvalidArgumentError(f"density {label!r} has an infinite Orlicz budget")
-        samples.append((g, budget))
+        u = solve_dirichlet(RadialMeasure.from_density(dim, R, nodes, g), 0.0)
+        labels.append(str(label))
+        heights.append(float(np.max(g)))
+        budgets.append(budget)
+        sups.append(-float(u.values[0]))
+    return SampledFamily(dim, weight, R, tuple(labels), tuple(heights), tuple(budgets), tuple(sups))
 
-    sups = [-float(_solve_density(dim, R, nodes, g).values[0]) for g, _ in samples]
-    x = np.array([budget ** (1.0 / dim.k) for _, budget in samples])
-    y = np.array(sups)
-    calib = np.arange(len(items)) < (len(items) + 1) // 2
+
+def abp_bound_check(family: SampledFamily, slack: float = 0.10) -> list[CheckRecord]:
+    """Calibrate-then-hold-out test of sup u <= c1 + c2 N^(1/k).
+
+    The first half of the family calibrates (c1, c2) by least squares
+    (c2 clamped >= 0, c1 lifted so the calibration half satisfies the
+    bound outright); the remaining members are held out and must pass
+    with the stated multiplicative slack on the c2 term.  One record
+    per member, held-out ones marked.
+    """
+    dim = family.dim
+    if not dim.is_intermediate:
+        raise UnsupportedDimensionError(
+            f"the sup-bound check needs 2k = n, got (n, k) = ({dim.n}, {dim.k})"
+        )
+    count = len(family.labels)
+    if count < 4:
+        raise InvalidArgumentError(f"need at least 4 family members, got {count}")
+    x = np.array([budget ** (1.0 / dim.k) for budget in family.budgets])
+    y = np.array(family.sups)
+    calib = np.arange(count) < (count + 1) // 2
     if float(np.ptp(x[calib])) <= 1e-9 * (1.0 + float(np.max(np.abs(x)))):
         c2 = 0.0
     else:
@@ -387,24 +406,19 @@ def abp_bound_check(
     c1 = float(np.max(y[calib] - c2 * x[calib]))
 
     records = []
-    for i, label in enumerate(labels):
+    for i, label in enumerate(family.labels):
         held_out = not calib[i]
-        bound = c1 + (1.0 + slack) * c2 * x[i] if held_out else c1 + c2 * x[i]
-        records.append(
-            CheckRecord(
-                check=f"abp-bound[n={dim.n},k={dim.k},{label}]",
-                anchor="abp-orlicz-bound",
-                inputs={
-                    "n": dim.n, "k": dim.k, "member": label, "weight": weight.kind,
-                    "R": R, "held_out": held_out,
-                },
-                lhs=float(y[i]),
-                rhs=float(bound),
-                margin=float(bound - y[i]),
-                passed=bool(y[i] <= bound * (1.0 + 1e-12) + 1e-15),
-                details={"c1": c1, "c2": c2, "budget_root": float(x[i])},
-            )
-        )
+        bound = float(c1 + (1.0 + slack) * c2 * x[i] if held_out else c1 + c2 * x[i])
+        records.append(upper_bound(
+            f"abp-bound[n={dim.n},k={dim.k},{label}]",
+            "abp-orlicz-bound",
+            {
+                "n": dim.n, "k": dim.k, "member": label, "weight": family.weight.kind,
+                "R": family.R, "held_out": held_out,
+            },
+            float(y[i]), bound, {"c1": c1, "c2": c2, "budget_root": float(x[i])},
+            slack=1e-12 * abs(bound) + 1e-15,
+        ))
     return records
 
 
@@ -487,47 +501,29 @@ def mollified_dirac_family(
 
 
 def fixed_budget_variation_check(
-    dim: HessianDim,
-    densities,
-    weight: OrliczWeight,
-    R: float = 1.0,
-    grid_n: int = quad.DEFAULT_GRID_N,
+    family: SampledFamily,
     variation_tol: float = 0.20,
     inf_norm_factor: float = 1e3,
 ) -> CheckRecord:
     """Uniform boundedness of sup u across the fixed-budget sweep.
 
-    `densities` is the sweep as (label, callable) pairs, normally the
-    mollified_dirac_family built with the same weight, R and grid_n.
-    Passes when the relative spread of sup u stays under the tolerance
-    while the family's sup-norm ratio exceeds the required factor, i.e.
-    the maximum estimate really ignores the density's height.
+    `family` is normally the sampled mollified_dirac_family.  Passes
+    when the relative spread of sup u stays under the tolerance while
+    the family's sup-norm ratio exceeds the required factor, i.e. the
+    maximum estimate really ignores the density's height.
     """
-    members = list(densities)
-    nodes = quad.radial_grid(R, grid_n)
-    heights = []
-    budgets = []
-    gs = []
-    for _, fn in members:
-        g = np.asarray(fn(nodes), dtype=float)
-        gs.append(g)
-        heights.append(float(np.max(g)))
-        budgets.append(_orlicz_budget(dim, nodes, g, weight))
-    sups = np.array([-float(_solve_density(dim, R, nodes, g).values[0]) for g in gs])
+    dim = family.dim
+    sups = np.array(family.sups)
     variation = float((np.max(sups) - np.min(sups)) / np.max(sups))
-    height_ratio = float(np.max(heights) / np.min(heights))
-    budget_spread = float(np.ptp(budgets) / np.max(budgets))
+    height_ratio = float(np.max(family.heights) / np.min(family.heights))
+    budget_spread = float(np.ptp(family.budgets) / np.max(family.budgets))
     return upper_bound(
         f"abp-fixed-budget[n={dim.n},k={dim.k}]",
         "abp-fixed-budget",
-        {"n": dim.n, "k": dim.k, "weight": weight.kind, "R": R, "members": len(members)},
+        {"n": dim.n, "k": dim.k, "weight": family.weight.kind, "R": family.R, "members": len(sups)},
         variation,
         variation_tol,
-        {
-            "sup_values": [float(v) for v in sups],
-            "height_ratio": height_ratio,
-            "budget_spread": budget_spread,
-        },
+        {"sup_values": list(family.sups), "height_ratio": height_ratio, "budget_spread": budget_spread},
         holds=height_ratio >= inf_norm_factor,
     )
 
@@ -555,6 +551,14 @@ class DeGiorgiData:
     s_inf: float
     verified: bool
     vanish_level: float | None
+
+    def record(self, check: str, inputs: dict, details: dict) -> CheckRecord:
+        """The decay lemma's claim: phi has vanished by the level s_inf,
+        under the side condition that the fit is valid."""
+        vanish = self.vanish_level if self.vanish_level is not None else math.inf
+        return upper_bound(
+            check, "degiorgi-vanishing", inputs, vanish, self.s_inf, details, holds=self.verified
+        )
 
 
 def degiorgi_fit_and_verify(s, phi, s0: float | None = None) -> DeGiorgiData:
@@ -663,14 +667,8 @@ def abp_degiorgi_check(
     if not data.verified and np.isfinite(data.c0):
         s, phi = degiorgi_from_run(solution, mu, s_max=4.0 * float(s[-1]))
         data = degiorgi_fit_and_verify(s, phi)
-    vanish = data.vanish_level if data.vanish_level is not None else math.inf
-    return CheckRecord(
-        check=f"degiorgi-run[n={dim.n},k={dim.k}]",
-        anchor="degiorgi-vanishing",
-        inputs={"n": dim.n, "k": dim.k, "R": R},
-        lhs=vanish,
-        rhs=data.s_inf,
-        margin=data.s_inf - vanish if np.isfinite(data.s_inf) else -math.inf,
-        passed=data.verified,
-        details={"c0": data.c0, "delta": data.delta, "levels": int(s.size)},
+    return data.record(
+        f"degiorgi-run[n={dim.n},k={dim.k}]",
+        {"n": dim.n, "k": dim.k, "R": R},
+        {"c0": data.c0, "delta": data.delta, "levels": int(s.size)},
     )

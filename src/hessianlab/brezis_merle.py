@@ -20,6 +20,7 @@ functionals normalize by the Hessian mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,10 @@ from . import quadrature as quad
 from .core import HessianDim
 from .errors import DegenerateProfileError, InvalidArgumentError, UnsupportedDimensionError
 from .families import FamilySpec, make_family, make_profile
-from .radial import domain_volume, exp_integral, hessian_mass, lp_norm, weak_lp_quasinorm
-from .report import CheckRecord, upper_bound
+from .radial import (
+    domain_volume, exp_integral, exp_moment_bound, hessian_mass, lp_norm, weak_lp_quasinorm,
+)
+from .report import CheckRecord, near, upper_bound
 
 __all__ = ["BRANCHES", "BMQuery", "bm_lp_check", "bm_exp_check", "sharpness_probe"]
 
@@ -123,22 +126,16 @@ def bm_lp_check(q: BMQuery) -> list[CheckRecord]:
     sup_ratio = float(np.max(ratios))
     records = []
     for i, ratio in enumerate(ratios):
-        finite = bool(np.isfinite(ratio))
-        records.append(
-            CheckRecord(
-                check=f"lp-bound[{q.family.kind},n={dim.n},k={dim.k},p={q.p:g},{route},m={i:02d}]",
-                anchor="mass-normalized-lp",
-                inputs={
-                    "n": dim.n, "k": dim.k, "p": q.p, "family": q.family.kind,
-                    "R": q.R, "route": route, "member": i,
-                },
-                lhs=float(ratio),
-                rhs=float("inf"),
-                margin=float("inf") if finite else float("-inf"),
-                passed=finite,
-                details={"family_sup": sup_ratio, "endpoint": endpoint},
-            )
-        )
+        records.append(upper_bound(
+            f"lp-bound[{q.family.kind},n={dim.n},k={dim.k},p={q.p:g},{route},m={i:02d}]",
+            "mass-normalized-lp",
+            {
+                "n": dim.n, "k": dim.k, "p": q.p, "family": q.family.kind,
+                "R": q.R, "route": route, "member": i,
+            },
+            float(ratio), math.inf, {"family_sup": sup_ratio, "endpoint": endpoint},
+            holds=bool(np.isfinite(ratio)),
+        ))
     return records
 
 
@@ -161,39 +158,26 @@ def bm_exp_check(q: BMQuery) -> list[CheckRecord]:
         )
     beta = q.beta_value
     at_ceiling = abs(beta - dim.beta_max) <= 1e-12
-    bound = domain_volume(dim, q.R) * alpha0 / (alpha0 - q.lam)
+    bound = exp_moment_bound(dim, q.R, q.lam)
     ratios = [exp_integral(u, q.lam, beta) / bound for u in q.members()]
     sup_ratio = float(np.max(ratios))
     tol = 1e-6
     records = []
+    anchor = "exp-moment-sharp-bound"
     for i, ratio in enumerate(ratios):
+        check = f"exp-bound[{q.family.kind},n={dim.n},beta={beta:g},lam={q.lam:g},m={i:02d}]"
+        inputs = {
+            "n": dim.n, "k": dim.k, "family": q.family.kind,
+            "lam": q.lam, "beta": beta, "R": q.R, "member": i,
+        }
+        details = {"bound": bound, "empirical_constant": sup_ratio}
         if at_ceiling and q.family.kind == "log":
-            margin = tol - abs(ratio - 1.0)
-            rhs = 1.0
+            rec = near(check, anchor, inputs, ratio, 1.0, tol, details)
         elif at_ceiling:
-            margin = 1.0 + tol - ratio
-            rhs = 1.0
+            rec = upper_bound(check, anchor, inputs, ratio, 1.0, details, slack=tol)
         else:
-            margin = float("inf") if np.isfinite(ratio) else float("-inf")
-            rhs = float("inf")
-        records.append(
-            CheckRecord(
-                check=(
-                    f"exp-bound[{q.family.kind},n={dim.n},beta={beta:g},"
-                    f"lam={q.lam:g},m={i:02d}]"
-                ),
-                anchor="exp-moment-sharp-bound",
-                inputs={
-                    "n": dim.n, "k": dim.k, "family": q.family.kind,
-                    "lam": q.lam, "beta": beta, "R": q.R, "member": i,
-                },
-                lhs=float(ratio),
-                rhs=rhs,
-                margin=float(margin),
-                passed=bool(margin >= 0),
-                details={"bound": bound, "empirical_constant": sup_ratio},
-            )
-        )
+            rec = upper_bound(check, anchor, inputs, ratio, math.inf, details, holds=bool(np.isfinite(ratio)))
+        records.append(rec)
     return records
 
 
@@ -226,15 +210,11 @@ def sharpness_probe(
     at_ceiling = abs(beta_val - dim.beta_max) <= 1e-12
     if not at_ceiling:
         value = exp_integral(u, alpha0, beta_val)
-        return CheckRecord(
-            check=f"sharpness[n={dim.n},beta={beta_val:g}]",
-            anchor="exp-moment-sharpness",
-            inputs={"n": dim.n, "k": dim.k, "beta": beta_val, "R": R},
-            lhs=value,
-            rhs=float("inf"),
-            margin=float("inf") if np.isfinite(value) else float("-inf"),
-            passed=bool(np.isfinite(value)),
-            details={"finite_at_sharp_coefficient": bool(np.isfinite(value))},
+        finite = bool(np.isfinite(value))
+        return upper_bound(
+            f"sharpness[n={dim.n},beta={beta_val:g}]", "exp-moment-sharpness",
+            {"n": dim.n, "k": dim.k, "beta": beta_val, "R": R},
+            value, math.inf, {"finite_at_sharp_coefficient": finite}, holds=finite,
         )
     worst_rel = 0.0
     rungs = []

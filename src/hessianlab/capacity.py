@@ -25,7 +25,7 @@ from . import quadrature as quad
 from .core import HessianDim
 from .errors import InvalidArgumentError, PreconditionError, UnsupportedDimensionError
 from .radial import RadialMeasure, RadialProfile, hessian_mass, level_set_log_ratio, profile_from_slope, s_k_radial
-from .report import CheckRecord
+from .report import CheckRecord, near, upper_bound
 
 __all__ = [
     "CapacityConfig",
@@ -122,17 +122,11 @@ def isocapacitary_margin(cfg: CapacityConfig, exponent: float) -> CheckRecord:
         q_max = dim.n * (dim.k + 1.0) / (dim.n - 2.0 * dim.k)
         if not np.isfinite(exponent) or not 1.0 <= exponent <= q_max + 1e-12:
             raise InvalidArgumentError(f"exponent q must lie in [1, {q_max}], got {exponent!r}")
-        rhs = cap ** (exponent / (dim.k + 1.0))
-        ratio = inner_volume / rhs
-        return CheckRecord(
-            check=f"isocap-volume[n={dim.n},k={dim.k},q={exponent:g},inner={cfg.inner:g}]",
-            anchor="isocap-volume-bound",
-            inputs={"n": dim.n, "k": dim.k, "q": exponent, "inner": cfg.inner, "outer": cfg.outer},
-            lhs=inner_volume,
-            rhs=rhs,
-            margin=ratio,
-            passed=bool(np.isfinite(ratio)),
-            details={"capacity": cap, "ratio": ratio},
+        ratio = inner_volume / cap ** (exponent / (dim.k + 1.0))
+        return upper_bound(
+            f"isocap-volume[n={dim.n},k={dim.k},q={exponent:g},inner={cfg.inner:g}]", "isocap-volume-bound",
+            {"n": dim.n, "k": dim.k, "q": exponent, "inner": cfg.inner, "outer": cfg.outer},
+            ratio, math.inf, {"capacity": cap, "inner_volume": inner_volume}, holds=bool(np.isfinite(ratio)),
         )
     beta_max = dim.beta_max
     if not np.isfinite(exponent) or not 1.0 <= exponent <= beta_max + 1e-12:
@@ -140,18 +134,14 @@ def isocapacitary_margin(cfg: CapacityConfig, exponent: float) -> CheckRecord:
     outer_volume = dim.ball_volume * cfg.outer**dim.n
     ratio = inner_volume * math.exp(dim.moser_constant * cap ** (-exponent / (dim.k + 1.0))) / outer_volume
     at_ceiling = abs(exponent - beta_max) <= 1e-12
-    tol = 1e-8
-    passed = abs(ratio - 1.0) <= tol if at_ceiling else bool(np.isfinite(ratio))
-    return CheckRecord(
-        check=f"isocap-exp[n={dim.n},k={dim.k},beta={exponent:g},inner={cfg.inner:g}]",
-        anchor="isocap-saturation",
-        inputs={"n": dim.n, "k": dim.k, "beta": exponent, "inner": cfg.inner, "outer": cfg.outer},
-        lhs=ratio,
-        rhs=1.0,
-        margin=(tol - abs(ratio - 1.0)) if at_ceiling else float("inf"),
-        passed=passed,
-        details={"capacity": cap, "ratio": ratio, "saturating": at_ceiling},
-    )
+    check = f"isocap-exp[n={dim.n},k={dim.k},beta={exponent:g},inner={cfg.inner:g}]"
+    anchor = "isocap-saturation"
+    inputs = {"n": dim.n, "k": dim.k, "beta": exponent, "inner": cfg.inner, "outer": cfg.outer}
+    details = {"capacity": cap, "saturating": at_ceiling}
+    if at_ceiling:
+        return near(check, anchor, inputs, ratio, 1.0, 1e-8, details)
+    # below the ceiling the claim is finiteness alone
+    return upper_bound(check, anchor, inputs, ratio, math.inf, details, holds=bool(np.isfinite(ratio)))
 
 
 def levelset_cap_check(u: RadialProfile, t_values, tol: float = 1e-8) -> CheckRecord:
@@ -178,16 +168,10 @@ def levelset_cap_check(u: RadialProfile, t_values, tol: float = 1e-8) -> CheckRe
             continue
         cap = _cap_value(dim, L, u.R)
         ratios.append(cap / bound if bound > 0 else float("inf"))
-    worst = float(np.max(ratios))
-    return CheckRecord(
-        check=f"levelset-cap[{u.kind or 'profile'},n={dim.n},k={dim.k}]",
-        anchor="levelset-cap-bound",
-        inputs={"n": dim.n, "k": dim.k, "kind": u.kind, "levels": [float(t) for t in ts]},
-        lhs=worst,
-        rhs=1.0,
-        margin=1.0 + tol - worst,
-        passed=bool(worst <= 1.0 + tol),
-        details={"ratios": ratios, "mass": mass},
+    return upper_bound(
+        f"levelset-cap[{u.kind or 'profile'},n={dim.n},k={dim.k}]", "levelset-cap-bound",
+        {"n": dim.n, "k": dim.k, "kind": u.kind, "levels": [float(t) for t in ts]},
+        float(np.max(ratios)), 1.0, {"ratios": ratios, "mass": mass}, slack=tol,
     )
 
 
@@ -253,14 +237,9 @@ def comparison_check(u: RadialProfile, v: RadialProfile, tol: float = 1e-9) -> C
         mass_u += float(mu_u.cumulative_at(b) - mu_u.cumulative_at(a))
         mass_v += float(mu_v.cumulative_at(b) - mu_v.cumulative_at(a))
     scale = max(mu_u.total, mu_v.total, 1.0)
-    margin = mass_u - mass_v
-    return CheckRecord(
-        check=f"comparison[{u.kind or 'profile'}-vs-{v.kind or 'profile'},n={u.dim.n},k={u.dim.k}]",
-        anchor="measure-comparison",
-        inputs={"n": u.dim.n, "k": u.dim.k, "R": u.R, "kinds": [u.kind, v.kind]},
-        lhs=mass_v,
-        rhs=mass_u,
-        margin=margin,
-        passed=bool(margin >= -tol * scale),
-        details={"intervals": intervals, "empty": not intervals},
+    # The measure of u dominates that of v on the region.
+    return upper_bound(
+        f"comparison[{u.kind or 'profile'}-vs-{v.kind or 'profile'},n={u.dim.n},k={u.dim.k}]",
+        "measure-comparison", {"n": u.dim.n, "k": u.dim.k, "R": u.R, "kinds": [u.kind, v.kind]},
+        mass_v, mass_u, {"intervals": intervals, "empty": not intervals}, slack=tol * scale,
     )

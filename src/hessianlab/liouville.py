@@ -39,13 +39,14 @@ from .radial import (
     solve_dirichlet,
     value_at,
 )
-from .report import CheckRecord, upper_bound
+from .report import CheckRecord, lower_bound, upper_bound
 
 __all__ = [
     "SUPPORTED_DIMS",
     "LiouvilleProblem",
     "SolutionSequence",
     "solve_liouville",
+    "equation_residual",
     "solve_sequence",
     "local_mass",
     "smallness_check",
@@ -140,14 +141,15 @@ def _image(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, x: np.ndarr
     return solve_dirichlet(target, prob.boundary)
 
 
-def _residual(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, u: RadialProfile) -> float:
+def equation_residual(prob: LiouvilleProblem, u: RadialProfile) -> float:
     """Sup mismatch of cumulative masses, S_k[u] against the unclipped
     V exp(-u) dx, over the total mass; inf where exp(-u) passes the
-    loop's clip."""
+    solver's clip."""
     if np.max(-u.values) > _EXP_CLIP:
         return math.inf
+    v = prob.density_on(u.nodes)
     try:
-        target = RadialMeasure.from_density(prob.dim, prob.R, nodes, v * np.exp(-u.values))
+        target = RadialMeasure.from_density(prob.dim, prob.R, u.nodes, v * np.exp(-u.values))
     except InvalidMeasureError:
         return math.inf
     if target.total == 0.0:
@@ -224,7 +226,7 @@ def solve_liouville(
         f_prev, g_prev = f, g
     # Acceptance is decided by the equation residual of the last image
     # against its own density, not by why the loop stopped.
-    res = math.inf if image is None else _residual(prob, nodes, v, image)
+    res = math.inf if image is None else equation_residual(prob, image)
     if res < residual_tol:
         return image
     if math.isinf(res):
@@ -309,19 +311,16 @@ def smallness_check(seq: SolutionSequence, mass_budget: float | None = None) -> 
             f"a member's mass {worst:.6g} exceeds the budget {budget:.6g}"
         )
     floor = float(np.min(np.minimum(seq.min_values(), 0.0)))
-    passed = bool(np.isfinite(floor))
-    return CheckRecord(
-        check=f"smallness[n={seq.problems[0].dim.n},members={len(seq)}]",
-        anchor="smallness-uniform-bound",
-        inputs={
+    return lower_bound(
+        f"smallness[n={seq.problems[0].dim.n},members={len(seq)}]",
+        "smallness-uniform-bound",
+        {
             "n": seq.problems[0].dim.n, "k": seq.problems[0].dim.k,
             "p_prime": seq.problems[0].p_prime, "budget": budget, "members": len(seq),
         },
-        lhs=floor,
-        rhs=-math.inf,
-        margin=math.inf if passed else -math.inf,
-        passed=passed,
-        details={"uniform_bound": -floor, "masses": [float(m) for m in masses], "threshold": threshold},
+        floor, -math.inf,
+        {"uniform_bound": -floor, "masses": [float(m) for m in masses], "threshold": threshold},
+        holds=bool(np.isfinite(floor)),
     )
 
 

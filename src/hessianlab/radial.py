@@ -54,6 +54,7 @@ __all__ = [
     "lp_norm",
     "weak_lp_quasinorm",
     "exp_integral",
+    "exp_moment_bound",
     "volume_integral",
     "domain_volume",
 ]
@@ -512,6 +513,13 @@ def domain_volume(dim: HessianDim, R: float) -> float:
     return dim.ball_volume * float(R) ** dim.n
 
 
+def exp_moment_bound(dim: HessianDim, R: float, lam: float) -> float:
+    """The sharp bound |B_R| a0/(a0 - lam) on the normalized exponential
+    moment at the exponent ceiling, for lam < a0."""
+    alpha0 = dim.moser_constant
+    return domain_volume(dim, R) * alpha0 / (alpha0 - lam)
+
+
 def volume_integral(dim: HessianDim, nodes: np.ndarray, g: np.ndarray) -> float:
     """Integral of a radial function g over the ball, n omega_n
     int g r^(n-1) dr, origin stub included."""
@@ -627,7 +635,7 @@ def exp_integral(u: RadialProfile, lam: float, beta: float) -> float:
             if gamma >= n * (1.0 - 1e-9):
                 return float("inf")
     if u.kind == "log" and at_ceiling:
-        return domain_volume(dim, u.R) * alpha0 / (alpha0 - lam)
+        return exp_moment_bound(dim, u.R, lam)
     w = np.maximum(-u.values, 0.0) / mass ** (1.0 / k)
     integrand = np.exp(lam * w ** (k * beta / (k + 1.0)))
     return volume_integral(dim, u.nodes, integrand)

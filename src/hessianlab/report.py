@@ -1,8 +1,20 @@
 """Check records and the deterministic report emitter.
 
-A CheckRecord is the in-memory result of one verification: the two
-sides of the inequality or identity it examined, the margin, and a
-pass flag.  ReportRow is its flattened, serializable form.  Reports
+A CheckRecord is the in-memory result of one verification, and this
+module alone turns a claim into one.  Every claim is one of three
+kinds, each with its constructor:
+
+- upper_bound: value <= bound, margin = (bound + slack) - value;
+- lower_bound: value >= bound, margin = value - (bound - slack);
+- near: |value - target| <= tol, margin = tol - |value - target|.
+
+lhs is the value, rhs the bound or target as the paper states it, and
+the tolerance sits inside the margin.  A side condition `holds` that
+fails sets the margin to -inf.  A finiteness claim is an upper bound
+at +inf (a lower bound at -inf) with holds = isfinite(value).  In
+every record, pass is exactly margin >= 0.
+
+ReportRow is the flattened, serializable form of a record.  Reports
 are required to be byte-identical across runs for a fixed
 configuration, so every field is derived from the inputs alone; in
 particular the ms column is always zero rather than wall time (timing
@@ -23,7 +35,8 @@ from .errors import InvalidArgumentError
 CSV_HEADER = ["suite", "check", "anchor", "inputs", "lhs", "rhs", "margin", "pass", "ms"]
 
 __all__ = [
-    "CheckRecord", "ReportRow", "CSV_HEADER", "digest_inputs", "row_from_record", "emit_report", "upper_bound",
+    "CheckRecord", "ReportRow", "CSV_HEADER", "digest_inputs", "row_from_record", "emit_report",
+    "upper_bound", "lower_bound", "near",
 ]
 
 
@@ -31,10 +44,12 @@ __all__ = [
 class CheckRecord:
     """Outcome of one named check against one named inequality.
 
-    margin is rhs - lhs for one-sided checks and the (negated)
-    deviation for equality checks, so that margin >= 0 means pass in
-    both conventions.  details may carry auxiliary diagnostics and is
-    not serialized into report rows.
+    lhs is the measured value and rhs the bound or target as the paper
+    states it; margin says how far inside the claim lhs sits, any stated
+    tolerance included, and passed is exactly margin >= 0.  Build
+    records with upper_bound, lower_bound or near, never by hand.
+    details may carry auxiliary diagnostics and is not serialized into
+    report rows.
     """
 
     check: str
@@ -47,30 +62,30 @@ class CheckRecord:
     details: dict = field(default_factory=dict)
 
 
-def upper_bound(
-    check: str,
-    anchor: str,
-    inputs: dict,
-    value: float,
-    tol: float,
-    details: dict | None = None,
-    holds: bool = True,
-) -> CheckRecord:
-    """Record of the one-sided claim value <= tol, with margin tol - value.
+def _record(check, anchor, inputs, value, bound, margin, holds, details) -> CheckRecord:
+    margin = margin if holds else -math.inf
+    return CheckRecord(check, anchor, inputs, value, bound, margin, bool(margin >= 0), details or {})
 
-    holds carries any side condition the check also asserts; the record
-    passes only when both hold.
-    """
-    return CheckRecord(
-        check=check,
-        anchor=anchor,
-        inputs=inputs,
-        lhs=value,
-        rhs=tol,
-        margin=tol - value,
-        passed=bool(value <= tol and holds),
-        details=details or {},
-    )
+
+def upper_bound(check: str, anchor: str, inputs: dict, value: float, bound: float,
+                details: dict | None = None, *, slack: float = 0.0, holds: bool = True) -> CheckRecord:
+    """The claim value <= bound, up to an absolute slack: margin is
+    (bound + slack) - value.  holds is a side condition the check also
+    asserts; when it fails the margin is -inf."""
+    return _record(check, anchor, inputs, value, bound, (bound + slack) - value, holds, details)
+
+
+def lower_bound(check: str, anchor: str, inputs: dict, value: float, bound: float,
+                details: dict | None = None, *, slack: float = 0.0, holds: bool = True) -> CheckRecord:
+    """The claim value >= bound, up to an absolute slack: margin is
+    value - (bound - slack).  holds as in upper_bound."""
+    return _record(check, anchor, inputs, value, bound, value - (bound - slack), holds, details)
+
+
+def near(check: str, anchor: str, inputs: dict, value: float, target: float, tol: float,
+         details: dict | None = None) -> CheckRecord:
+    """The claim |value - target| <= tol: margin is tol - |value - target|."""
+    return _record(check, anchor, inputs, value, target, tol - abs(value - target), True, details)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .radial import (
     s_k_radial,
     solve_dirichlet,
 )
-from .report import CheckRecord, ReportRow, row_from_record, upper_bound
+from .report import ReportRow, lower_bound, row_from_record, upper_bound
 
 SUITES = ("sym", "solve", "capacity", "bm", "abp", "degiorgi", "liouville", "all")
 FORMATS = ("csv", "jsonl")
@@ -412,12 +412,10 @@ def _lp_monotone(cfg, dim, kind):
     ps = _strong_ps(dim)
     means = [lp_norm(u, p) / volume ** (1.0 / p) for p in ps]
     worst = float(np.min(np.diff(means)))
-    return CheckRecord(
-        check=f"lp-normalized-monotone[n={dim.n},k={dim.k}]",
-        anchor="mass-normalized-lp",
-        inputs={"n": dim.n, "k": dim.k, "R": R, "ps": list(ps)},
-        lhs=worst, rhs=0.0, margin=worst, passed=bool(worst >= -1e-12),
-        details={"means": [float(m) for m in means]},
+    return lower_bound(
+        f"lp-normalized-monotone[n={dim.n},k={dim.k}]", "mass-normalized-lp",
+        {"n": dim.n, "k": dim.k, "R": R, "ps": list(ps)}, worst, 0.0,
+        {"means": [float(m) for m in means]}, slack=1e-12,
     )
 
 
@@ -491,10 +489,11 @@ def _abp_bound(cfg, dim):
     (4, 2), the fixed-budget record of the same family."""
     R, grid_n = cfg.radius, cfg.grid_n
     weight = abp_mod.OrliczWeight("exp", dim.k, rate=1.0)
-    family = abp_mod.mollified_dirac_family(dim, weight, R=R, grid_n=grid_n)
-    records = abp_mod.abp_bound_check(dim, family, weight, R=R, grid_n=grid_n)
+    densities = abp_mod.mollified_dirac_family(dim, weight, R=R, grid_n=grid_n)
+    family = abp_mod.sample_family(dim, densities, weight, R=R, grid_n=grid_n)
+    records = abp_mod.abp_bound_check(family)
     if (dim.n, dim.k) == (4, 2):
-        records.append(abp_mod.fixed_budget_variation_check(dim, family, weight, R=R, grid_n=grid_n))
+        records.append(abp_mod.fixed_budget_variation_check(family))
     return records
 
 
@@ -543,32 +542,17 @@ def _fit_row(i, phi0, m, a):
     s = np.linspace(0.0, 4.0 * a, 33)
     phi = phi0 * np.maximum(1.0 - s / a, 0.0) ** m
     data = abp_mod.degiorgi_fit_and_verify(s, phi)
-    vanish = data.vanish_level if data.vanish_level is not None else math.inf
-    return CheckRecord(
-        check=f"degiorgi-fit[{i:02d},phi0={phi0:g},m={m},a={a:g}]",
-        anchor="degiorgi-vanishing",
-        inputs={"phi0": phi0, "m": m, "a": a},
-        lhs=vanish,
-        rhs=data.s_inf,
-        margin=data.s_inf - vanish if math.isfinite(data.s_inf) else -math.inf,
-        passed=data.verified,
-        details={"c0": data.c0, "delta": data.delta},
+    return data.record(
+        f"degiorgi-fit[{i:02d},phi0={phi0:g},m={m},a={a:g}]",
+        {"phi0": phi0, "m": m, "a": a},
+        {"c0": data.c0, "delta": data.delta},
     )
 
 
 def _constant_row():
     s = np.linspace(0.0, 2.0, 12)
     data = abp_mod.degiorgi_fit_and_verify(s, np.full_like(s, 0.7))
-    return CheckRecord(
-        check="degiorgi-fit[constant]",
-        anchor="degiorgi-vanishing",
-        inputs={"phi0": 0.7},
-        lhs=math.inf,
-        rhs=data.s_inf,
-        margin=-math.inf,
-        passed=data.verified,
-        details={"c0": data.c0},
-    )
+    return data.record("degiorgi-fit[constant]", {"phi0": 0.7}, {"c0": data.c0})
 
 
 def _suite_degiorgi(cfg: ExperimentConfig, soft: bool = False):
@@ -623,30 +607,19 @@ def _classify_concentration(cfg):
     profiles = tuple(liu_mod.bubble_profile(lam, grid_n=cfg.grid_n) for lam in lams)
     report = liu_mod.classify_alternative(liu_mod.SolutionSequence(problems=problems, profiles=profiles))
     atom = report.atom_masses[0] if report.atom_masses else 0.0
-    good = report.classification == "concentration"
-    return CheckRecord(
-        check="classify-concentration",
-        anchor="blowup-trichotomy",
-        inputs={"lams": lams},
-        lhs=atom,
-        rhs=report.threshold,
-        margin=atom - report.threshold,
-        passed=bool(good and atom >= report.threshold * (1 - 1e-3)),
-        details={"classification": report.classification},
+    return lower_bound(
+        "classify-concentration", "blowup-trichotomy", {"lams": lams}, atom, report.threshold,
+        {"classification": report.classification},
+        slack=1e-3 * report.threshold, holds=report.classification == "concentration",
     )
 
 
 def _classification(check, inputs, problems, expected):
     report = liu_mod.classify_alternative(liu_mod.solve_sequence(problems))
-    good = report.classification == expected
-    return CheckRecord(
-        check=check,
-        anchor="blowup-trichotomy",
-        inputs=inputs,
-        lhs=1.0 if good else 0.0, rhs=1.0,
-        margin=0.0 if good else -1.0,
-        passed=bool(good),
-        details={"classification": report.classification},
+    # The indicator of the expected classification, at least 1.
+    hit = 1.0 if report.classification == expected else 0.0
+    return lower_bound(
+        check, "blowup-trichotomy", inputs, hit, 1.0, {"classification": report.classification},
     )
 
 
@@ -704,13 +677,10 @@ def _harnack(cfg):
 
 def _residual_row(cfg, dim):
     prob = liu_mod.LiouvilleProblem(dim=dim, V=_constant, boundary=0.0, grid_n=cfg.grid_n)
-    u = liu_mod.solve_liouville(prob)
-    mu_lhs = s_k_radial(u)
-    mu_rhs = RadialMeasure.from_density(dim, prob.R, u.nodes, np.exp(-u.values))
-    mismatch = float(np.max(np.abs(mu_lhs.cumulative - mu_rhs.cumulative)))
+    residual = liu_mod.equation_residual(prob, liu_mod.solve_liouville(prob))
     return upper_bound(
         f"solve-residual[n={dim.n},k={dim.k}]", "exp-equation-residual",
-        {"n": dim.n, "k": dim.k}, mismatch / mu_rhs.total, 1e-6, {"total_mass": mu_rhs.total},
+        {"n": dim.n, "k": dim.k}, residual, 1e-6,
     )
 
 

@@ -21,6 +21,7 @@ from hessianlab import (
     fixed_budget_variation_check,
     mollified_dirac_family,
     orlicz_h,
+    sample_family,
     verify_gk,
 )
 from hessianlab import abp
@@ -252,7 +253,7 @@ class TestBoundCheck:
     def test_dirac_family_held_out_members_pass(self, intermediate_dim):
         weight = OrliczWeight("exp", intermediate_dim.k, rate=1.0)
         family = mollified_dirac_family(intermediate_dim, weight)
-        records = abp_bound_check(intermediate_dim, family, weight)
+        records = abp_bound_check(sample_family(intermediate_dim, family, weight))
         assert len(records) == len(family)
         assert all(rec.passed for rec in records)
         held = [rec.inputs["held_out"] for rec in records]
@@ -262,7 +263,7 @@ class TestBoundCheck:
     def test_zero_density_family(self):
         dim = HessianDim(2, 1)
         family = [(f"zero-{i}", lambda r: np.zeros_like(r)) for i in range(4)]
-        records = abp_bound_check(dim, family, exp_weight(1))
+        records = abp_bound_check(sample_family(dim, family, exp_weight(1)))
         for rec in records:
             assert rec.passed
             assert rec.lhs == 0.0
@@ -273,7 +274,7 @@ class TestBoundCheck:
         dim = HessianDim(2, 1)
         c = float(math.comb(dim.n, dim.k))
         family = [(f"flat-{i}", lambda r, c=c: np.full_like(r, c)) for i in range(4)]
-        records = abp_bound_check(dim, family, exp_weight(1))
+        records = abp_bound_check(sample_family(dim, family, exp_weight(1)))
         for rec in records:
             assert rec.lhs == pytest.approx(0.5, rel=1e-8)
             assert rec.passed
@@ -283,14 +284,14 @@ class TestBoundCheck:
         w = exp_weight(1)
         fam = mollified_dirac_family(dim, w)
         with pytest.raises(UnsupportedDimensionError):
-            abp_bound_check(HessianDim(3, 1), fam, w)
+            abp_bound_check(sample_family(HessianDim(3, 1), fam, w))
         with pytest.raises(InvalidWeightError):
-            abp_bound_check(dim, fam, exp_weight(2))
+            sample_family(dim, fam, exp_weight(2))
         with pytest.raises(InvalidArgumentError, match="at least 4"):
-            abp_bound_check(dim, fam[:3], w)
+            abp_bound_check(sample_family(dim, fam[:3], w))
         bad = [("neg", lambda r: -np.ones_like(r))] + fam[:3]
         with pytest.raises(InvalidArgumentError, match="nonnegative"):
-            abp_bound_check(dim, bad, w)
+            sample_family(dim, bad, w)
 
 
 class TestFixedBudgetFamily:
@@ -345,9 +346,25 @@ class TestFixedBudgetFamily:
         assert [row.check for row in rows if not row.passed] == []
         assert status == 0
 
+    def test_abp_suite_solves_each_member_once(self, monkeypatch):
+        # Two verify_gk runs, six mollified Dirac members and one decay
+        # run: the bound and fixed-budget records read the same solves.
+        calls = []
+        original = abp.solve_dirichlet
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(abp, "solve_dirichlet", counting)
+        rows, status = run_suite(config_from_sources(None, {"suite": "abp", "n": 4, "k": 2}))
+        assert status == 0
+        assert any(row.check.startswith("abp-fixed-budget") for row in rows)
+        assert len(calls) == 9
+
     def test_variation_check_passes(self):
         dim, weight = HessianDim(4, 2), OrliczWeight("exp", 2, rate=1.0)
-        rec = fixed_budget_variation_check(dim, mollified_dirac_family(dim, weight), weight)
+        rec = fixed_budget_variation_check(sample_family(dim, mollified_dirac_family(dim, weight), weight))
         assert rec.passed
         assert rec.lhs <= rec.rhs
         assert rec.details["height_ratio"] > 1e3

@@ -41,6 +41,7 @@ from hessianlab import (
     profile_from_slope,
     s_k_of_matrix,
     s_k_radial,
+    sample_family,
     smallness_check,
     solve_dirichlet,
     solve_liouville,
@@ -238,13 +239,13 @@ def test_criterion_08_weak_endpoint():
 def test_criterion_09_fixed_budget_boundedness():
     dim = HessianDim(4, 2)
     weight = OrliczWeight("exp", 2, rate=1.0)
-    rec = fixed_budget_variation_check(dim, mollified_dirac_family(dim, weight), weight)
+    rec = fixed_budget_variation_check(sample_family(dim, mollified_dirac_family(dim, weight), weight))
     growth = rec.details["height_ratio"]
     held_ok = True
     for d in INTERMEDIATE:
         w = OrliczWeight("exp", d.k, rate=1.0)
         family = mollified_dirac_family(d, w)
-        rows = abp_bound_check(d, family, w, slack=0.10)
+        rows = abp_bound_check(sample_family(d, family, w), slack=0.10)
         held_ok &= all(r.passed for r in rows if r.inputs["held_out"])
     passed = rec.passed and rec.lhs < 0.20 and growth > 1e3 and held_ok
     verdict(

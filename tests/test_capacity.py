@@ -114,8 +114,9 @@ class TestSaturation:
         assert rec.lhs == pytest.approx(expected, rel=1e-12)
 
     def test_subcritical_volume_bound(self):
+        # a finiteness claim: lhs is the volume-capacity ratio
         rec = isocapacitary_margin(CapacityConfig(D31, 0.3, 1.0), 2.0)
-        assert rec.passed and np.isfinite(rec.margin)
+        assert rec.passed and np.isfinite(rec.lhs) and rec.rhs == math.inf
 
     def test_exponent_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -304,11 +304,16 @@ class TestProfileFormat:
 
 
 class TestRecordInvariants:
-    def test_report_row_pass_margin_convention(self):
-        # margin >= 0 and passed agree on every row the full run emits.
-        rows, _ = run_suite(ExperimentConfig(suite="solve", grid_n=512))
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(suite="solve", grid_n=512),
+        ExperimentConfig(suite="all", grid_n=2048),
+        ExperimentConfig(suite="degiorgi", family="constant"),
+    ], ids=["solve-512", "all-2048", "degiorgi-constant"])
+    def test_report_row_pass_margin_convention(self, cfg):
+        # margin >= 0 and passed agree on every row, failing ones too.
+        rows, _ = run_suite(cfg)
         for row in rows:
-            assert row.passed == (row.margin >= 0)
+            assert row.passed == (row.margin >= 0), row.check
 
     def test_unset_threads_env_means_serial(self, monkeypatch):
         monkeypatch.delenv(ENV_THREADS, raising=False)

@@ -220,8 +220,15 @@ def solve_liouville(
             np.subtract(f, f_prev, out=d_f[row])
             np.subtract(g, g_prev, out=d_g[row])
             depth = min(it - 1, _DEPTH)
-            gram = d_f[:depth] @ d_f[:depth].T
-            weights = np.linalg.lstsq(gram, d_f[:depth] @ f, rcond=1e-14)[0]
+            # a diverging iterate overflows the least-squares system, and
+            # LAPACK does not return on non-finite input
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = d_f[:depth] @ d_f[:depth].T
+                rhs = d_f[:depth] @ f
+            if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+                reason = "clip/overflow"
+                break
+            weights = np.linalg.lstsq(gram, rhs, rcond=1e-14)[0]
             x = g - weights @ d_g[:depth]
         f_prev, g_prev = f, g
     # Acceptance is decided by the equation residual of the last image

@@ -10,9 +10,22 @@ proportional to 1/r become constants there and integrate exactly, which
 is what the singular canonical profiles need.  The stub over
 (0, r_min] is closed by fitting a local power law to the first two
 samples; a fitted exponent at or below -1 marks a divergent integral.
+
+The stencil coefficients of a grid depend on its nodes alone, so they
+are built once per grid and kept in a small module-private cache of at
+most _CACHE_SIZE grids, oldest dropped first.  An entry is keyed on
+(size, first node, last node) and holds a private copy of the nodes it
+was built from; a lookup hits only when the nodes given are equal to
+that copy element by element, so an array that shares the key, or one
+mutated in place since, is never served stale stencils.  A miss
+validates the nodes in full (positive, strictly increasing, >= 3
+points) before building; a hit has passed those checks already.
 """
 
 from __future__ import annotations
+
+import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +44,8 @@ __all__ = [
     "origin_stub",
 ]
 
+_CACHE_SIZE = 8
+
 
 def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N, rmin_factor: float = DEFAULT_RMIN_FACTOR) -> np.ndarray:
     """Geometric grid on [rmin_factor * R, R] with grid_n nodes."""
@@ -43,23 +58,69 @@ def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N, rmin_factor: float = DEF
     return np.geomspace(rmin_factor * R, R, int(grid_n))
 
 
-def _validate(nodes: np.ndarray, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(nodes, dtype=float)
-    y = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 3 or y.shape != x.shape:
-        raise InvalidArgumentError("nodes and samples must be matching 1-d arrays with >= 3 points")
-    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
-        raise InvalidArgumentError("nodes must be positive and strictly increasing")
-    return x, y
-
-
-def _parabola_integrals(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Integral over step i (of width h[i]) of the parabola through
-    samples i, i+1 and i+2."""
-    h1, h2 = h[:-1], h[1:]
+def _stencil(h1, h2) -> tuple:
+    """Coefficients (a, b, c, d) of the integral a (b f0 + c f1 - d f2)
+    over a step of width h1 of the parabola through f0 at its near end,
+    f1 at its far end and f2 one step of width h2 beyond."""
     r = h1 / (h1 + h2)
     rr = r * (h1 / h2)
-    return h1 / 6 * ((3 - r) * f[:-2] + (3 + rr + r) * f[1:-1] - rr * f[2:])
+    return h1 / 6, 3 - r, 3 + rr + r, rr
+
+
+class _Grid(NamedTuple):
+    """Validated nodes of one grid and the stencils of its n - 1 pieces.
+
+    With m = (n - 1) // 2, forward holds the stencils of pieces 0, 2, ...,
+    2m - 2 and backward those of pieces 1, 3, ..., 2m - 1; last is the
+    backward stencil of piece n - 2.
+    """
+
+    nodes: np.ndarray
+    forward: tuple
+    backward: tuple
+    last: tuple
+
+
+_grids: dict[tuple, _Grid] = {}
+_grids_lock = threading.Lock()
+
+
+def _known_grid(x: np.ndarray) -> _Grid | None:
+    """The cached grid whose nodes equal the float array x, if any."""
+    if x.ndim != 1 or x.size < 3:
+        return None
+    grid = _grids.get((x.size, x[0], x[-1]))
+    return grid if grid is not None and np.array_equal(grid.nodes, x) else None
+
+
+def _grid(nodes) -> _Grid:
+    """The grid of nodes with its stencils, validated and built on a
+    cache miss only."""
+    x = np.asarray(nodes, dtype=float)
+    grid = _known_grid(x)
+    if grid is not None:
+        return grid
+    if x.ndim != 1 or x.size < 3:
+        raise InvalidArgumentError("nodes must be a 1-d array with >= 3 points")
+    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
+        raise InvalidArgumentError("nodes must be positive and strictly increasing")
+    x = x.copy()
+    x.flags.writeable = False
+    h = np.diff(np.log(x))
+    grid = _Grid(x, _stencil(h[:-1:2], h[1::2]), _stencil(h[1::2], h[:-1:2]), _stencil(h[-1], h[-2]))
+    with _grids_lock:
+        _grids[(x.size, x[0], x[-1])] = grid
+        while len(_grids) > _CACHE_SIZE:
+            del _grids[next(iter(_grids))]
+    return grid
+
+
+def _validate(nodes, samples) -> tuple[_Grid, np.ndarray]:
+    grid = _grid(nodes)
+    y = np.asarray(samples, dtype=float)
+    if y.shape != grid.nodes.shape:
+        raise InvalidArgumentError("samples must match the nodes in shape")
+    return grid, y
 
 
 def cumulative_from_left(nodes, samples) -> np.ndarray:
@@ -67,14 +128,19 @@ def cumulative_from_left(nodes, samples) -> np.ndarray:
 
     The stub below nodes[0] is not included; see origin_stub.
     """
-    x, y = _validate(nodes, samples)
-    f, h = y * x, np.diff(np.log(x))
-    backward = _parabola_integrals(f[::-1], h[::-1])[::-1]
-    pieces = np.empty(h.size)
-    pieces[:-1:2] = _parabola_integrals(f, h)[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
+    grid, y = _validate(nodes, samples)
+    f = y * grid.nodes
+    near, mid, far = f[:-2:2], f[1:-1:2], f[2::2]
+    out = np.empty(f.size)
+    out[0] = 0.0
+    a, b, c, d = grid.forward
+    out[1:-1:2] = a * (b * near + c * mid - d * far)
+    a, b, c, d = grid.backward
+    out[2::2] = a * (b * far + c * mid - d * near)
+    a, b, c, d = grid.last
+    out[-1] = a * (b * f[-1] + c * f[-2] - d * f[-3])
+    np.cumsum(out[1:], out=out[1:])
+    return out
 
 
 def cumulative_from_right(nodes, samples) -> np.ndarray:
@@ -95,7 +161,8 @@ def origin_stub(nodes, samples) -> float:
     power-law data.  Returns +inf when the fitted tail fails to
     integrate (p <= -1), 0.0 when the data vanishes at the edge.
     """
-    x, y = _validate(nodes, samples)
+    grid, y = _validate(nodes, samples)
+    x = grid.nodes
     y0, y1 = y[0], y[1]
     if y0 < 0 or not np.isfinite(y0):
         raise InvalidArgumentError("origin stub needs nonnegative finite edge samples")

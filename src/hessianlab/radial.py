@@ -90,12 +90,14 @@ class RadialProfile:
         slope = np.asarray(self.slope, dtype=float)
         if not np.isfinite(self.R) or self.R <= 0:
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise InvalidArgumentError("profile needs a 1-d grid with >= 3 nodes")
+        # a grid the quadrature cache holds has passed the node checks
+        if quad._known_grid(nodes) is None:
+            if nodes.ndim != 1 or nodes.size < 3:
+                raise InvalidArgumentError("profile needs a 1-d grid with >= 3 nodes")
+            if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
+                raise InvalidArgumentError("grid nodes must be positive and strictly increasing")
         if values.shape != nodes.shape or slope.shape != nodes.shape:
             raise InvalidArgumentError("values and slope must match the grid shape")
-        if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
-            raise InvalidArgumentError("grid nodes must be positive and strictly increasing")
         if abs(nodes[-1] - self.R) > 1e-12 * self.R:
             raise InvalidArgumentError("last grid node must sit on the boundary radius")
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(slope))):
@@ -145,14 +147,18 @@ class RadialMeasure:
         if self.atom < 0 or not np.isfinite(self.atom):
             raise InvalidMeasureError(f"atom must be finite and >= 0, got {self.atom!r}")
         scale = max(float(cumulative[-1]), 1.0)
-        if np.min(np.diff(cumulative)) < -_MONOTONE_SLACK * scale:
+        step = np.min(np.diff(cumulative))
+        if step < -_MONOTONE_SLACK * scale:
             raise InvalidMeasureError("cumulative mass must be nondecreasing")
         dscale = max(float(np.max(np.abs(density))), 1.0)
         if np.min(density) < -1e-9 * dscale:
             raise InvalidMeasureError("density must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "density", np.maximum(density, 0.0))
-        object.__setattr__(self, "cumulative", np.maximum.accumulate(cumulative))
+        # the running max is the identity on a nondecreasing array; a NaN step keeps it
+        if not step >= 0:
+            cumulative = np.maximum.accumulate(cumulative)
+        object.__setattr__(self, "cumulative", cumulative)
         object.__setattr__(self, "atom", float(self.atom))
 
     @property
@@ -381,9 +387,11 @@ def s_k_radial(u: RadialProfile) -> RadialMeasure:
     n, k = dim.n, dim.k
     m = _mass_coefficient(dim) * r ** (n - k) * u.slope**k
     total = float(m[-1])
-    if total > 0 and np.min(np.diff(m)) < -1e-9 * total:
+    step = np.min(np.diff(m))
+    if total > 0 and step < -1e-9 * total:
         raise NotAdmissibleError("cumulative Hessian mass decreases: profile is not k-admissible")
-    m = np.maximum.accumulate(m)
+    if not step >= 0:
+        m = np.maximum.accumulate(m)
     atom = float(m[0])
     if atom < 1e-10 * total:
         atom = 0.0

@@ -159,6 +159,14 @@ class TestIterationBudget:
             solve_liouville(constant_problem(2.05, grid_n=2048))
         assert len(solves) <= 60
 
+    def test_overflowing_iterate_stops(self, solves):
+        # Past the fold the extrapolated iterate diverges and the 8th image
+        # reaches |u| ~ 5e303, so the least-squares system overflows;
+        # lstsq never returned on it.
+        with pytest.raises(NoSolutionError, match="clip/overflow after 8 iterations"):
+            solve_liouville(constant_problem(2.032350814902463, grid_n=2048))
+        assert len(solves) == 8
+
     @pytest.mark.parametrize(
         "c, seed_error",
         [(0.3, 6.3e-9), (1.0, 2.4e-9), (1.9, 2.1e-9), (1.99, 7.6e-9), (1.995, 1.1e-8)],

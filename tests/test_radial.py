@@ -9,6 +9,8 @@ families.
 from __future__ import annotations
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -28,6 +30,7 @@ from hessianlab.errors import (
     UnsupportedDimensionError,
 )
 from hessianlab.families import KINDS, FamilySpec, make_profile
+from hessianlab.parallel import ENV_THREADS
 from hessianlab.radial import (
     RadialMeasure,
     RadialProfile,
@@ -45,6 +48,8 @@ from hessianlab.radial import (
     volume_integral,
     weak_lp_quasinorm,
 )
+from hessianlab.report import emit_report
+from hessianlab.suites import config_from_sources, run_suite
 
 D21 = HessianDim(2, 1)
 D42 = HessianDim(4, 2)
@@ -97,6 +102,85 @@ class TestQuadratureKernel:
         samples = rng.normal(size=nodes.size)
         expected = cumulative_simpson(samples * nodes, x=np.log(nodes), initial=0.0)
         assert np.array_equal(quad.cumulative_from_left(nodes, samples), expected)
+
+
+def _scipy_cumulative(nodes, samples):
+    return cumulative_simpson(samples * nodes, x=np.log(nodes), initial=0.0)
+
+
+class TestGridCache:
+    """The per-grid stencil cache serves a grid only to nodes equal to it."""
+
+    def test_equal_copy_hits(self):
+        nodes = quad.radial_grid(3.0, 2048)
+        samples = np.exp(-nodes) + nodes**-0.5
+        first = quad.cumulative_from_left(nodes, samples)
+        assert quad._known_grid(nodes.copy()) is not None
+        assert np.array_equal(quad.cumulative_from_left(nodes.copy(), samples), first)
+
+    def test_same_key_other_interior_is_fresh(self):
+        nodes = quad.radial_grid(3.0, 2048)
+        samples = np.cos(5.0 * nodes) + 2.0
+        quad.cumulative_from_left(nodes, samples)
+        # same size and end nodes, one interior node moved
+        moved = nodes.copy()
+        moved[1000] = 0.5 * (nodes[999] + nodes[1001])
+        got = quad.cumulative_from_left(moved, samples)
+        assert np.array_equal(got, _scipy_cumulative(moved, samples))
+
+    def test_nodes_mutated_in_place_are_fresh(self):
+        nodes = quad.radial_grid(5.0, 64)
+        samples = nodes**2 + 1.0
+        quad.cumulative_from_left(nodes, samples)
+        nodes[20] = 0.5 * (nodes[19] + nodes[21])
+        got = quad.cumulative_from_left(nodes, samples)
+        assert np.array_equal(got, _scipy_cumulative(nodes, samples))
+
+    def test_cache_is_bounded(self):
+        for i in range(50):
+            quad.integral(quad.radial_grid(1.0 + i, 32 + i), np.ones(32 + i))
+        assert len(quad._grids) <= quad._CACHE_SIZE
+
+    @pytest.mark.parametrize("bad", ["zero", "repeated"])
+    def test_bad_nodes_with_a_cached_key_are_rejected(self, bad):
+        nodes = quad.radial_grid(1.0, 256)
+        samples = np.ones_like(nodes)
+        quad.integral(nodes, samples)
+        wrong = nodes.copy()
+        wrong[100] = 0.0 if bad == "zero" else wrong[99]
+        assert (wrong.size, wrong[0], wrong[-1]) == (nodes.size, nodes[0], nodes[-1])
+        with pytest.raises(InvalidArgumentError):
+            quad.cumulative_from_left(wrong, samples)
+        with pytest.raises(InvalidArgumentError):
+            quad.origin_stub(wrong, samples)
+        with pytest.raises(InvalidArgumentError, match="grid nodes"):
+            RadialProfile(D21, 1.0, wrong, nodes**2 - 1.0, 2.0 * nodes, 0.0)
+
+    def test_concurrent_lookups_stay_exact(self):
+        # more threads than cores and more grids than the bound, with a
+        # short switch interval so inserts and evictions interleave
+        grids = [quad.radial_grid(1.0, 40 + i) for i in range(3 * quad._CACHE_SIZE)]
+        jobs = [grids[i % len(grids)] for i in range(4000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(quad.cumulative_from_left, x, np.sin(x) + 2.0) for x in jobs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for x, got in zip(jobs, results):
+            assert np.array_equal(got, _scipy_cumulative(x, np.sin(x) + 2.0))
+        assert len(quad._grids) <= quad._CACHE_SIZE
+
+    def test_thread_pool_gives_serial_rows(self, monkeypatch):
+        cfg = config_from_sources(None, {"suite": "all", "grid_n": 2048})
+        monkeypatch.setenv(ENV_THREADS, "1")
+        serial, _ = run_suite(cfg)
+        quad._grids.clear()
+        monkeypatch.setenv(ENV_THREADS, "2")
+        pooled, _ = run_suite(cfg)
+        assert emit_report(pooled) == emit_report(serial)
 
 
 class TestAgainstFullHessian:

@@ -3,15 +3,17 @@
 
 For each grid and format, runs `python -m hessianlab.cli --suite SUITE
 --grid-n GRID --format FMT` once in the base checkout and once in the
-head checkout (each on its own `src/`), and compares the outputs.
-Identical bytes print one `same` line.  Otherwise every differing cell
-is printed; numeric cells (lhs, rhs, margin, ms) with their absolute
-and relative drift.
+head checkout (each on its own `src/`), and compares stdout and
+stderr.  Identical bytes on both print one `same` line.  Otherwise every
+differing cell is printed, numeric cells (lhs, rhs, margin, ms) with
+their absolute and relative drift, and so is every differing stderr
+line.  A config that exits 3 has an empty report on both sides, so its
+stderr line (the error it raised) is what tells the two apart.
 
 Exits 0 when every pair of reports has the same rows and verdicts
 (numeric drift alone is shown but tolerated), and 1 when a row is
-missing, added or renamed, a non-numeric cell or a verdict differs, or
-the two processes exit with different codes.
+missing, added or renamed, a non-numeric cell, a verdict or a stderr
+line differs, or the two processes exit with different codes.
 
     python3 scripts/report_diff.py --base ../parent --head .
     python3 scripts/report_diff.py --base ../parent --head . --suites sym,solve --grids 2048
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -32,12 +35,12 @@ from pathlib import Path
 NUMERIC = ("lhs", "rhs", "margin", "ms")
 
 
-def run_report(checkout: Path, suite: str, grid: int, fmt: str) -> tuple[int, str]:
+def run_report(checkout: Path, suite: str, grid: int, fmt: str) -> tuple[int, str, str]:
     src = str(checkout / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cmd = [sys.executable, "-m", "hessianlab.cli", "--suite", suite, "--grid-n", str(grid), "--format", fmt]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def parse_rows(text: str, fmt: str) -> dict[tuple[str, str], dict[str, str]]:
@@ -82,6 +85,12 @@ def compare(base: str, head: str, fmt: str) -> tuple[list[str], bool]:
     return lines, breaking
 
 
+def compare_stderr(base: str, head: str) -> list[str]:
+    """One line per stderr line that differs; each one is breaking."""
+    pairs = itertools.zip_longest(base.splitlines(), head.splitlines(), fillvalue="")
+    return [f"  stderr: {a!r} -> {b!r}" for a, b in pairs if a != b]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
@@ -95,18 +104,20 @@ def main(argv: list[str] | None = None) -> int:
         for grid in [int(g) for g in args.grids.split(",")]:
             for fmt in ("csv", "jsonl"):
                 label = f"--suite {suite} --grid-n {grid} --format {fmt}"
-                base_code, base = run_report(args.base.resolve(), suite, grid, fmt)
-                head_code, head = run_report(args.head.resolve(), suite, grid, fmt)
+                base_code, base, base_err = run_report(args.base.resolve(), suite, grid, fmt)
+                head_code, head, head_err = run_report(args.head.resolve(), suite, grid, fmt)
                 if base_code != head_code:
                     print(f"{label}: exit {base_code} -> {head_code}")
                     status = 1
-                if base == head:
+                if base == head and base_err == head_err:
                     print(f"{label}: same ({len(head.encode())} bytes, exit {head_code})")
                     continue
                 lines, breaking = compare(base, head, fmt)
-                if not lines:
+                if base != head and not lines:
                     lines, breaking = ["  the bytes differ but every cell matches"], True
-                print(f"{label}: {len(lines)} cells differ" + (" (rows or verdicts)" if breaking else ""))
+                err_lines = compare_stderr(base_err, head_err)
+                lines, breaking = lines + err_lines, breaking or bool(err_lines)
+                print(f"{label}: {len(lines)} differences" + (" (rows, verdicts or stderr)" if breaking else ""))
                 print("\n".join(lines))
                 status = status or int(breaking)
     return status

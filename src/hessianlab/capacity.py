@@ -24,7 +24,9 @@ import numpy as np
 from . import quadrature as quad
 from .core import HessianDim
 from .errors import InvalidArgumentError, PreconditionError, UnsupportedDimensionError
-from .radial import RadialMeasure, RadialProfile, hessian_mass, level_set_log_ratio, profile_from_slope, s_k_radial
+from .radial import (
+    RadialMeasure, RadialProfile, domain_volume, hessian_mass, level_set_log_ratio, profile_from_slope, s_k_radial,
+)
 from .report import CheckRecord, near, upper_bound
 
 __all__ = [
@@ -61,11 +63,11 @@ def _cap_value(dim: HessianDim, L: float, R: float) -> float:
     """Capacity of the closed ball of radius rho inside B_R, from
     L = log(R/rho); rho^-m - R^-m is written as R^-m expm1(m L), which
     keeps its digits when rho is close to R."""
-    n, k = dim.n, dim.k
+    k = dim.k
     binom_omega = dim.n_choose_k * dim.ball_volume
     if dim.is_intermediate:
         return binom_omega / L**k
-    m = (n - 2.0 * k) / k
+    m = dim.power_exponent
     return binom_omega * m**k / (R**-m * math.expm1(m * L)) ** k
 
 
@@ -88,7 +90,7 @@ def extremal_profile(cfg: CapacityConfig, grid_n: int = quad.DEFAULT_GRID_N) -> 
         values = np.maximum(np.log(r / R) / denom, -1.0)
         slope = np.where(r > rho, 1.0 / (r * denom), 0.0)
     else:
-        m = (dim.n - 2.0 * dim.k) / dim.k
+        m = dim.power_exponent
         denom = rho**-m - R**-m
         values = np.maximum(-(r**-m - R**-m) / denom, -1.0)
         slope = np.where(r > rho, m * r ** (-m - 1.0) / denom, 0.0)
@@ -117,7 +119,7 @@ def isocapacitary_margin(cfg: CapacityConfig, exponent: float) -> CheckRecord:
     """
     dim = cfg.dim
     cap = cap_concentric(cfg)
-    inner_volume = dim.ball_volume * cfg.inner**dim.n
+    inner_volume = domain_volume(dim, cfg.inner)
     if dim.is_subcritical:
         q_max = dim.n * (dim.k + 1.0) / (dim.n - 2.0 * dim.k)
         if not np.isfinite(exponent) or not 1.0 <= exponent <= q_max + 1e-12:
@@ -131,7 +133,7 @@ def isocapacitary_margin(cfg: CapacityConfig, exponent: float) -> CheckRecord:
     beta_max = dim.beta_max
     if not np.isfinite(exponent) or not 1.0 <= exponent <= beta_max + 1e-12:
         raise InvalidArgumentError(f"exponent beta must lie in [1, {beta_max}], got {exponent!r}")
-    outer_volume = dim.ball_volume * cfg.outer**dim.n
+    outer_volume = domain_volume(dim, cfg.outer)
     ratio = inner_volume * math.exp(dim.moser_constant * cap ** (-exponent / (dim.k + 1.0))) / outer_volume
     at_ceiling = abs(exponent - beta_max) <= 1e-12
     check = f"isocap-exp[n={dim.n},k={dim.k},beta={exponent:g},inner={cfg.inner:g}]"

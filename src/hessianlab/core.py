@@ -102,6 +102,11 @@ class HessianDim:
             )
         return (self.n + 2.0) / self.n
 
+    @property
+    def power_exponent(self) -> float:
+        """Exponent m = (n - 2k)/k of the point-mass profile -c r^(-m)."""
+        return (self.n - 2.0 * self.k) / self.k
+
     def concentration_quantum(self, p_prime: float = 1.0) -> float:
         """Mass threshold (moser_constant / p')^k below which a point
         concentration stays regular."""
@@ -162,12 +167,16 @@ def _check_symmetric(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _check_order(k, n: int) -> int:
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise InvalidArgumentError(f"order k must satisfy 1 <= k <= {n}, got {k!r}")
+    return int(k)
+
+
 def s_k_of_matrix(mat, k: int) -> float:
     """S_k of a symmetric matrix via its eigenvalue spectrum."""
     m = _check_symmetric(mat)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= m.shape[0]:
-        raise InvalidArgumentError(f"order k must satisfy 1 <= k <= {m.shape[0]}, got {k!r}")
-    return elem_sym(np.linalg.eigvalsh(m), int(k))
+    return elem_sym(np.linalg.eigvalsh(m), _check_order(k, m.shape[0]))
 
 
 def principal_minor_sum(mat, k: int) -> float:
@@ -178,10 +187,8 @@ def principal_minor_sum(mat, k: int) -> float:
     """
     m = _check_symmetric(mat)
     n = m.shape[0]
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise InvalidArgumentError(f"order k must satisfy 1 <= k <= {n}, got {k!r}")
     total = 0.0
-    for idx in combinations(range(n), int(k)):
+    for idx in combinations(range(n), _check_order(k, n)):
         sub = m[np.ix_(idx, idx)]
         total += float(np.linalg.det(sub))
     return total
@@ -191,25 +198,23 @@ def gamma_k_membership(eigs, k: int, tol: float = 0.0) -> bool:
     """Whether the spectrum lies in the closed admissible cone of order k,
     i.e. e_j >= -tol for every j = 1 .. k."""
     lam = _as_spectrum(eigs)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= lam.size:
-        raise InvalidArgumentError(f"order k must satisfy 1 <= k <= {lam.size}, got {k!r}")
+    k = _check_order(k, lam.size)
     e = elem_sym_all(lam)
-    return bool(np.all(e[1 : int(k) + 1] >= -tol))
+    return bool(np.all(e[1 : k + 1] >= -tol))
 
 
 def maclaurin_means(eigs, k: int) -> np.ndarray:
     """Normalized means (e_j / C(n,j))^(1/j) for j = 1 .. k.
 
     On the admissible cone of order k these are nonincreasing in j;
-    the suite checks that chain as an invariant.
+    no suite calls this, the tests check that chain.
     """
     lam = _as_spectrum(eigs)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= lam.size:
-        raise InvalidArgumentError(f"order k must satisfy 1 <= k <= {lam.size}, got {k!r}")
+    k = _check_order(k, lam.size)
     n = lam.size
     e = elem_sym_all(lam)
-    means = np.empty(int(k))
-    for j in range(1, int(k) + 1):
+    means = np.empty(k)
+    for j in range(1, k + 1):
         normalized = e[j] / math.comb(n, j)
         if normalized < 0:
             means[j - 1] = math.nan

@@ -7,9 +7,10 @@ the forward stencil (i, i+1, i+2) on even intervals, the backward one
 (i-1, i, i+1) on odd intervals and on the last, for any spacing.  This
 is the cumulative Simpson rule of Cartwright (2017).  Integrands
 proportional to 1/r become constants there and integrate exactly, which
-is what the singular canonical profiles need.  The stub over
-(0, r_min] is closed by fitting a local power law to the first two
-samples; a fitted exponent at or below -1 marks a divergent integral.
+is what the singular canonical profiles need.  cumulative_from_origin
+adds the stub over (0, r_min], a local power law fitted to the first
+two samples (an exponent at or below -1 marks a divergent integral);
+a radial measure's mass is its origin atom plus that one call.
 
 The stencil coefficients of a grid depend on its nodes alone, so they
 are built once per grid and kept in a small module-private cache of at
@@ -19,7 +20,8 @@ was built from; a lookup hits only when the nodes given are equal to
 that copy element by element, so an array that shares the key, or one
 mutated in place since, is never served stale stencils.  A miss
 validates the nodes in full (positive, strictly increasing, >= 3
-points) before building; a hit has passed those checks already.
+points, no NaN) before building; a hit has passed those checks
+already.  RadialProfile validates its nodes here too.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ __all__ = [
     "radial_grid",
     "cumulative_from_left",
     "cumulative_from_right",
-    "integral",
-    "origin_stub",
+    "cumulative_from_origin",
 ]
 
 _CACHE_SIZE = 8
@@ -101,9 +102,10 @@ def _grid(nodes) -> _Grid:
     if grid is not None:
         return grid
     if x.ndim != 1 or x.size < 3:
-        raise InvalidArgumentError("nodes must be a 1-d array with >= 3 points")
-    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
-        raise InvalidArgumentError("nodes must be positive and strictly increasing")
+        raise InvalidArgumentError("grid nodes must be a 1-d array with >= 3 points")
+    # spelled so that a NaN node fails it
+    if not (np.all(x > 0) and np.all(np.diff(x) > 0)):
+        raise InvalidArgumentError("grid nodes must be positive and strictly increasing")
     x = x.copy()
     x.flags.writeable = False
     h = np.diff(np.log(x))
@@ -123,12 +125,7 @@ def _validate(nodes, samples) -> tuple[_Grid, np.ndarray]:
     return grid, y
 
 
-def cumulative_from_left(nodes, samples) -> np.ndarray:
-    """F_i = integral of samples over [nodes[0], nodes[i]].
-
-    The stub below nodes[0] is not included; see origin_stub.
-    """
-    grid, y = _validate(nodes, samples)
+def _cumulative(grid: _Grid, y: np.ndarray) -> np.ndarray:
     f = y * grid.nodes
     near, mid, far = f[:-2:2], f[1:-1:2], f[2::2]
     out = np.empty(f.size)
@@ -143,35 +140,38 @@ def cumulative_from_left(nodes, samples) -> np.ndarray:
     return out
 
 
+def cumulative_from_left(nodes, samples) -> np.ndarray:
+    """F_i = integral of samples over [nodes[0], nodes[i]].
+
+    The stub below nodes[0] is not included; see cumulative_from_origin.
+    """
+    return _cumulative(*_validate(nodes, samples))
+
+
 def cumulative_from_right(nodes, samples) -> np.ndarray:
     """G_i = integral of samples over [nodes[i], nodes[-1]]."""
     F = cumulative_from_left(nodes, samples)
     return F[-1] - F
 
 
-def integral(nodes, samples) -> float:
-    """Integral of samples over [nodes[0], nodes[-1]]."""
-    return float(cumulative_from_left(nodes, samples)[-1])
+def cumulative_from_origin(nodes, samples) -> np.ndarray:
+    """C_i = integral of samples over (0, nodes[i]], so C_0 is the stub.
 
-
-def origin_stub(nodes, samples) -> float:
-    """Closed-form estimate of the integral over (0, nodes[0]].
-
-    Fits samples ~ C r^p on the first strictly positive pair; exact for
-    power-law data.  Returns +inf when the fitted tail fails to
-    integrate (p <= -1), 0.0 when the data vanishes at the edge.
+    The stub fits samples ~ C r^p on the first two nodes; exact for
+    power-law data.  It is 0 when the data vanishes at the edge and
+    +inf when the fitted tail fails to integrate (p <= -1), which
+    makes every C_i +inf.
     """
     grid, y = _validate(nodes, samples)
-    x = grid.nodes
-    y0, y1 = y[0], y[1]
+    x, y0, y1 = grid.nodes, y[0], y[1]
     if y0 < 0 or not np.isfinite(y0):
         raise InvalidArgumentError("origin stub needs nonnegative finite edge samples")
     if y0 == 0.0:
-        return 0.0
-    if y1 <= 0.0:
+        stub = 0.0
+    elif y1 <= 0.0:
         # no usable local exponent, fall back to a constant continuation
-        return float(y0 * x[0])
-    p = np.log(y1 / y0) / np.log(x[1] / x[0])
-    if p <= -1.0 + 1e-12:
-        return float("inf")
-    return float(y0 * x[0] / (p + 1.0))
+        stub = float(y0 * x[0])
+    else:
+        p = np.log(y1 / y0) / np.log(x[1] / x[0])
+        stub = float("inf") if p <= -1.0 + 1e-12 else float(y0 * x[0] / (p + 1.0))
+    return stub + _cumulative(grid, y)

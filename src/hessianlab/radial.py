@@ -13,7 +13,9 @@ and the mass of the closed ball of radius r obeys the exact identity
 Everything in this module is built on that identity: the forward map
 (profile to measure) evaluates it directly, and the Dirichlet solver
 inverts it for u'(r) and integrates inward from the boundary datum.
-Atoms at the origin are the r -> 0 limit of m.
+A measure is therefore held as its atom at the origin, the r -> 0
+limit of m, plus the cumulative mass m at the nodes; the pointwise
+density above is s_k_density, a finite-difference diagnostic.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "RadialMeasure",
     "profile_from_slope",
     "s_k_radial",
+    "s_k_density",
     "solve_dirichlet",
     "hessian_mass",
     "hessian_integral",
@@ -90,12 +93,7 @@ class RadialProfile:
         slope = np.asarray(self.slope, dtype=float)
         if not np.isfinite(self.R) or self.R <= 0:
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
-        # a grid the quadrature cache holds has passed the node checks
-        if quad._known_grid(nodes) is None:
-            if nodes.ndim != 1 or nodes.size < 3:
-                raise InvalidArgumentError("profile needs a 1-d grid with >= 3 nodes")
-            if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
-                raise InvalidArgumentError("grid nodes must be positive and strictly increasing")
+        quad._grid(nodes)  # validates the nodes
         if values.shape != nodes.shape or slope.shape != nodes.shape:
             raise InvalidArgumentError("values and slope must match the grid shape")
         if abs(nodes[-1] - self.R) > 1e-12 * self.R:
@@ -124,25 +122,21 @@ class RadialProfile:
 
 @dataclass(frozen=True, eq=False)
 class RadialMeasure:
-    """Nonnegative radial measure: an atom at the origin plus a density.
-
-    cumulative[i] is the mass of the closed ball of radius nodes[i],
-    atom included, and is the authoritative field; density is the
-    pointwise derivative and is diagnostic.
+    """Nonnegative radial measure: an atom at the origin plus the
+    cumulative mass, cumulative[i] being the mass of the closed ball of
+    radius nodes[i], atom included.
     """
 
     dim: HessianDim
     R: float
     nodes: np.ndarray
     atom: float
-    density: np.ndarray
     cumulative: np.ndarray
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
-        density = np.asarray(self.density, dtype=float)
         cumulative = np.asarray(self.cumulative, dtype=float)
-        if nodes.ndim != 1 or density.shape != nodes.shape or cumulative.shape != nodes.shape:
+        if nodes.ndim != 1 or cumulative.shape != nodes.shape:
             raise InvalidArgumentError("measure arrays must be matching 1-d arrays")
         if self.atom < 0 or not np.isfinite(self.atom):
             raise InvalidMeasureError(f"atom must be finite and >= 0, got {self.atom!r}")
@@ -150,11 +144,7 @@ class RadialMeasure:
         step = np.min(np.diff(cumulative))
         if step < -_MONOTONE_SLACK * scale:
             raise InvalidMeasureError("cumulative mass must be nondecreasing")
-        dscale = max(float(np.max(np.abs(density))), 1.0)
-        if np.min(density) < -1e-9 * dscale:
-            raise InvalidMeasureError("density must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "density", np.maximum(density, 0.0))
         # the running max is the identity on a nondecreasing array; a NaN step keeps it
         if not step >= 0:
             cumulative = np.maximum.accumulate(cumulative)
@@ -187,8 +177,7 @@ class RadialMeasure:
     @classmethod
     def from_atom(cls, dim: HessianDim, R: float, nodes, atom: float) -> "RadialMeasure":
         nodes = np.asarray(nodes, dtype=float)
-        zero = np.zeros_like(nodes)
-        return cls(dim, R, nodes, atom, zero, np.full_like(nodes, float(atom)))
+        return cls(dim, R, nodes, atom, np.full_like(nodes, float(atom)))
 
     @classmethod
     def from_parts(cls, dim: HessianDim, R: float, nodes, atom: float, density) -> "RadialMeasure":
@@ -196,16 +185,16 @@ class RadialMeasure:
         enough for round trips (log-Simpson plus a power-law stub)."""
         nodes = np.asarray(nodes, dtype=float)
         f = density(nodes) if callable(density) else np.asarray(density, dtype=float)
-        f = np.broadcast_to(np.asarray(f, dtype=float), nodes.shape).copy()
+        f = np.broadcast_to(np.asarray(f, dtype=float), nodes.shape)
         if np.any(f < 0) or not np.all(np.isfinite(f)):
             raise InvalidMeasureError("density must be finite and nonnegative")
         n = dim.n
         shell = dim.ball_volume * n * f * nodes ** (n - 1)
-        stub = quad.origin_stub(nodes, shell)
-        if not np.isfinite(stub):
+        mass = quad.cumulative_from_origin(nodes, shell)
+        # mass[0] is the origin stub alone
+        if not np.isfinite(mass[0]):
             raise InvalidMeasureError("density is not integrable near the origin")
-        cumulative = float(atom) + stub + quad.cumulative_from_left(nodes, shell)
-        return cls(dim, R, nodes, float(atom), f, cumulative)
+        return cls(dim, R, nodes, float(atom), float(atom) + mass)
 
 
 class KindParams(NamedTuple):
@@ -305,7 +294,7 @@ def kind_params(dim: HessianDim, R: float, params: dict) -> KindParams:
     return KindParams(
         c=params["amplitude"],
         R=R,
-        m=(dim.n - 2.0 * dim.k) / dim.k,
+        m=dim.power_exponent,
         eps=params.get("mollification", 0.0),
     )
 
@@ -374,13 +363,17 @@ def _s_k_density(dim: HessianDim, second, ratio):
     return math.comb(n - 1, k - 1) * second * ratio ** (k - 1) + math.comb(n - 1, k) * ratio**k
 
 
+def s_k_density(u: RadialProfile) -> np.ndarray:
+    """Pointwise k-Hessian density of a profile at its nodes, a diagnostic:
+    u'' comes from differentiating the slope, with finite-difference error."""
+    return np.maximum(_s_k_density(u.dim, np.gradient(u.slope, u.nodes), u.slope / u.nodes), 0.0)
+
+
 def s_k_radial(u: RadialProfile) -> RadialMeasure:
     """k-Hessian measure of a radial profile.
 
-    The cumulative function comes from the exact identity and is the
-    trusted output; the density is recovered by differentiating the
-    slope and carries ordinary finite-difference error.  The atom is the
-    cumulative value extrapolated to the inner cutoff, declared zero
+    The cumulative function comes from the exact identity.  The atom is
+    the cumulative value extrapolated to the inner cutoff, declared zero
     below 1e-10 of the total.
     """
     dim, r = u.dim, u.nodes
@@ -395,8 +388,7 @@ def s_k_radial(u: RadialProfile) -> RadialMeasure:
     atom = float(m[0])
     if atom < 1e-10 * total:
         atom = 0.0
-    density = np.maximum(_s_k_density(dim, np.gradient(u.slope, r), u.slope / r), 0.0)
-    return RadialMeasure(dim=dim, R=u.R, nodes=r, atom=atom, density=density, cumulative=m)
+    return RadialMeasure(dim=dim, R=u.R, nodes=r, atom=atom, cumulative=m)
 
 
 def solve_dirichlet(mu: RadialMeasure, boundary: float) -> RadialProfile:
@@ -437,11 +429,7 @@ def hessian_integral(u: RadialProfile) -> float:
     mu = s_k_radial(u)
     if mu.atom > 0 and u.unbounded_origin:
         return float("inf")
-    integrand = u.slope * mu.cumulative
-    stub = quad.origin_stub(u.nodes, integrand)
-    if not np.isfinite(stub):
-        return float("inf")
-    return float(stub + quad.integral(u.nodes, integrand))
+    return float(quad.cumulative_from_origin(u.nodes, u.slope * mu.cumulative)[-1])
 
 
 def phi_norm(u: RadialProfile) -> float:
@@ -532,10 +520,7 @@ def volume_integral(dim: HessianDim, nodes: np.ndarray, g: np.ndarray) -> float:
     """Integral of a radial function g over the ball, n omega_n
     int g r^(n-1) dr, origin stub included."""
     shell = dim.n * dim.ball_volume * np.asarray(g, dtype=float) * nodes ** (dim.n - 1)
-    stub = quad.origin_stub(nodes, shell)
-    if not np.isfinite(stub):
-        return float("inf")
-    return float(stub + quad.integral(nodes, shell))
+    return float(quad.cumulative_from_origin(nodes, shell)[-1])
 
 
 def _power_singularity(u: RadialProfile) -> float | None:

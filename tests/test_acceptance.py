@@ -39,6 +39,7 @@ from hessianlab import (
     mollified_dirac_family,
     principal_minor_sum,
     profile_from_slope,
+    s_k_density,
     s_k_of_matrix,
     s_k_radial,
     sample_family,
@@ -280,7 +281,7 @@ def test_criterion_10_oracle_equivalence(sym_matrices):
         oracle = float(sum(math.prod(sub) for sub in combinations(eigs.tolist(), dim.k)))
         nodes = quad.radial_grid(1.0, 4096, rmin_factor=1e-3)
         u = profile_from_slope(dim, 1.0, nodes, 4.0 * nodes**3, 0.0, values=nodes**4 - 1.0)
-        got = float(np.interp(r0, nodes, s_k_radial(u).density))
+        got = float(np.interp(r0, nodes, s_k_density(u)))
         worst_fd = max(worst_fd, abs(got - oracle) / abs(oracle))
     passed = worst_matrix <= 1e-9 and worst_fd <= 1e-5
     verdict(

@@ -302,6 +302,16 @@ class TestProfileFormat:
         with pytest.raises(ProfileFormatError, match="invalid profile data"):
             load_profile(path)
 
+    def test_nan_node_is_rejected(self, tmp_path):
+        u = self.make()
+        path = tmp_path / "u.json"
+        save_profile(u, path)
+        data = json.loads(path.read_text())
+        data["nodes"][5] = math.nan
+        path.write_text(json.dumps(data))
+        with pytest.raises(ProfileFormatError, match="grid nodes"):
+            load_profile(path)
+
 
 class TestRecordInvariants:
     @pytest.mark.parametrize("cfg", [

@@ -42,6 +42,7 @@ from hessianlab.radial import (
     lp_norm,
     phi_norm,
     profile_from_slope,
+    s_k_density,
     s_k_radial,
     solve_dirichlet,
     value_at,
@@ -94,7 +95,7 @@ class TestQuadratureKernel:
         samples = np.exp(-nodes) * np.cos(7.0 * nodes) + nodes**-0.5
         expected = cumulative_simpson(samples * nodes, x=np.log(nodes), initial=0.0)
         assert np.array_equal(quad.cumulative_from_left(nodes, samples), expected)
-        assert quad.integral(nodes, samples) == expected[-1]
+        assert quad.cumulative_from_right(nodes, samples)[0] == expected[-1]
 
     def test_matches_scipy_on_random_grid(self):
         rng = np.random.default_rng(20260)
@@ -102,6 +103,20 @@ class TestQuadratureKernel:
         samples = rng.normal(size=nodes.size)
         expected = cumulative_simpson(samples * nodes, x=np.log(nodes), initial=0.0)
         assert np.array_equal(quad.cumulative_from_left(nodes, samples), expected)
+
+    @pytest.mark.parametrize("p", [-0.5, 0.0, 2.0])
+    def test_origin_call_integrates_powers_from_zero(self, p):
+        nodes = quad.radial_grid(1.0, 2048)
+        got = quad.cumulative_from_origin(nodes, nodes**p)
+        # the stub alone is exact for a power law
+        assert got[0] == pytest.approx(nodes[0] ** (p + 1.0) / (p + 1.0), rel=1e-12)
+        # Simpson error, fourth order in the log step 0.009
+        assert np.allclose(got, nodes ** (p + 1.0) / (p + 1.0), rtol=1e-7, atol=0.0)
+
+    @pytest.mark.parametrize("p", [-1.0, -1.5])
+    def test_origin_call_flags_a_divergent_stub(self, p):
+        nodes = quad.radial_grid(1.0, 64)
+        assert np.all(quad.cumulative_from_origin(nodes, nodes**p) == math.inf)
 
 
 def _scipy_cumulative(nodes, samples):
@@ -138,23 +153,34 @@ class TestGridCache:
 
     def test_cache_is_bounded(self):
         for i in range(50):
-            quad.integral(quad.radial_grid(1.0 + i, 32 + i), np.ones(32 + i))
+            quad.cumulative_from_left(quad.radial_grid(1.0 + i, 32 + i), np.ones(32 + i))
         assert len(quad._grids) <= quad._CACHE_SIZE
 
-    @pytest.mark.parametrize("bad", ["zero", "repeated"])
+    @pytest.mark.parametrize("bad", ["zero", "repeated", "nan"])
     def test_bad_nodes_with_a_cached_key_are_rejected(self, bad):
         nodes = quad.radial_grid(1.0, 256)
         samples = np.ones_like(nodes)
-        quad.integral(nodes, samples)
+        quad.cumulative_from_left(nodes, samples)
         wrong = nodes.copy()
-        wrong[100] = 0.0 if bad == "zero" else wrong[99]
+        wrong[100] = {"zero": 0.0, "repeated": wrong[99], "nan": math.nan}[bad]
         assert (wrong.size, wrong[0], wrong[-1]) == (nodes.size, nodes[0], nodes[-1])
         with pytest.raises(InvalidArgumentError):
             quad.cumulative_from_left(wrong, samples)
         with pytest.raises(InvalidArgumentError):
-            quad.origin_stub(wrong, samples)
+            quad.cumulative_from_origin(wrong, samples)
         with pytest.raises(InvalidArgumentError, match="grid nodes"):
             RadialProfile(D21, 1.0, wrong, nodes**2 - 1.0, 2.0 * nodes, 0.0)
+
+    def test_rejected_nan_grid_leaves_the_real_grid_cached(self):
+        nodes = quad.radial_grid(1.0, 16)
+        quad.cumulative_from_left(nodes, np.ones(16))
+        wrong = nodes.copy()
+        wrong[5] = math.nan
+        try:
+            quad.cumulative_from_left(wrong, np.ones(16))
+        except InvalidArgumentError:
+            pass
+        assert quad._known_grid(quad.radial_grid(1.0, 16)) is not None
 
     def test_concurrent_lookups_stay_exact(self):
         # more threads than cores and more grids than the bound, with a
@@ -203,8 +229,7 @@ class TestAgainstFullHessian:
 
         nodes = quad.radial_grid(1.0, 4096, rmin_factor=1e-3)
         u = profile_from_slope(dim, 1.0, nodes, 4.0 * nodes**3, 0.0, values=nodes**4 - 1.0)
-        density = s_k_radial(u).density
-        got = float(np.interp(r0, nodes, density))
+        got = float(np.interp(r0, nodes, s_k_density(u)))
         assert got == pytest.approx(oracle, rel=1e-5)
 
     def test_quartic_closed_form(self):
@@ -223,7 +248,7 @@ class TestCanonicalMeasures:
             mu = s_k_radial(u)
             expected = dim.n_choose_k * c**dim.k
             assert mu.atom == 0.0
-            assert np.max(np.abs(mu.density - expected)) <= 1e-10 * expected
+            assert np.max(np.abs(s_k_density(u) - expected)) <= 1e-10 * expected
             # mass identity: m(r) = C(n,k) omega_n c^k r^n, exact
             closed = dim.n_choose_k * dim.ball_volume * c**dim.k * mu.nodes**dim.n
             assert np.max(np.abs(mu.cumulative - closed)) <= 1e-12 * closed[-1]
@@ -322,7 +347,6 @@ class TestMeasureContainer:
                 R=1.0,
                 nodes=nodes,
                 atom=0.0,
-                density=np.ones_like(nodes),
                 cumulative=np.linspace(1.0, 0.0, nodes.size),
             )
 

@@ -1,0 +1,98 @@
+"""The two gate scripts under scripts/, loaded by path, on synthetic inputs.
+
+report_diff.compare decides whether two reports differ in rows or
+verdicts; bench_pairs.verdict decides whether a metric got better,
+worse, stayed the same or cannot be told apart.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_diff = _load("report_diff")
+bench_pairs = _load("bench_pairs")
+
+HEADER = "suite,check,pass,lhs,rhs,margin,ms\n"
+ROWS = [("sym", "a", "true", "1.0", "2.0", "1.0", "0.0"), ("bm", "b", "true", "3.0", "4.0", "1.0", "0.0")]
+
+
+def _csv(rows) -> str:
+    return HEADER + "".join(",".join(row) + "\n" for row in rows)
+
+
+def _jsonl(rows) -> str:
+    keys = HEADER.strip().split(",")
+    lines = []
+    for row in rows:
+        rec = dict(zip(keys, row))
+        rec["pass"] = rec["pass"] == "true"
+        lines.append(json.dumps(rec))
+    return "\n".join(lines) + "\n"
+
+
+class TestReportDiff:
+    def test_numeric_drift_is_listed_but_not_breaking(self):
+        drifted = [ROWS[0][:3] + ("1.0000001",) + ROWS[0][4:], ROWS[1]]
+        lines, breaking = report_diff.compare(_csv(ROWS), _csv(drifted), "csv")
+        assert len(lines) == 1 and "lhs" in lines[0] and "rel" in lines[0]
+        assert not breaking
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_verdict_flip_is_breaking(self, fmt):
+        emit = _csv if fmt == "csv" else _jsonl
+        flipped = [ROWS[0][:2] + ("false",) + ROWS[0][3:], ROWS[1]]
+        lines, breaking = report_diff.compare(emit(ROWS), emit(flipped), fmt)
+        assert lines == ["  sym a pass: true -> false"]
+        assert breaking
+
+    def test_missing_row_is_breaking(self):
+        lines, breaking = report_diff.compare(_csv(ROWS), _csv(ROWS[:1]), "csv")
+        assert lines == ["  only in base: bm b"]
+        assert breaking
+
+    def test_same_reports_give_no_lines(self):
+        assert report_diff.compare(_csv(ROWS), _csv(ROWS), "csv") == ([], False)
+
+    def test_stderr_lines_are_compared(self):
+        same = "hessianlab: NoSolutionError: no fixed point\n"
+        assert report_diff.compare_stderr(same, same) == []
+        other = "hessianlab: InvalidArgumentError: grid nodes must be positive\n"
+        assert len(report_diff.compare_stderr(same, other)) == 1
+        assert len(report_diff.compare_stderr("", same)) == 1
+
+
+class TestBenchVerdict:
+    BOUND = 0.25
+    BASE = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+    def test_gain(self):
+        head = [0.8 * x for x in self.BASE]
+        assert bench_pairs.verdict(self.BASE, head, self.BOUND) == "gain"
+
+    def test_worse(self):
+        head = [1.5 * x for x in self.BASE]
+        assert bench_pairs.verdict(self.BASE, head, self.BOUND) == "worse"
+
+    def test_unresolved(self):
+        # quartile spread of 0.8 against a slack of 0.25 of the median
+        base = [0.5, 1.5, 0.6, 1.4, 1.0, 0.5, 1.5, 0.6, 1.4, 1.0]
+        head = base[1:] + base[:1]
+        assert bench_pairs.verdict(base, head, self.BOUND) == "unresolved"
+
+    def test_same(self):
+        head = self.BASE[::-1]
+        assert bench_pairs.verdict(self.BASE, head, self.BOUND) == "same"

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Compare the reports of two checkouts, cell by cell.
 
-For each grid and format, runs `python -m hessianlab.cli --suite SUITE
---grid-n GRID --format FMT` once in the base checkout and once in the
-head checkout (each on its own `src/`), and compares stdout and
-stderr.  Identical bytes on both print one `same` line.  Otherwise every
-differing cell is printed, numeric cells (lhs, rhs, margin, ms) with
-their absolute and relative drift, and so is every differing stderr
-line.  A config that exits 3 has an empty report on both sides, so its
-stderr line (the error it raised) is what tells the two apart.
+For each suite, grid and format, runs `python -m hessianlab.cli --suite
+SUITE --grid-n GRID --format FMT` once in the base checkout and once in
+the head checkout (each on its own `src/`), and compares stdout and
+stderr.  `--suite all --grid-n 2048` at `--radius 1e-6` and `1e6` is
+always compared too.  Identical bytes on both print one `same` line.
+Otherwise every differing cell is printed, numeric cells (lhs, rhs,
+margin, ms) with their absolute and relative drift, and so is every
+differing stderr line.  A config that exits 3 has an empty report on
+both sides, so its stderr line (the error it raised) is what tells the
+two apart.
 
 Exits 0 when every pair of reports has the same rows and verdicts
 (numeric drift alone is shown but tolerated), and 1 when a row is
@@ -35,10 +37,23 @@ from pathlib import Path
 NUMERIC = ("lhs", "rhs", "margin", "ms")
 
 
-def run_report(checkout: Path, suite: str, grid: int, fmt: str) -> tuple[int, str, str]:
+# Run after the --suites x --grids product: `all` at the extreme radii
+# the numerics must hold at.
+RADIUS_CONFIGS = (
+    ("--suite", "all", "--grid-n", "2048", "--radius", "1e-6"),
+    ("--suite", "all", "--grid-n", "2048", "--radius", "1e6"),
+)
+
+
+def run_list(suites: list[str], grids: list[int]) -> list[tuple[str, ...]]:
+    """The CLI arguments of every config compared, format excluded."""
+    return [("--suite", s, "--grid-n", str(g)) for s in suites for g in grids] + list(RADIUS_CONFIGS)
+
+
+def run_report(checkout: Path, config: tuple[str, ...], fmt: str) -> tuple[int, str, str]:
     src = str(checkout / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    cmd = [sys.executable, "-m", "hessianlab.cli", "--suite", suite, "--grid-n", str(grid), "--format", fmt]
+    cmd = [sys.executable, "-m", "hessianlab.cli", *config, "--format", fmt]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -100,26 +115,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     status = 0
-    for suite in args.suites.split(","):
-        for grid in [int(g) for g in args.grids.split(",")]:
-            for fmt in ("csv", "jsonl"):
-                label = f"--suite {suite} --grid-n {grid} --format {fmt}"
-                base_code, base, base_err = run_report(args.base.resolve(), suite, grid, fmt)
-                head_code, head, head_err = run_report(args.head.resolve(), suite, grid, fmt)
-                if base_code != head_code:
-                    print(f"{label}: exit {base_code} -> {head_code}")
-                    status = 1
-                if base == head and base_err == head_err:
-                    print(f"{label}: same ({len(head.encode())} bytes, exit {head_code})")
-                    continue
-                lines, breaking = compare(base, head, fmt)
-                if base != head and not lines:
-                    lines, breaking = ["  the bytes differ but every cell matches"], True
-                err_lines = compare_stderr(base_err, head_err)
-                lines, breaking = lines + err_lines, breaking or bool(err_lines)
-                print(f"{label}: {len(lines)} differences" + (" (rows, verdicts or stderr)" if breaking else ""))
-                print("\n".join(lines))
-                status = status or int(breaking)
+    for config in run_list(args.suites.split(","), [int(g) for g in args.grids.split(",")]):
+        for fmt in ("csv", "jsonl"):
+            label = " ".join(config) + f" --format {fmt}"
+            base_code, base, base_err = run_report(args.base.resolve(), config, fmt)
+            head_code, head, head_err = run_report(args.head.resolve(), config, fmt)
+            if base_code != head_code:
+                print(f"{label}: exit {base_code} -> {head_code}")
+                status = 1
+            if base == head and base_err == head_err:
+                print(f"{label}: same ({len(head.encode())} bytes, exit {head_code})")
+                continue
+            lines, breaking = compare(base, head, fmt)
+            if base != head and not lines:
+                lines, breaking = ["  the bytes differ but every cell matches"], True
+            err_lines = compare_stderr(base_err, head_err)
+            lines, breaking = lines + err_lines, breaking or bool(err_lines)
+            print(f"{label}: {len(lines)} differences" + (" (rows, verdicts or stderr)" if breaking else ""))
+            print("\n".join(lines))
+            status = status or int(breaking)
     return status
 
 

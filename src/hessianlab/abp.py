@@ -593,14 +593,18 @@ def degiorgi_fit_and_verify(s, phi, s0: float | None = None) -> DeGiorgiData:
     if not live[-1]:
         vanish_level = float(s[int(np.argmin(live))])
 
+    # max_j (s_j - s_i) phi_j does not depend on delta: one per live i.
+    pairs = [
+        (float(np.max((s[i + 1 :] - s[i]) * phi[i + 1 :])), phi[i])
+        for i in range(s.size - 1)
+        if not s[i] < s0_val and live[i]
+    ]
     best: tuple[float, float, float] | None = None
     for delta in np.round(np.arange(1, 21) * 0.1, 10):
         c0 = 0.0
-        for i in range(s.size - 1):
-            if s[i] < s0_val or not live[i]:
-                continue
-            t = s[i + 1 :] - s[i]
-            c0 = max(c0, float(np.max(t * phi[i + 1 :])) / phi[i] ** (1.0 + delta))
+        exponent = 1.0 + delta
+        for top, base in pairs:
+            c0 = max(c0, top / base**exponent)
         s_inf = degiorgi_threshold(max(c0, np.finfo(float).tiny), delta, phi0, s0_val)
         beyond = s >= s_inf
         if np.any(beyond) and np.all(phi[beyond] <= PHI_ZERO_TOL):

@@ -187,10 +187,7 @@ def _crossings(nodes: np.ndarray, diff: np.ndarray) -> list[float]:
 
     out = []
     sign = np.sign(diff)
-    for i in range(len(nodes) - 1):
-        a, b = sign[i], sign[i + 1]
-        if a == b or a == 0 and b == 0:
-            continue
+    for i in np.flatnonzero(sign[:-1] != sign[1:]).tolist():
         lo, hi = log_r[i], log_r[i + 1]
         flo = diff[i]
         for _ in range(60):

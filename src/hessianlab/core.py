@@ -187,10 +187,10 @@ def principal_minor_sum(mat, k: int) -> float:
     """
     m = _check_symmetric(mat)
     n = m.shape[0]
+    idx = np.array(list(combinations(range(n), _check_order(k, n))))
     total = 0.0
-    for idx in combinations(range(n), _check_order(k, n)):
-        sub = m[np.ix_(idx, idx)]
-        total += float(np.linalg.det(sub))
+    for det in np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).tolist():
+        total += det
     return total
 
 

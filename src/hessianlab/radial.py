@@ -93,6 +93,8 @@ class RadialProfile:
         slope = np.asarray(self.slope, dtype=float)
         if not np.isfinite(self.R) or self.R <= 0:
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
+        if not np.isfinite(self.boundary):
+            raise InvalidArgumentError(f"boundary value must be finite, got {self.boundary!r}")
         quad._grid(nodes)  # validates the nodes
         if values.shape != nodes.shape or slope.shape != nodes.shape:
             raise InvalidArgumentError("values and slope must match the grid shape")

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from hessianlab import (
@@ -26,6 +28,7 @@ from hessianlab import (
 )
 from hessianlab import abp
 from hessianlab import quadrature as quad
+from hessianlab.abp import PHI_ZERO_TOL, DeGiorgiData
 from hessianlab.suites import config_from_sources, run_suite
 
 # Twenty decay curves phi0 (1 - s/a)_+^m satisfying the lemma's
@@ -74,7 +77,66 @@ class TestThreshold:
             degiorgi_threshold(0.0, 1.0, 1.0)
 
 
+def per_delta_fit(s, phi, s0=None) -> DeGiorgiData:
+    """degiorgi_fit_and_verify on valid samples, recomputing each live
+    i's max_j (s_j - s_i) phi_j for every delta."""
+    s = np.asarray(s, dtype=float)
+    phi = np.minimum.accumulate(np.asarray(phi, dtype=float))
+    s0_val = float(s[0]) if s0 is None else float(s0)
+    phi0 = float(phi[0])
+    live = phi > PHI_ZERO_TOL
+    vanish_level = None if live[-1] else float(s[int(np.argmin(live))])
+    best = None
+    for delta in np.round(np.arange(1, 21) * 0.1, 10):
+        c0 = 0.0
+        for i in range(s.size - 1):
+            if s[i] < s0_val or not live[i]:
+                continue
+            t = s[i + 1 :] - s[i]
+            c0 = max(c0, float(np.max(t * phi[i + 1 :])) / phi[i] ** (1.0 + delta))
+        s_inf = degiorgi_threshold(max(c0, np.finfo(float).tiny), delta, phi0, s0_val)
+        beyond = s >= s_inf
+        if np.any(beyond) and np.all(phi[beyond] <= PHI_ZERO_TOL):
+            if best is None or s_inf < best[2]:
+                best = (c0, float(delta), s_inf)
+    if best is None:
+        best = (math.inf, math.nan, math.inf)
+    c0, delta, s_inf = best
+    return DeGiorgiData(
+        s=s, phi=phi, c0=c0, delta=delta, s0=s0_val,
+        s_inf=s_inf, verified=math.isfinite(c0), vanish_level=vanish_level,
+    )
+
+
+@st.composite
+def level_set_samples(draw):
+    """Strictly increasing levels, nonincreasing masses whose tail either
+    vanishes from some sample on or never does, and a start level that
+    is the first sample or a shift of it."""
+    size = draw(st.integers(8, 40))
+    steps = draw(st.lists(st.floats(0.01, 2.0), min_size=size - 1, max_size=size - 1))
+    s = np.concatenate([[draw(st.floats(-1.0, 1.0))], steps]).cumsum()
+    masses = draw(st.lists(st.floats(1e-6, 100.0), min_size=size, max_size=size))
+    phi = np.sort(masses)[::-1].copy()
+    vanish_from = draw(st.none() | st.integers(1, size - 1))
+    if vanish_from is not None:
+        phi[vanish_from:] = 0.0
+    shift = draw(st.none() | st.floats(-0.5, 3.0))
+    return s, phi, None if shift is None else float(s[0]) + shift
+
+
 class TestFitAndVerify:
+    @settings(max_examples=150, deadline=None)
+    @given(level_set_samples())
+    def test_fit_matches_the_per_delta_loop(self, samples):
+        s, phi, s0 = samples
+        got, expected = degiorgi_fit_and_verify(s, phi, s0), per_delta_fit(s, phi, s0)
+        assert np.array_equal(got.s, expected.s) and np.array_equal(got.phi, expected.phi)
+        for name in ("c0", "delta", "s0", "s_inf", "verified", "vanish_level"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), name
+            assert type(a) is type(b), name
+
     @pytest.mark.parametrize("phi0,m,a", DECAY_FIXTURES)
     def test_standard_fixtures_verify_and_vanish(self, phi0, m, a):
         s = np.linspace(0.0, 4.0 * a, 33)

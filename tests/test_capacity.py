@@ -12,10 +12,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessianlab import quadrature as quad
 from hessianlab.capacity import (
     CapacityConfig,
+    _crossings,
     cap_concentric,
     comparison_check,
     extremal_profile,
@@ -198,6 +201,41 @@ class TestLevelsetBound:
         u = solve_dirichlet(mu, -1.0)
         with pytest.raises(PreconditionError, match="boundary"):
             levelset_cap_check(u, [0.5])
+
+
+def per_node_crossings(nodes, diff):
+    """_crossings with the sign changes found by a scan over every node."""
+    log_r = np.log(nodes)
+    out = []
+    sign = np.sign(diff)
+    for i in range(len(nodes) - 1):
+        a, b = sign[i], sign[i + 1]
+        if a == b or a == 0 and b == 0:
+            continue
+        lo, hi = log_r[i], log_r[i + 1]
+        flo = diff[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fmid = float(np.interp(mid, log_r, diff))
+            if (flo < 0) == (fmid < 0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+            if hi - lo < 1e-10:
+                break
+        out.append(float(np.exp(0.5 * (lo + hi))))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(
+    st.sampled_from([-2.5, -1e-3, 0.0, 0.0, 1e-3, 3.0]) | st.floats(-5.0, 5.0), min_size=16, max_size=64,
+))
+def test_crossings_match_the_per_node_scan(samples):
+    # Zeros, runs of one sign and sign flips between neighbours.
+    diff = np.array(samples)
+    nodes = quad.radial_grid(1.0, diff.size)
+    assert _crossings(nodes, diff) == per_node_crossings(nodes, diff)
 
 
 class TestComparison:

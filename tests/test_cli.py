@@ -2,6 +2,7 @@
 profile interchange format."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from hessianlab import (
     ConfigError,
     HessianDim,
     InvalidArgumentError,
+    LiouvilleProblem,
     ProfileFormatError,
     ReportRow,
     config_from_sources,
@@ -29,11 +31,13 @@ from hessianlab import (
     rows_status,
     run_suite,
     save_profile,
+    solve_liouville,
 )
 from hessianlab.cli import build_parser, config_from_args, main
 from hessianlab.families import FamilySpec
 from hessianlab.parallel import ENV_THREADS, thread_count
 from hessianlab.profile_io import FORMAT
+from hessianlab.radial import s_k_radial
 from hessianlab.report import CSV_HEADER
 from hessianlab.suites import CONFIG_KEYS, OPTIONS, ExperimentConfig, load_config_file
 
@@ -311,6 +315,80 @@ class TestProfileFormat:
         path.write_text(json.dumps(data))
         with pytest.raises(ProfileFormatError, match="grid nodes"):
             load_profile(path)
+
+    def test_boundary_off_the_values_is_not_written(self, tmp_path):
+        u = self.make()
+        off = dataclasses.replace(u, boundary=1.0)
+        path = tmp_path / "u.json"
+        with pytest.raises(InvalidArgumentError, match=r"is not values\[-1\]"):
+            save_profile(off, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,match",
+        [
+            ("n", 4.9, "n must be a JSON integer"),
+            ("n", True, "n must be a JSON integer"),
+            ("k", "2", "k must be a JSON integer"),
+            ("R", "1", "R must be a JSON number"),
+            ("boundary", None, "boundary must be a JSON number"),
+            ("atom", "0.0", "atom must be a JSON number"),
+            ("boundary", math.nan, "boundary value must be finite"),
+            ("boundary", 1.0, r"boundary 1.0 is not values\[-1\]"),
+            ("atom", 5.0, "atom 5.0 is not the profile's atom"),
+        ],
+    )
+    def test_malformed_field_is_rejected(self, tmp_path, key, value, match):
+        u = self.make()
+        path = tmp_path / "u.json"
+        save_profile(u, path)
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ProfileFormatError, match=match):
+            load_profile(path)
+
+
+def _profile_text(u) -> str:
+    """The text json.dumps(payload, indent=1) gives for u, plus a newline."""
+    payload = {
+        "format": FORMAT,
+        "n": u.dim.n,
+        "k": u.dim.k,
+        "R": u.R,
+        "boundary": u.boundary,
+        "atom": s_k_radial(u).atom,
+        "nodes": [float(x) for x in u.nodes],
+        "values": [float(x) for x in u.values],
+        "slope": [float(x) for x in u.slope],
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+class TestProfileLayout:
+    """save_profile writes the indent-1 JSON layout byte for byte."""
+
+    # One bounded and one singular closed form per dimension pair.
+    KINDS = {(2, 1): ("quadratic", "log"), (4, 2): ("quadratic", "log"), (3, 1): ("quadratic", "newtonian")}
+
+    @pytest.mark.parametrize("grid_n", [16, 2048])
+    @pytest.mark.parametrize("R", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("nk", [(2, 1), (4, 2), (3, 1)])
+    def test_closed_forms(self, tmp_path, nk, R, grid_n):
+        path = tmp_path / "u.json"
+        for kind in self.KINDS[nk]:
+            u = make_profile(FamilySpec(kind, 1.5), HessianDim(*nk), R, grid_n)
+            save_profile(u, path)
+            assert path.read_bytes() == _profile_text(u).encode("utf-8")
+
+    def test_solved_liouville_profile(self, tmp_path):
+        prob = LiouvilleProblem(HessianDim(2, 1), lambda r: np.full_like(r, 1.5), boundary=0.5, grid_n=2048)
+        u = solve_liouville(prob)
+        path = tmp_path / "u.json"
+        save_profile(u, path)
+        assert path.read_bytes() == _profile_text(u).encode("utf-8")
+        back = load_profile(path)
+        assert np.array_equal(back.values, u.values) and back.boundary == u.boundary
 
 
 class TestRecordInvariants:

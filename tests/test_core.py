@@ -95,6 +95,22 @@ class TestMatrixRoutes:
                 assert abs(via_eigs - via_minors) <= 1e-9 * scale
                 assert abs(via_eigs - oracle) <= 1e-9 * scale
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        entries=st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=64, max_size=64),
+    )
+    def test_minor_sum_matches_the_per_minor_loop(self, n, entries):
+        # The minors go through one batched det call; each det and the
+        # left-to-right sum must be those of one call per minor.
+        a = np.array(entries).reshape(8, 8)[:n, :n]
+        mat = 0.5 * (a + a.T)
+        for k in range(1, n + 1):
+            expected = 0.0
+            for idx in combinations(range(n), k):
+                expected += float(np.linalg.det(mat[np.ix_(idx, idx)]))
+            assert principal_minor_sum(mat, k) == expected
+
     def test_corpus_sizes(self, sym_matrices):
         assert sorted({m.shape[0] for m in sym_matrices}) == [2, 3, 4, 5, 6]
 

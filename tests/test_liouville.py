@@ -18,10 +18,12 @@ from hessianlab import (
     bubble_profile,
     bubble_residual_sup,
     classify_alternative,
+    config_from_sources,
     harnack_ratio,
     local_mass,
     make_profile,
     regular_point_classify,
+    run_suite,
     singular_comparison_check,
     smallness_check,
     solve_liouville,
@@ -124,6 +126,24 @@ class TestSolver:
         for c, mass in zip(cs, masses):
             b = minimal_branch_scale(c)
             assert mass == pytest.approx(8.0 * math.pi * b / (1.0 + b), rel=1e-7)
+
+
+def test_catalog_solves_the_steady_problem_once(monkeypatch):
+    # 3 solver-bubble rows, 4 divergence and 12 smallness members at
+    # (2,1), the residual row and 4 smallness members at (4,2), and one
+    # solve shared by the four classify-bounded members.
+    calls = []
+    inner = liouville_mod.solve_liouville
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(liouville_mod, "solve_liouville", counted)
+    rows, status = run_suite(config_from_sources(None, {"suite": "liouville"}))
+    assert status == 0
+    assert any(row.check == "classify-bounded" for row in rows)
+    assert len(calls) == 25
 
 
 class TestIterationBudget:

@@ -376,6 +376,20 @@ class TestProfileValidation:
                 boundary=0.0,
             )
 
+    @pytest.mark.parametrize("boundary", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_boundary(self, boundary):
+        # abs(nan) > tol is False, so a NaN boundary would pass as zero downstream.
+        nodes = quad.radial_grid(1.0, 256)
+        with pytest.raises(InvalidArgumentError, match="boundary value must be finite"):
+            RadialProfile(
+                dim=D21,
+                R=1.0,
+                nodes=nodes,
+                values=0.5 * (nodes**2 - 1.0),
+                slope=nodes,
+                boundary=boundary,
+            )
+
     def test_rejects_inadmissible_mass_profile(self):
         # decreasing cumulative mass must be caught by s_k_radial
         nodes = quad.radial_grid(1.0, 256)

@@ -74,6 +74,12 @@ class TestReportDiff:
         assert len(report_diff.compare_stderr(same, other)) == 1
         assert len(report_diff.compare_stderr("", same)) == 1
 
+    def test_extreme_radii_are_in_the_run_list(self):
+        configs = report_diff.run_list(["sym"], [512])
+        assert ("--suite", "sym", "--grid-n", "512") in configs
+        for radius in ("1e-6", "1e6"):
+            assert ("--suite", "all", "--grid-n", "2048", "--radius", radius) in configs
+
 
 class TestBenchVerdict:
     BOUND = 0.25

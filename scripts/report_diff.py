@@ -4,8 +4,9 @@
 For each suite, grid and format, runs `python -m hessianlab.cli --suite
 SUITE --grid-n GRID --format FMT` once in the base checkout and once in
 the head checkout (each on its own `src/`), and compares stdout and
-stderr.  `--suite all --grid-n 2048` at `--radius 1e-6` and `1e6` is
-always compared too.  Identical bytes on both print one `same` line.
+stderr.  `--suite all --grid-n 2048` at `--radius 1e-6` and `1e6`, and
+at the ends 1e-60 and 1e7 of the accepted radius range, is always
+compared too.  Identical bytes on both print one `same` line.
 Otherwise every differing cell is printed, numeric cells (lhs, rhs,
 margin, ms) with their absolute and relative drift, and so is every
 differing stderr line.  A config that exits 3 has an empty report on
@@ -38,10 +39,10 @@ NUMERIC = ("lhs", "rhs", "margin", "ms")
 
 
 # Run after the --suites x --grids product: `all` at the extreme radii
-# the numerics must hold at.
-RADIUS_CONFIGS = (
-    ("--suite", "all", "--grid-n", "2048", "--radius", "1e-6"),
-    ("--suite", "all", "--grid-n", "2048", "--radius", "1e6"),
+# the numerics must hold at, and at the ends of the accepted range
+# (suites.RADIUS_RANGE).
+RADIUS_CONFIGS = tuple(
+    ("--suite", "all", "--grid-n", "2048", "--radius", radius) for radius in ("1e-6", "1e6", "1e-60", "1e7")
 )
 
 

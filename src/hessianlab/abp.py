@@ -44,6 +44,7 @@ from .radial import (
     level_set_radius,
     solve_dirichlet,
     volume_integral,
+    volume_integrator,
 )
 from .report import CheckRecord, upper_bound
 
@@ -328,11 +329,32 @@ def verify_gk(
     )
 
 
+def _orlicz_budgets(dim: HessianDim, nodes, weight: OrliczWeight):
+    """The budget function g -> N(g) of one grid, dimension and weight.
+
+    N(g) = n omega_n int g Phi(log g) r^(n-1) dr over the ball, origin
+    stub included; zeros of g add nothing.  The integral is one
+    volume_integrator of the grid, so n omega_n and r^(n-1) are taken
+    once, not per density.  A density positive at every node skips the
+    masks that keep zeros of g out of the log; both paths give the same
+    float there.
+    """
+    integrate = volume_integrator(dim, nodes)
+
+    def budget(g) -> float:
+        pos = g > 0
+        if pos.all():
+            return integrate(g * weight.value(np.log(g)))
+        with np.errstate(divide="ignore"):
+            logs = np.where(pos, np.log(np.where(pos, g, 1.0)), 0.0)
+        return integrate(np.where(pos, g * weight.value(logs), 0.0))
+
+    return budget
+
+
 def _orlicz_budget(dim: HessianDim, nodes, g, weight: OrliczWeight) -> float:
-    with np.errstate(divide="ignore"):
-        logs = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), 0.0)
-    integrand = np.where(g > 0, g * weight.value(logs), 0.0)
-    return volume_integral(dim, nodes, integrand)
+    """The Orlicz budget of one density g >= 0; see _orlicz_budgets."""
+    return _orlicz_budgets(dim, nodes, weight)(g)
 
 
 @dataclass(frozen=True)
@@ -363,12 +385,13 @@ def sample_family(
     if weight.k != dim.k:
         raise InvalidWeightError(f"weight is for k = {weight.k}, dimension has k = {dim.k}")
     nodes = quad.radial_grid(R, grid_n)
+    budget_of = _orlicz_budgets(dim, nodes, weight)
     labels, heights, budgets, sups = [], [], [], []
     for label, fn in densities:
         g = np.asarray(fn(nodes), dtype=float)
         if g.shape != nodes.shape or not np.all(np.isfinite(g)) or np.any(g < 0):
             raise InvalidArgumentError(f"density {label!r} must be nonnegative, finite, radial")
-        budget = _orlicz_budget(dim, nodes, g, weight)
+        budget = budget_of(g)
         if not np.isfinite(budget):
             raise InvalidArgumentError(f"density {label!r} has an infinite Orlicz budget")
         u = solve_dirichlet(RadialMeasure.from_density(dim, R, nodes, g), 0.0)
@@ -463,6 +486,11 @@ def mollified_dirac_family(
     while the sup norm blows up as eps shrinks.  The default lift keeps
     the widest bump a modest share of the budget; pushing it far past 1
     lets that member's extra mass show up in sup u.
+
+    Every trial amplitude's budget comes from one _orlicz_budgets
+    function of the grid, the helper sample_family uses too, so
+    n omega_n and r^(n-1) are taken once per family.  Each trial density
+    is at least base > 0, so each budget takes the unmasked path.
     """
     if not dim.is_intermediate:
         raise UnsupportedDimensionError(
@@ -473,7 +501,8 @@ def mollified_dirac_family(
     if budget_lift <= 1.0:
         raise InvalidArgumentError(f"budget lift must exceed 1, got {budget_lift!r}")
     nodes = quad.radial_grid(R, grid_n)
-    flat = _orlicz_budget(dim, nodes, np.full_like(nodes, base), weight)
+    budget_of = _orlicz_budgets(dim, nodes, weight)
+    flat = budget_of(np.full_like(nodes, base))
     target = budget_lift * flat
 
     members = []
@@ -484,7 +513,7 @@ def mollified_dirac_family(
         bump = np.exp(-(nodes**2) / (2.0 * eps * eps))
 
         def gap(amp, bump=bump):
-            return _orlicz_budget(dim, nodes, base + amp * bump, weight) - target
+            return budget_of(base + amp * bump) - target
 
         hi = 1.0
         while gap(hi) < 0:

@@ -3,10 +3,13 @@
 The k-Hessian operator of a C^2 function is the k-th elementary
 symmetric function of the Hessian eigenvalues.  This module holds the
 spectral kernels (stable elementary symmetric evaluation, admissible
-cone membership, Maclaurin means) together with the dimensional
-constants every other module needs: the unit ball volume, the sharp
-exponential coefficient, its exponent ceiling in the intermediate case
-2k = n, and the mass quantum separating regular from singular points.
+cone membership, Maclaurin means); S_k of a symmetric matrix by two
+independent routes, its spectrum and its principal minors, each also
+in an all-orders form that symmetrizes the matrix once for S_1 .. S_n;
+and the dimensional constants every other module needs: the unit ball
+volume, the sharp exponential coefficient, its exponent ceiling in the
+intermediate case 2k = n, and the mass quantum separating regular from
+singular points.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ __all__ = [
     "unit_ball_volume",
     "elem_sym",
     "elem_sym_all",
+    "s_k_all_of_matrix",
     "s_k_of_matrix",
+    "principal_minor_sums",
     "principal_minor_sum",
     "gamma_k_membership",
     "maclaurin_means",
@@ -173,10 +178,40 @@ def _check_order(k, n: int) -> int:
     return int(k)
 
 
+def s_k_all_of_matrix(mat) -> np.ndarray:
+    """S_1 .. S_n of a symmetric n x n matrix via its eigenvalue spectrum.
+
+    One symmetrization, one eigvalsh and one elem_sym_all serve every
+    order; entry k - 1 is the float s_k_of_matrix(mat, k) returns.
+    """
+    return elem_sym_all(np.linalg.eigvalsh(_check_symmetric(mat)))[1:]
+
+
 def s_k_of_matrix(mat, k: int) -> float:
     """S_k of a symmetric matrix via its eigenvalue spectrum."""
     m = _check_symmetric(mat)
-    return elem_sym(np.linalg.eigvalsh(m), _check_order(k, m.shape[0]))
+    k = _check_order(k, m.shape[0])
+    return float(elem_sym_all(np.linalg.eigvalsh(m))[k])
+
+
+def _minor_sum(m: np.ndarray, k: int) -> float:
+    # the k x k principal minors of a symmetrized m, summed in order
+    idx = np.array(list(combinations(range(m.shape[0]), k)))
+    total = 0.0
+    for det in np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).tolist():
+        total += det
+    return total
+
+
+def principal_minor_sums(mat) -> np.ndarray:
+    """S_1 .. S_n of a symmetric n x n matrix as sums of principal minors.
+
+    One symmetrization serves every order; entry k - 1 is the float
+    principal_minor_sum(mat, k) returns.  Cost grows as 2^n, fine for
+    n <= 8.
+    """
+    m = _check_symmetric(mat)
+    return np.array([_minor_sum(m, k) for k in range(1, m.shape[0] + 1)])
 
 
 def principal_minor_sum(mat, k: int) -> float:
@@ -186,12 +221,7 @@ def principal_minor_sum(mat, k: int) -> float:
     compares.  Cost grows as C(n,k), fine for n <= 8.
     """
     m = _check_symmetric(mat)
-    n = m.shape[0]
-    idx = np.array(list(combinations(range(n), _check_order(k, n))))
-    total = 0.0
-    for det in np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).tolist():
-        total += det
-    return total
+    return _minor_sum(m, _check_order(k, m.shape[0]))
 
 
 def gamma_k_membership(eigs, k: int, tol: float = 0.0) -> bool:

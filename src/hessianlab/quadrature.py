@@ -22,6 +22,13 @@ mutated in place since, is never served stale stencils.  A miss
 validates the nodes in full (positive, strictly increasing, >= 3
 points, no NaN) before building; a hit has passed those checks
 already.  RadialProfile validates its nodes here too.
+
+radial_grid keeps the geometric grids it has built in a second memo,
+also of at most _CACHE_SIZE grids and oldest dropped first, keyed on
+(float(R), int(grid_n), float(rmin_factor)).  Each call validates its
+arguments as before and returns a fresh writable copy of the memo's
+nodes, so a caller may write into its grid without touching the memo
+or any other caller's grid.
 """
 
 from __future__ import annotations
@@ -46,6 +53,19 @@ __all__ = [
 ]
 
 _CACHE_SIZE = 8
+_cache_lock = threading.Lock()
+
+
+def _remember(cache: dict, key, value) -> None:
+    """Store value in cache under key, dropping the oldest entries past
+    _CACHE_SIZE."""
+    with _cache_lock:
+        cache[key] = value
+        while len(cache) > _CACHE_SIZE:
+            del cache[next(iter(cache))]
+
+
+_nodes: dict[tuple, np.ndarray] = {}
 
 
 def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N, rmin_factor: float = DEFAULT_RMIN_FACTOR) -> np.ndarray:
@@ -56,7 +76,13 @@ def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N, rmin_factor: float = DEF
         raise InvalidArgumentError(f"grid size must be an integer >= 16, got {grid_n!r}")
     if not 0 < rmin_factor < 1:
         raise InvalidArgumentError(f"inner cutoff factor must lie in (0, 1), got {rmin_factor!r}")
-    return np.geomspace(rmin_factor * R, R, int(grid_n))
+    key = (float(R), int(grid_n), float(rmin_factor))
+    nodes = _nodes.get(key)
+    if nodes is None:
+        R, grid_n, rmin_factor = key
+        nodes = np.geomspace(rmin_factor * R, R, grid_n)
+        _remember(_nodes, key, nodes)
+    return nodes.copy()
 
 
 def _stencil(h1, h2) -> tuple:
@@ -83,7 +109,6 @@ class _Grid(NamedTuple):
 
 
 _grids: dict[tuple, _Grid] = {}
-_grids_lock = threading.Lock()
 
 
 def _known_grid(x: np.ndarray) -> _Grid | None:
@@ -110,10 +135,7 @@ def _grid(nodes) -> _Grid:
     x.flags.writeable = False
     h = np.diff(np.log(x))
     grid = _Grid(x, _stencil(h[:-1:2], h[1::2]), _stencil(h[1::2], h[:-1:2]), _stencil(h[-1], h[-2]))
-    with _grids_lock:
-        _grids[(x.size, x[0], x[-1])] = grid
-        while len(_grids) > _CACHE_SIZE:
-            del _grids[next(iter(_grids))]
+    _remember(_grids, (x.size, x[0], x[-1]), grid)
     return grid
 
 

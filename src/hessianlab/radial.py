@@ -59,6 +59,7 @@ __all__ = [
     "exp_integral",
     "exp_moment_bound",
     "volume_integral",
+    "volume_integrator",
     "domain_volume",
 ]
 
@@ -518,11 +519,27 @@ def exp_moment_bound(dim: HessianDim, R: float, lam: float) -> float:
     return domain_volume(dim, R) * alpha0 / (alpha0 - lam)
 
 
+def volume_integrator(dim: HessianDim, nodes: np.ndarray):
+    """The map g -> volume_integral(dim, nodes, g) of one grid.
+
+    n omega_n and r^(n-1) are taken once, for callers that integrate
+    many functions on the same nodes; each result is the same float
+    volume_integral gives.
+    """
+    area = dim.n * dim.ball_volume
+    power = nodes ** (dim.n - 1)
+
+    def integrate(g) -> float:
+        shell = area * np.asarray(g, dtype=float) * power
+        return float(quad.cumulative_from_origin(nodes, shell)[-1])
+
+    return integrate
+
+
 def volume_integral(dim: HessianDim, nodes: np.ndarray, g: np.ndarray) -> float:
     """Integral of a radial function g over the ball, n omega_n
     int g r^(n-1) dr, origin stub included."""
-    shell = dim.n * dim.ball_volume * np.asarray(g, dtype=float) * nodes ** (dim.n - 1)
-    return float(quad.cumulative_from_origin(nodes, shell)[-1])
+    return volume_integrator(dim, nodes)(g)
 
 
 def _power_singularity(u: RadialProfile) -> float | None:

@@ -434,6 +434,67 @@ class TestFixedBudgetFamily:
         assert len(rec.details["sup_values"]) == 6
 
 
+def budget_before_hoisting(dim, nodes, g, weight) -> float:
+    # The Orlicz budget as it was computed before n omega_n and r^(n-1)
+    # were taken once per grid: the zero masks on every density, then
+    # volume_integral's formula written out.
+    with np.errstate(divide="ignore"):
+        logs = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), 0.0)
+    integrand = np.where(g > 0, g * weight.value(logs), 0.0)
+    shell = dim.n * dim.ball_volume * integrand * nodes ** (dim.n - 1)
+    return float(quad.cumulative_from_origin(nodes, shell)[-1])
+
+
+BUDGET_WEIGHTS = {
+    "exp": lambda k: OrliczWeight("exp", k, rate=1.0),
+    "power": lambda k: OrliczWeight("power", k, exponent=3.0),
+    "tabulated": lambda k: OrliczWeight(
+        "tabulated", k, nodes=np.linspace(-2.0, 8.0, 64), values=np.exp(np.linspace(-2.0, 8.0, 64)),
+    ),
+}
+
+# Heights 1 + A(eps) at r = 0 of the six members of the suite's families
+# (Phi = e^t, R = 1, grid 2048), taken before the budget factors were
+# hoisted; the fixed-budget record reads these heights.
+MOLLIFIED_HEIGHTS = {
+    (2, 1): ["0x1.aeeb8a967b94ap+0", "0x1.8ca4d5550e5e5p+1", "0x1.9b7fb7b647eb6p+2",
+             "0x1.ae65b10eb1bddp+3", "0x1.bb103aaecde25p+4", "0x1.c239e4b6f0492p+5"],
+    (4, 2): ["0x1.f865333e880eep+2", "0x1.2d6500b6ab3fbp+5", "0x1.3dea825066187p+7",
+             "0x1.4252cbb9a8e7ep+9", "0x1.437150417a66bp+11", "0x1.43b93889e8bb5p+13"],
+}
+
+
+class TestBudgetHelper:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nk=st.sampled_from([(2, 1), (4, 2)]),
+        kind=st.sampled_from(sorted(BUDGET_WEIGHTS)),
+        R=st.sampled_from([1e-3, 1.0, 7.5]),
+        base=st.floats(0.0, 5.0),
+        amp=st.floats(0.0, 1e3),
+        width=st.floats(0.01, 1.0),
+        zeros=st.tuples(st.integers(0, 255), st.integers(0, 64)),
+    )
+    def test_equals_the_budget_before_hoisting(self, nk, kind, R, base, amp, width, zeros):
+        dim = HessianDim(*nk)
+        weight = BUDGET_WEIGHTS[kind](dim.k)
+        nodes = quad.radial_grid(R, 256)
+        g = base + amp * np.exp(-((nodes / R) ** 2) / (2.0 * width**2))
+        start, count = zeros
+        g[start : start + count] = 0.0
+        expected = budget_before_hoisting(dim, nodes, g, weight)
+        budget_of = abp._orlicz_budgets(dim, nodes, weight)
+        assert budget_of(g) == expected
+        assert abp._orlicz_budget(dim, nodes, g, weight) == expected
+
+    @pytest.mark.parametrize("nk", sorted(MOLLIFIED_HEIGHTS))
+    def test_mollified_heights_are_unchanged(self, nk):
+        dim = HessianDim(*nk)
+        family = mollified_dirac_family(dim, OrliczWeight("exp", dim.k, rate=1.0), grid_n=2048)
+        heights = [float(fn(np.array([0.0]))[0]).hex() for _, fn in family]
+        assert heights == MOLLIFIED_HEIGHTS[nk]
+
+
 class TestPipeline:
     def test_end_to_end_decay_certificate(self, intermediate_dim):
         def density(r):

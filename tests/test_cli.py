@@ -39,7 +39,7 @@ from hessianlab.parallel import ENV_THREADS, thread_count
 from hessianlab.profile_io import FORMAT
 from hessianlab.radial import s_k_radial
 from hessianlab.report import CSV_HEADER
-from hessianlab.suites import CONFIG_KEYS, OPTIONS, ExperimentConfig, load_config_file
+from hessianlab.suites import CONFIG_KEYS, OPTIONS, RADIUS_RANGE, ExperimentConfig, load_config_file
 
 
 def run_python(*args):
@@ -153,6 +153,12 @@ class TestConfigMerging:
             ExperimentConfig(family="cubic")
         with pytest.raises(ConfigError, match="grid-n"):
             ExperimentConfig(grid_n=8)
+        lo, hi = RADIUS_RANGE
+        for radius in (0.0, -1.0, math.inf, math.nan, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+            with pytest.raises(ConfigError, match=r"radius must lie in \[1e-60, 1e\+07\]"):
+                ExperimentConfig(radius=radius)
+        assert ExperimentConfig(radius=lo).radius == lo
+        assert ExperimentConfig(radius=hi).radius == hi
 
     def test_malformed_config_file_is_line_anchored(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -448,6 +454,25 @@ class TestCheckErrors:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("hessianlab: ") and proc.stderr.count("\n") == 1
+
+
+class TestRadiusRange:
+    # Outside the range checks raise or overflow: at 1e300 the quadratic
+    # closed form overflows, at 1e-100 the level-set capacity check
+    # divides by zero.
+    @pytest.mark.parametrize("radius", ["1e300", "1e-100"])
+    def test_outside_exits_two_with_one_line(self, radius):
+        proc = run_python("-m", "hessianlab.cli", "--suite", "all", "--grid-n", "2048", "--radius", radius)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"hessianlab: radius must lie in [1e-60, 1e+07], got {float(radius)!r}\n"
+
+    @pytest.mark.parametrize("radius", RADIUS_RANGE)
+    def test_endpoints_pass_quietly(self, radius):
+        proc = run_python("-m", "hessianlab.cli", "--suite", "all", "--grid-n", "2048", "--radius", repr(radius))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(",".join(CSV_HEADER))
 
 
 # One value per config key, in the types a JSON file carries.

@@ -23,6 +23,8 @@ from hessianlab.core import (
     gamma_k_membership,
     maclaurin_means,
     principal_minor_sum,
+    principal_minor_sums,
+    s_k_all_of_matrix,
     s_k_of_matrix,
     unit_ball_volume,
 )
@@ -80,7 +82,54 @@ class TestElementarySymmetric:
             elem_sym([1.0, 2.0], -1)
 
 
+def per_order_routes(mat, k: int) -> tuple[float, float]:
+    """S_k by the spectrum and by the principal minors as computed before
+    the all-orders forms, each order symmetrizing the matrix again."""
+    m = np.asarray(mat, dtype=float)
+    m = 0.5 * (m + m.T)
+    via_eigs = elem_sym(np.linalg.eigvalsh(m), k)
+    idx = np.array(list(combinations(range(m.shape[0]), k)))
+    via_minors = 0.0
+    for det in np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).tolist():
+        via_minors += det
+    return via_eigs, via_minors
+
+
+def assert_all_orders_match(mat):
+    n = mat.shape[0]
+    via_eigs, via_minors = s_k_all_of_matrix(mat), principal_minor_sums(mat)
+    assert via_eigs.shape == via_minors.shape == (n,)
+    for k in range(1, n + 1):
+        expected = per_order_routes(mat, k)
+        assert (via_eigs[k - 1], via_minors[k - 1]) == expected
+        assert (s_k_of_matrix(mat, k), principal_minor_sum(mat, k)) == expected
+
+
 class TestMatrixRoutes:
+    def test_all_orders_forms_on_corpus(self, sym_matrices):
+        for mat in sym_matrices:
+            assert_all_orders_match(mat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        entries=st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=64, max_size=64),
+    )
+    def test_all_orders_forms_on_nearly_symmetric(self, n, entries):
+        # an asymmetry well inside the 1e-12 tolerance, so the
+        # symmetrization changes the bits the routes see
+        a = np.array(entries).reshape(8, 8)[:n, :n]
+        sym = 0.5 * (a + a.T)
+        scale = float(np.max(np.abs(sym))) or 1.0
+        assert_all_orders_match(sym + 5e-16 * scale * (a - a.T))
+
+    @pytest.mark.parametrize("route", [s_k_of_matrix, principal_minor_sum])
+    def test_bad_order_is_rejected_before_the_matrix_is_used(self, route):
+        # inf entries pass the symmetry check (inf - inf is NaN), so only
+        # checking k first reports the order rather than a spectrum error
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidArgumentError, match="order k"):
+            route(np.full((2, 2), np.inf), 3)
+
     def test_two_routes_agree_on_corpus(self, sym_matrices):
         # acceptance-grade bound: 1e-9 relative against a spread-aware scale
         for mat in sym_matrices:

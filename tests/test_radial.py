@@ -47,6 +47,7 @@ from hessianlab.radial import (
     solve_dirichlet,
     value_at,
     volume_integral,
+    volume_integrator,
     weak_lp_quasinorm,
 )
 from hessianlab.report import emit_report
@@ -207,6 +208,60 @@ class TestGridCache:
         monkeypatch.setenv(ENV_THREADS, "2")
         pooled, _ = run_suite(cfg)
         assert emit_report(pooled) == emit_report(serial)
+
+
+class TestGridMemo:
+    """radial_grid serves each geometric grid from a bounded memo, as a
+    fresh writable copy."""
+
+    @pytest.mark.parametrize("R, grid_n, rmin", [
+        (1.0, 2048, quad.DEFAULT_RMIN_FACTOR), (1e-6, 8192, quad.DEFAULT_RMIN_FACTOR),
+        (1e6, 64, quad.DEFAULT_RMIN_FACTOR), (2.5, 16, 1e-3), (7, 100, 0.5),
+    ])
+    def test_bitwise_geomspace(self, R, grid_n, rmin):
+        expected = np.geomspace(rmin * R, R, grid_n)
+        for _ in range(2):
+            got = quad.radial_grid(R, grid_n, rmin)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    def test_each_call_is_a_fresh_writable_copy(self):
+        first = quad.radial_grid(3.0, 512)
+        assert first.flags.writeable
+        expected = first.copy()
+        first[:] = -1.0
+        second = quad.radial_grid(3.0, 512)
+        assert second is not first
+        assert np.array_equal(second, expected)
+
+    def test_memo_is_bounded(self):
+        for i in range(3 * quad._CACHE_SIZE):
+            quad.radial_grid(1.0 + i, 32 + i)
+        assert len(quad._nodes) <= quad._CACHE_SIZE
+
+    def test_threads_get_exact_copies(self):
+        # more threads than cores and more keys than the bound, with a
+        # short switch interval so inserts and evictions interleave
+        keys = [(1.0 + i, 40 + i) for i in range(3 * quad._CACHE_SIZE)]
+        jobs = [keys[i % len(keys)] for i in range(2000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(quad.radial_grid, *key) for key in jobs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (R, grid_n), got in zip(jobs, results):
+            assert got.tobytes() == np.geomspace(quad.DEFAULT_RMIN_FACTOR * R, R, grid_n).tobytes()
+        assert len({id(got) for got in results}) == len(results)
+        assert len(quad._nodes) <= quad._CACHE_SIZE
+
+    @pytest.mark.parametrize("args", [(0.0, 64), (math.inf, 64), (1.0, 8), (1.0, 64.0), (1.0, 64, 1.0)])
+    def test_bad_arguments_are_rejected_after_a_hit(self, args):
+        quad.radial_grid(1.0, 64)
+        with pytest.raises(InvalidArgumentError):
+            quad.radial_grid(*args)
 
 
 class TestAgainstFullHessian:
@@ -602,6 +657,28 @@ class TestEnergyFunctionals:
         got = volume_integral(D42, nodes, g)
         oracle = sciquad(lambda r: 2.0 * math.pi**2 * r**3 * math.exp(-r * r), 0.0, 1.0)[0]
         assert got == pytest.approx(oracle, rel=2e-7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        R=st.sampled_from([1e-3, 1.0, 7.5]),
+        width=st.floats(0.01, 1.0),
+        zeros=st.tuples(st.integers(0, 255), st.integers(0, 64)),
+    )
+    def test_volume_integrator_keeps_the_formula_bits(self, n, R, width, zeros):
+        # n omega_n g r^(n-1) in this product order, as volume_integral
+        # formed it per call before the grid factors were taken once
+        dim = HessianDim(n, 1)
+        nodes = quad.radial_grid(R, 256)
+        g = 2.0 + np.exp(-((nodes / R) ** 2) / (2.0 * width**2))
+        start, count = zeros
+        g[start : start + count] = 0.0
+        shell = dim.n * dim.ball_volume * g * nodes ** (dim.n - 1)
+        expected = float(quad.cumulative_from_origin(nodes, shell)[-1])
+        integrate = volume_integrator(dim, nodes)
+        assert integrate(g) == expected
+        assert integrate(g) == expected
+        assert volume_integral(dim, nodes, g) == expected
 
     def test_domain_volume(self):
         assert domain_volume(D21, 2.0) == pytest.approx(4.0 * math.pi, rel=1e-15)

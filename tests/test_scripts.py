@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from hessianlab.suites import RADIUS_RANGE
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -77,8 +79,10 @@ class TestReportDiff:
     def test_extreme_radii_are_in_the_run_list(self):
         configs = report_diff.run_list(["sym"], [512])
         assert ("--suite", "sym", "--grid-n", "512") in configs
-        for radius in ("1e-6", "1e6"):
+        for radius in ("1e-6", "1e6", "1e-60", "1e7"):
             assert ("--suite", "all", "--grid-n", "2048", "--radius", radius) in configs
+        # the ends of the accepted range
+        assert set(RADIUS_RANGE) <= {float(config[-1]) for config in report_diff.RADIUS_CONFIGS}
 
 
 class TestBenchVerdict:

@@ -162,10 +162,17 @@ def elem_sym(eigs, j: int) -> float:
     return float(elem_sym_all(lam)[int(j)])
 
 
-def _check_symmetric(mat: np.ndarray) -> np.ndarray:
+def _check_symmetric(mat: np.ndarray, k=None) -> np.ndarray:
+    """mat symmetrized, after checking in turn its shape, the order k
+    when one is given, and its entries: finite, then symmetric."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise InvalidArgumentError("matrix must be square and nonempty")
+    if k is not None:
+        _check_order(k, m.shape[0])
+    # before the symmetry test, which inf - inf = NaN would pass
+    if not np.isfinite(m).all():
+        raise InvalidArgumentError("matrix entries must be finite")
     scale = np.max(np.abs(m)) or 1.0
     if np.max(np.abs(m - m.T)) > 1e-12 * scale:
         raise InvalidArgumentError("matrix is not symmetric within tolerance")
@@ -189,9 +196,8 @@ def s_k_all_of_matrix(mat) -> np.ndarray:
 
 def s_k_of_matrix(mat, k: int) -> float:
     """S_k of a symmetric matrix via its eigenvalue spectrum."""
-    m = _check_symmetric(mat)
-    k = _check_order(k, m.shape[0])
-    return float(elem_sym_all(np.linalg.eigvalsh(m))[k])
+    m = _check_symmetric(mat, k)
+    return float(elem_sym_all(np.linalg.eigvalsh(m))[int(k)])
 
 
 def _minor_sum(m: np.ndarray, k: int) -> float:
@@ -220,8 +226,7 @@ def principal_minor_sum(mat, k: int) -> float:
     Independent of the eigenvalue route; the sym suite runs both and
     compares.  Cost grows as C(n,k), fine for n <= 8.
     """
-    m = _check_symmetric(mat)
-    return _minor_sum(m, _check_order(k, m.shape[0]))
+    return _minor_sum(_check_symmetric(mat, k), int(k))
 
 
 def gamma_k_membership(eigs, k: int, tol: float = 0.0) -> bool:

@@ -4,13 +4,12 @@ Thread count comes from HESSIAN_LAB_THREADS; unset means one thread
 (the checks are small-array numpy work that holds the GIL, so threads
 make runs slower), 0 means one worker per CPU.  Results always come
 back in input order, so report output is identical whatever the worker
-count.
+count.  concurrent.futures is imported only when a pool is built.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigError
 
@@ -37,5 +36,8 @@ def map_ordered(fn, items):
     workers = min(thread_count(), max(len(items), 1))
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: a serial run, the default, never needs it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

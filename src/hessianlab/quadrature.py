@@ -23,6 +23,12 @@ validates the nodes in full (positive, strictly increasing, >= 3
 points, no NaN) before building; a hit has passed those checks
 already.  RadialProfile validates its nodes here too.
 
+The kernel evaluates each parabola piece a (b f0 + c f1 - d f2) with the
+operations of that expression in their order, written through two
+scratch arrays allocated per call rather than one temporary per
+operation, so its floats are those of the plain expression.  Scratch
+is never shared between calls, since checks may run on threads.
+
 radial_grid keeps the geometric grids it has built in a second memo,
 also of at most _CACHE_SIZE grids and oldest dropped first, keyed on
 (float(R), int(grid_n), float(rmin_factor)).  Each call validates its
@@ -152,10 +158,16 @@ def _cumulative(grid: _Grid, y: np.ndarray) -> np.ndarray:
     near, mid, far = f[:-2:2], f[1:-1:2], f[2::2]
     out = np.empty(f.size)
     out[0] = 0.0
-    a, b, c, d = grid.forward
-    out[1:-1:2] = a * (b * near + c * mid - d * far)
-    a, b, c, d = grid.backward
-    out[2::2] = a * (b * far + c * mid - d * near)
+    # a * (b * f0 + c * f1 - d * f2) per piece, through per-call scratch
+    s, t = np.empty(near.size), np.empty(near.size)
+    pieces = ((grid.forward, near, far, out[1:-1:2]), (grid.backward, far, near, out[2::2]))
+    for (a, b, c, d), f0, f2, piece in pieces:
+        np.multiply(b, f0, out=s)
+        np.multiply(c, mid, out=t)
+        s += t
+        np.multiply(d, f2, out=t)
+        s -= t
+        np.multiply(a, s, out=piece)
     a, b, c, d = grid.last
     out[-1] = a * (b * f[-1] + c * f[-2] - d * f[-3])
     np.cumsum(out[1:], out=out[1:])

@@ -16,6 +16,14 @@ inverts it for u'(r) and integrates inward from the boundary datum.
 A measure is therefore held as its atom at the origin, the r -> 0
 limit of m, plus the cumulative mass m at the nodes; the pointwise
 density above is s_k_density, a finite-difference diagnostic.
+
+A measure given by a density f is built by measure_integrator(dim, R,
+nodes), the one home of its formula: the shell ((n omega_n) f) r^(n-1)
+integrated from the origin in one quadrature call, after checking that
+f is finite and nonnegative, and a divergent origin stub rejected.  It
+takes n omega_n and r^(n-1) once per grid, so a caller building many
+measures on one grid (the Liouville fixed-point loop) pays for them
+once; RadialMeasure.from_parts is the same map.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ __all__ = [
     "exp_moment_bound",
     "volume_integral",
     "volume_integrator",
+    "measure_integrator",
     "domain_volume",
 ]
 
@@ -92,22 +101,22 @@ class RadialProfile:
         nodes = np.asarray(self.nodes, dtype=float)
         values = np.asarray(self.values, dtype=float)
         slope = np.asarray(self.slope, dtype=float)
-        if not np.isfinite(self.R) or self.R <= 0:
+        if not math.isfinite(self.R) or self.R <= 0:
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
-        if not np.isfinite(self.boundary):
+        if not math.isfinite(self.boundary):
             raise InvalidArgumentError(f"boundary value must be finite, got {self.boundary!r}")
         quad._grid(nodes)  # validates the nodes
         if values.shape != nodes.shape or slope.shape != nodes.shape:
             raise InvalidArgumentError("values and slope must match the grid shape")
         if abs(nodes[-1] - self.R) > 1e-12 * self.R:
             raise InvalidArgumentError("last grid node must sit on the boundary radius")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(slope))):
+        if not (np.isfinite(values).all() and np.isfinite(slope).all()):
             raise InvalidArgumentError("profile samples must be finite")
-        scale = max(float(np.max(np.abs(slope))), 1.0)
-        if np.min(slope) < -1e-12 * scale:
+        scale = max(float(np.abs(slope).max()), 1.0)
+        if slope.min() < -1e-12 * scale:
             raise NotAdmissibleError("negative slope: profile leaves the admissible cone")
-        vscale = max(float(np.max(np.abs(values))), 1.0)
-        if np.min(np.diff(values)) < -_MONOTONE_SLACK * vscale:
+        vscale = max(float(np.abs(values).max()), 1.0)
+        if (values[1:] - values[:-1]).min() < -_MONOTONE_SLACK * vscale:
             raise NotAdmissibleError("values must be nondecreasing in r")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
@@ -141,10 +150,10 @@ class RadialMeasure:
         cumulative = np.asarray(self.cumulative, dtype=float)
         if nodes.ndim != 1 or cumulative.shape != nodes.shape:
             raise InvalidArgumentError("measure arrays must be matching 1-d arrays")
-        if self.atom < 0 or not np.isfinite(self.atom):
+        if self.atom < 0 or not math.isfinite(self.atom):
             raise InvalidMeasureError(f"atom must be finite and >= 0, got {self.atom!r}")
         scale = max(float(cumulative[-1]), 1.0)
-        step = np.min(np.diff(cumulative))
+        step = (cumulative[1:] - cumulative[:-1]).min()
         if step < -_MONOTONE_SLACK * scale:
             raise InvalidMeasureError("cumulative mass must be nondecreasing")
         object.__setattr__(self, "nodes", nodes)
@@ -187,17 +196,8 @@ class RadialMeasure:
         """Build atom + density measure, integrating the density exactly
         enough for round trips (log-Simpson plus a power-law stub)."""
         nodes = np.asarray(nodes, dtype=float)
-        f = density(nodes) if callable(density) else np.asarray(density, dtype=float)
-        f = np.broadcast_to(np.asarray(f, dtype=float), nodes.shape)
-        if np.any(f < 0) or not np.all(np.isfinite(f)):
-            raise InvalidMeasureError("density must be finite and nonnegative")
-        n = dim.n
-        shell = dim.ball_volume * n * f * nodes ** (n - 1)
-        mass = quad.cumulative_from_origin(nodes, shell)
-        # mass[0] is the origin stub alone
-        if not np.isfinite(mass[0]):
-            raise InvalidMeasureError("density is not integrable near the origin")
-        return cls(dim, R, nodes, float(atom), float(atom) + mass)
+        f = density(nodes) if callable(density) else density
+        return measure_integrator(dim, R, nodes)(f, atom)
 
 
 class KindParams(NamedTuple):
@@ -534,6 +534,32 @@ def volume_integrator(dim: HessianDim, nodes: np.ndarray):
         return float(quad.cumulative_from_origin(nodes, shell)[-1])
 
     return integrate
+
+
+def measure_integrator(dim: HessianDim, R: float, nodes: np.ndarray):
+    """The map (density, atom=0) -> RadialMeasure.from_parts(dim, R,
+    nodes, atom, density) of one grid, for density sample arrays.
+
+    n omega_n and r^(n-1) are taken once, for callers that build many
+    measures on the same nodes (each Liouville image); every call makes
+    the same sample checks and returns the same floats from_parts gives,
+    since from_parts is this map.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    area = dim.ball_volume * dim.n
+    power = nodes ** (dim.n - 1)
+
+    def build(density, atom: float = 0.0) -> RadialMeasure:
+        f = np.broadcast_to(np.asarray(density, dtype=float), nodes.shape)
+        if (f < 0).any() or not np.isfinite(f).all():
+            raise InvalidMeasureError("density must be finite and nonnegative")
+        mass = quad.cumulative_from_origin(nodes, area * f * power)
+        # mass[0] is the origin stub alone
+        if not math.isfinite(mass[0]):
+            raise InvalidMeasureError("density is not integrable near the origin")
+        return RadialMeasure(dim, R, nodes, float(atom), float(atom) + mass)
+
+    return build
 
 
 def volume_integral(dim: HessianDim, nodes: np.ndarray, g: np.ndarray) -> float:

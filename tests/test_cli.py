@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import hessianlab
+from hessianlab import profile_io
+from hessianlab import quadrature as quad
 from hessianlab import (
     CheckRecord,
     ConfigError,
@@ -27,6 +29,7 @@ from hessianlab import (
     emit_report,
     load_profile,
     make_profile,
+    profile_from_slope,
     row_from_record,
     rows_status,
     run_suite,
@@ -397,6 +400,48 @@ class TestProfileLayout:
         assert np.array_equal(back.values, u.values) and back.boundary == u.boundary
 
 
+class TestNodeTextMemo:
+    """save_profile formats each grid's node column once and serves it
+    only to nodes that are the same bits."""
+
+    @staticmethod
+    def profile(nodes, c=1.5):
+        return profile_from_slope(HessianDim(2, 1), float(nodes[-1]), nodes, c * nodes, 0.0)
+
+    def assert_saves_exactly(self, u, path):
+        save_profile(u, path)
+        assert path.read_bytes() == _profile_text(u).encode("utf-8")
+
+    def test_two_saves_on_one_grid(self, tmp_path):
+        nodes = quad.radial_grid(1.0, 2048)
+        for c in (1.5, 2.5):
+            self.assert_saves_exactly(self.profile(nodes, c), tmp_path / "u.json")
+
+    def test_same_key_other_interior_node(self, tmp_path):
+        nodes = quad.radial_grid(1.0, 256)
+        self.assert_saves_exactly(self.profile(nodes), tmp_path / "u.json")
+        moved = nodes.copy()
+        moved[100] = 0.5 * (nodes[99] + nodes[101])
+        assert (moved.size, moved[0], moved[-1]) == (nodes.size, nodes[0], nodes[-1])
+        self.assert_saves_exactly(self.profile(moved), tmp_path / "u.json")
+
+    def test_nodes_written_in_place_after_a_save(self, tmp_path):
+        u = self.profile(quad.radial_grid(2.0, 256))
+        self.assert_saves_exactly(u, tmp_path / "u.json")
+        u.nodes[50] = 0.5 * (u.nodes[49] + u.nodes[51])
+        self.assert_saves_exactly(u, tmp_path / "u.json")
+
+    def test_signed_zero_is_not_served_as_zero(self):
+        assert profile_io._node_text(np.array([1.0, 0.0, 2.0])) == "1.0,\n  0.0,\n  2.0"
+        assert profile_io._node_text(np.array([1.0, -0.0, 2.0])) == "1.0,\n  -0.0,\n  2.0"
+
+    def test_more_grids_than_the_bound(self, tmp_path):
+        grids = [quad.radial_grid(1.0 + i, 32 + i) for i in range(quad._CACHE_SIZE + 3)]
+        for nodes in grids + grids[:2]:
+            self.assert_saves_exactly(self.profile(nodes), tmp_path / "u.json")
+            assert len(profile_io._node_texts) <= quad._CACHE_SIZE
+
+
 class TestRecordInvariants:
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(suite="solve", grid_n=512),
@@ -428,6 +473,13 @@ class TestProcess:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.startswith(",".join(CSV_HEADER))
+
+    def test_import_loads_no_thread_pool(self):
+        # the pool module is imported by map_ordered only when it builds a pool
+        code = "import sys, hessianlab.cli; print('concurrent.futures' in sys.modules)"
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_import_loads_no_scipy(self):
         code = "import sys, hessianlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

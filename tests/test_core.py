@@ -8,6 +8,7 @@ gamma-function formula.  Frozen constants carry their closed forms.
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -125,10 +126,37 @@ class TestMatrixRoutes:
 
     @pytest.mark.parametrize("route", [s_k_of_matrix, principal_minor_sum])
     def test_bad_order_is_rejected_before_the_matrix_is_used(self, route):
-        # inf entries pass the symmetry check (inf - inf is NaN), so only
-        # checking k first reports the order rather than a spectrum error
+        # k is checked before the entries, so a bad order is what an inf
+        # matrix with a bad k reports
         with np.errstate(invalid="ignore"), pytest.raises(InvalidArgumentError, match="order k"):
             route(np.full((2, 2), np.inf), 3)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda m: s_k_of_matrix(m, 1),
+            s_k_all_of_matrix,
+            lambda m: principal_minor_sum(m, 1),
+            principal_minor_sums,
+        ],
+        ids=["s_k_of_matrix", "s_k_all_of_matrix", "principal_minor_sum", "principal_minor_sums"],
+    )
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[-np.inf, 0.0], [0.0, -np.inf]],
+            np.full((2, 2), np.inf),
+            np.full((3, 3), np.nan),
+        ],
+        ids=["inf diagonal", "nan pair", "-inf diagonal", "all inf", "all nan"],
+    )
+    def test_nonfinite_entries_are_rejected_up_front(self, route, mat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+                route(np.array(mat))
 
     def test_two_routes_agree_on_corpus(self, sym_matrices):
         # acceptance-grade bound: 1e-9 relative against a spread-aware scale

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
@@ -40,6 +41,7 @@ from hessianlab.radial import (
     hessian_mass,
     level_set_radius,
     lp_norm,
+    measure_integrator,
     phi_norm,
     profile_from_slope,
     s_k_density,
@@ -706,3 +708,264 @@ def test_roundtrip_property(c, boundary):
     v = solve_dirichlet(s_k_radial(shifted), boundary)
     # solver error scales with the slope amplitude, not the sup of u
     assert np.max(np.abs(shifted.values - v.values)) <= 1e-7 * max(1.0, c)
+
+
+# Parent-code pins.  The functions below are the code that the Simpson
+# kernel, RadialMeasure.from_parts and the profile and measure checks
+# replaced, kept verbatim as references: the current code must give the
+# same floats bit for bit and the same exception class and message.
+
+_MONOTONE_SLACK = 1e-9
+
+
+def _reference_cumulative(grid, y):
+    f = y * grid.nodes
+    near, mid, far = f[:-2:2], f[1:-1:2], f[2::2]
+    out = np.empty(f.size)
+    out[0] = 0.0
+    a, b, c, d = grid.forward
+    out[1:-1:2] = a * (b * near + c * mid - d * far)
+    a, b, c, d = grid.backward
+    out[2::2] = a * (b * far + c * mid - d * near)
+    a, b, c, d = grid.last
+    out[-1] = a * (b * f[-1] + c * f[-2] - d * f[-3])
+    np.cumsum(out[1:], out=out[1:])
+    return out
+
+
+def _reference_measure(nodes, atom, cumulative):
+    """The checks and stored (atom, cumulative) of RadialMeasure.__post_init__."""
+    nodes = np.asarray(nodes, dtype=float)
+    cumulative = np.asarray(cumulative, dtype=float)
+    if nodes.ndim != 1 or cumulative.shape != nodes.shape:
+        raise InvalidArgumentError("measure arrays must be matching 1-d arrays")
+    if atom < 0 or not np.isfinite(atom):
+        raise InvalidMeasureError(f"atom must be finite and >= 0, got {atom!r}")
+    scale = max(float(cumulative[-1]), 1.0)
+    step = np.min(np.diff(cumulative))
+    if step < -_MONOTONE_SLACK * scale:
+        raise InvalidMeasureError("cumulative mass must be nondecreasing")
+    if not step >= 0:
+        cumulative = np.maximum.accumulate(cumulative)
+    return float(atom), cumulative
+
+
+def _reference_from_parts(dim, R, nodes, atom, density):
+    nodes = np.asarray(nodes, dtype=float)
+    f = density(nodes) if callable(density) else np.asarray(density, dtype=float)
+    f = np.broadcast_to(np.asarray(f, dtype=float), nodes.shape)
+    if np.any(f < 0) or not np.all(np.isfinite(f)):
+        raise InvalidMeasureError("density must be finite and nonnegative")
+    n = dim.n
+    shell = dim.ball_volume * n * f * nodes ** (n - 1)
+    mass = quad.cumulative_from_origin(nodes, shell)
+    # mass[0] is the origin stub alone
+    if not np.isfinite(mass[0]):
+        raise InvalidMeasureError("density is not integrable near the origin")
+    return _reference_measure(nodes, float(atom), float(atom) + mass)
+
+
+def _reference_profile(R, nodes, values, slope, boundary):
+    """The checks of RadialProfile.__post_init__."""
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    slope = np.asarray(slope, dtype=float)
+    if not np.isfinite(R) or R <= 0:
+        raise InvalidArgumentError(f"radius must be positive, got {R!r}")
+    if not np.isfinite(boundary):
+        raise InvalidArgumentError(f"boundary value must be finite, got {boundary!r}")
+    quad._grid(nodes)  # validates the nodes
+    if values.shape != nodes.shape or slope.shape != nodes.shape:
+        raise InvalidArgumentError("values and slope must match the grid shape")
+    if abs(nodes[-1] - R) > 1e-12 * R:
+        raise InvalidArgumentError("last grid node must sit on the boundary radius")
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(slope))):
+        raise InvalidArgumentError("profile samples must be finite")
+    scale = max(float(np.max(np.abs(slope))), 1.0)
+    if np.min(slope) < -1e-12 * scale:
+        raise NotAdmissibleError("negative slope: profile leaves the admissible cone")
+    vscale = max(float(np.max(np.abs(values))), 1.0)
+    if np.min(np.diff(values)) < -_MONOTONE_SLACK * vscale:
+        raise NotAdmissibleError("values must be nondecreasing in r")
+
+
+def _outcome(fn, *args):
+    """What fn(*args) did: its exception class and message, or its
+    result; plus the text of every warning it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("returned", fn(*args))
+        except Exception as exc:  # the class and message are what is compared
+            result = ("raised", type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _measure_parts(mu):
+    return mu.atom, mu.cumulative
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# Densities with zeros, subnormals and values whose shells overflow.
+_DENSITY_ENTRIES = (
+    st.sampled_from([0.0, 0.0, 5e-324, 1e-310, 2.2e-308, 1e300, 1.7e308])
+    | st.floats(min_value=0.0, max_value=1e6)
+)
+
+
+class TestParentPins:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(3, 80),
+        data=st.data(),
+        log_spaced=st.booleans(),
+    )
+    def test_kernel_matches_the_reference_bitwise(self, size, data, log_spaced):
+        if log_spaced:
+            nodes = np.geomspace(1e-8, 1.0, size)
+        else:
+            steps = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=size, max_size=size))
+            nodes = np.cumsum(steps)
+        samples = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324]) | st.floats(-1e6, 1e6),
+            min_size=size, max_size=size,
+        ))
+        grid = quad._grid(nodes)
+        y = np.array(samples)
+        with np.errstate(all="ignore"):
+            assert _bits(quad._cumulative(grid, y)) == _bits(_reference_cumulative(grid, y))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        nk=st.sampled_from([(2, 1), (4, 2), (3, 1)]),
+        R=st.sampled_from([1e-6, 1.0, 1e6]),
+        grid_n=st.sampled_from([16, 17, 64]),
+        atom=st.sampled_from([0.0, 2.5]),
+        data=st.data(),
+    )
+    def test_measure_integrator_matches_from_parts_bitwise(self, nk, R, grid_n, atom, data):
+        dim = HessianDim(*nk)
+        nodes = quad.radial_grid(R, grid_n)
+        density = np.array(data.draw(st.lists(_DENSITY_ENTRIES, min_size=grid_n, max_size=grid_n)))
+        want = _outcome(_reference_from_parts, dim, R, nodes, atom, density)
+        built = measure_integrator(dim, R, nodes)
+        for got in (
+            _outcome(lambda: _measure_parts(built(density, atom))),
+            _outcome(lambda: _measure_parts(RadialMeasure.from_parts(dim, R, nodes, atom, density))),
+        ):
+            assert got[1] == want[1]
+            if want[0][0] == "raised":
+                assert got[0] == want[0]
+            else:
+                (w_atom, w_cum), (g_atom, g_cum) = want[0][1], got[0][1]
+                assert _bits(g_atom) == _bits(w_atom) and _bits(g_cum) == _bits(w_cum)
+
+    @pytest.mark.parametrize("nk", [(2, 1), (4, 2), (3, 1)])
+    @pytest.mark.parametrize(
+        "bad",
+        ["negative", "nan", "inf", "divergent stub", "overflowing edge", "scalar", "callable"],
+    )
+    def test_measure_integrator_raises_like_from_parts(self, nk, bad):
+        dim = HessianDim(*nk)
+        nodes = quad.radial_grid(1.0, 64)
+        density = {
+            "negative": np.where(nodes > 0.5, -1.0, 1.0),
+            "nan": np.where(nodes > 0.5, math.nan, 1.0),
+            "inf": np.where(nodes > 0.5, math.inf, 1.0),
+            # r^(-n-1) dx is not integrable at the origin
+            "divergent stub": nodes ** (-nk[0] - 1.0),
+            "overflowing edge": np.full_like(nodes, 1.7e308) * (nodes < 1e-7) + 1.0,
+            "scalar": 3.0,
+            "callable": lambda r: 1.0 + r,
+        }[bad]
+        want = _outcome(_reference_from_parts, dim, 1.0, nodes, 0.0, density)
+        got = _outcome(lambda: _measure_parts(RadialMeasure.from_parts(dim, 1.0, nodes, 0.0, density)))
+        assert got[1] == want[1]
+        assert got[0][0] == want[0][0]
+        if want[0][0] == "raised":
+            assert got[0] == want[0]
+        else:
+            assert _bits(got[0][1][1]) == _bits(want[0][1][1])
+        if bad in ("negative", "nan", "inf", "divergent stub"):
+            assert want[0][0] == "raised" and want[0][1] is InvalidMeasureError
+
+    @staticmethod
+    def _profile_case(case):
+        nodes = quad.radial_grid(1.0, 64)
+        values, slope = 0.5 * (nodes**2 - 1.0), nodes.copy()
+        args = {"R": 1.0, "nodes": nodes, "values": values, "slope": slope, "boundary": 0.0}
+        change = {
+            "valid": {},
+            "nan R": {"R": math.nan},
+            "inf R": {"R": math.inf},
+            "negative R": {"R": -1.0},
+            "numpy scalar R": {"R": np.float64(1.0)},
+            "numpy scalar nan R": {"R": np.float64(math.nan)},
+            "0-d array R": {"R": np.array(1.0)},
+            "0-d array nan R": {"R": np.array(math.nan)},
+            "R off the last node": {"R": 2.0},
+            "inf boundary": {"boundary": math.inf},
+            "nan boundary": {"boundary": math.nan},
+            "numpy scalar boundary": {"boundary": np.float64(0.0)},
+            "nan values": {"values": np.where(nodes > 0.5, math.nan, values)},
+            "inf slope": {"slope": np.where(nodes > 0.5, math.inf, slope)},
+            "negative slope": {"slope": -slope},
+            "tiny negative slope": {"slope": slope - 1e-13},
+            "decreasing values": {"values": values[::-1].copy()},
+            "shape mismatch": {"values": values[:-1]},
+            "bad nodes": {"nodes": nodes[::-1].copy()},
+        }[case]
+        return {**args, **change}
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "valid", "nan R", "inf R", "negative R", "numpy scalar R", "numpy scalar nan R", "0-d array R",
+            "0-d array nan R", "R off the last node", "inf boundary", "nan boundary", "numpy scalar boundary",
+            "nan values", "inf slope", "negative slope", "tiny negative slope", "decreasing values",
+            "shape mismatch", "bad nodes",
+        ],
+    )
+    def test_profile_checks_match_the_reference(self, case):
+        a = self._profile_case(case)
+        want = _outcome(_reference_profile, a["R"], a["nodes"], a["values"], a["slope"], a["boundary"])
+        got = _outcome(lambda: RadialProfile(D21, a["R"], a["nodes"], a["values"], a["slope"], a["boundary"]))
+        assert got[1] == want[1]
+        if want[0][0] == "raised":
+            assert got[0] == want[0]
+        else:
+            assert got[0][0] == "returned"
+
+    @pytest.mark.parametrize(
+        "case",
+        ["valid", "nan atom", "inf atom", "negative atom", "numpy atom", "0-d atom", "decreasing",
+         "slightly decreasing", "nan entry", "shape mismatch", "2-d nodes"],
+    )
+    def test_measure_checks_match_the_reference(self, case):
+        nodes = quad.radial_grid(1.0, 64)
+        cum = 1.0 + nodes**2
+        atom, cumulative, grid = {
+            "valid": (1.0, cum, nodes),
+            "nan atom": (math.nan, cum, nodes),
+            "inf atom": (math.inf, cum, nodes),
+            "negative atom": (-1.0, cum, nodes),
+            "numpy atom": (np.float64(1.0), cum, nodes),
+            "0-d atom": (np.array(1.0), cum, nodes),
+            "decreasing": (0.0, cum[::-1].copy(), nodes),
+            "slightly decreasing": (0.0, np.where(nodes > 0.5, cum - 1e-12, cum), nodes),
+            "nan entry": (0.0, np.where(nodes > 0.5, math.nan, cum), nodes),
+            "shape mismatch": (0.0, cum[:-1], nodes),
+            "2-d nodes": (0.0, cum, nodes[None, :]),
+        }[case]
+        want = _outcome(_reference_measure, grid, atom, cumulative)
+        got = _outcome(lambda: _measure_parts(RadialMeasure(D21, 1.0, grid, atom, cumulative)))
+        assert got[1] == want[1]
+        assert got[0][0] == want[0][0]
+        if want[0][0] == "raised":
+            assert got[0] == want[0]
+        else:
+            (w_atom, w_cum), (g_atom, g_cum) = want[0][1], got[0][1]
+            assert _bits(g_atom) == _bits(w_atom) and _bits(g_cum) == _bits(w_cum)

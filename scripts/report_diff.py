@@ -13,10 +13,16 @@ differing stderr line.  A config that exits 3 has an empty report on
 both sides, so its stderr line (the error it raised) is what tells the
 two apart.
 
+Then the checkpoint bytes: each checkout solves S_k[u] = c e^{-u},
+u(1) = 0 cold at (2,1) c = 1.9 and (4,2) c = 20 on grids 2048 and 8192
+and writes the solution with save_profile; identical files print one
+`same` line, and otherwise the first differing line is printed.
+
 Exits 0 when every pair of reports has the same rows and verdicts
 (numeric drift alone is shown but tolerated), and 1 when a row is
 missing, added or renamed, a non-numeric cell, a verdict or a stderr
-line differs, or the two processes exit with different codes.
+line differs, a checkpoint differs, or the two processes exit with
+different codes.
 
     python3 scripts/report_diff.py --base ../parent --head .
     python3 scripts/report_diff.py --base ../parent --head . --suites sym,solve --grids 2048
@@ -46,17 +52,43 @@ RADIUS_CONFIGS = tuple(
 )
 
 
+# (n, k, c, grid) of each checkpoint compared, and the program that
+# writes one to stdout.
+CHECKPOINTS = tuple((n, k, c, grid) for n, k, c in ((2, 1, 1.9), (4, 2, 20.0)) for grid in (2048, 8192))
+CHECKPOINT_PROGRAM = """
+import sys, tempfile
+from pathlib import Path
+import numpy as np
+from hessianlab.core import HessianDim
+from hessianlab.liouville import LiouvilleProblem, solve_liouville
+from hessianlab.profile_io import save_profile
+n, k, c, grid = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+u = solve_liouville(LiouvilleProblem(HessianDim(n, k), lambda r: np.full_like(r, c), grid_n=grid))
+with tempfile.TemporaryDirectory() as tmp:
+    save_profile(u, Path(tmp) / "u.json")
+    sys.stdout.write((Path(tmp) / "u.json").read_text(encoding="utf-8"))
+"""
+
+
 def run_list(suites: list[str], grids: list[int]) -> list[tuple[str, ...]]:
     """The CLI arguments of every config compared, format excluded."""
     return [("--suite", s, "--grid-n", str(g)) for s in suites for g in grids] + list(RADIUS_CONFIGS)
 
 
-def run_report(checkout: Path, config: tuple[str, ...], fmt: str) -> tuple[int, str, str]:
+def run_python(checkout: Path, args: list[str]) -> tuple[int, str, str]:
+    """Run python with args on the checkout's src/: exit code, stdout, stderr."""
     src = str(checkout / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    cmd = [sys.executable, "-m", "hessianlab.cli", *config, "--format", fmt]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=checkout, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_report(checkout: Path, config: tuple[str, ...], fmt: str) -> tuple[int, str, str]:
+    return run_python(checkout, ["-m", "hessianlab.cli", *config, "--format", fmt])
+
+
+def run_checkpoint(checkout: Path, checkpoint: tuple) -> tuple[int, str, str]:
+    return run_python(checkout, ["-c", CHECKPOINT_PROGRAM, *map(str, checkpoint)])
 
 
 def parse_rows(text: str, fmt: str) -> dict[tuple[str, str], dict[str, str]]:
@@ -107,6 +139,18 @@ def compare_stderr(base: str, head: str) -> list[str]:
     return [f"  stderr: {a!r} -> {b!r}" for a, b in pairs if a != b]
 
 
+def compare_checkpoint(base: str, head: str) -> list[str]:
+    """The first line at which two checkpoint texts differ, or no line
+    when they are the same bytes."""
+    if base == head:
+        return []
+    pairs = itertools.zip_longest(base.splitlines(), head.splitlines(), fillvalue="")
+    for number, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            return [f"  line {number}: {a!r} -> {b!r}"]
+    return ["  the bytes differ but every line matches"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
@@ -135,6 +179,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label}: {len(lines)} differences" + (" (rows, verdicts or stderr)" if breaking else ""))
             print("\n".join(lines))
             status = status or int(breaking)
+    for checkpoint in CHECKPOINTS:
+        n, k, c, grid = checkpoint
+        label = f"checkpoint ({n},{k}) c={c:g} --grid-n {grid}"
+        base_code, base, base_err = run_checkpoint(args.base.resolve(), checkpoint)
+        head_code, head, head_err = run_checkpoint(args.head.resolve(), checkpoint)
+        lines = compare_checkpoint(base, head) + compare_stderr(base_err, head_err)
+        if base_code != head_code:
+            lines.insert(0, f"  exit {base_code} -> {head_code}")
+        if lines:
+            print(f"{label}: {len(lines)} differences")
+            print("\n".join(lines))
+            status = 1
+        else:
+            print(f"{label}: same ({len(head.encode())} bytes, exit {head_code})")
     return status
 
 

@@ -44,7 +44,6 @@ from .radial import (
     level_set_radius,
     solve_dirichlet,
     volume_integral,
-    volume_integrator,
 )
 from .report import CheckRecord, upper_bound
 
@@ -329,32 +328,18 @@ def verify_gk(
     )
 
 
-def _orlicz_budgets(dim: HessianDim, nodes, weight: OrliczWeight):
-    """The budget function g -> N(g) of one grid, dimension and weight.
-
-    N(g) = n omega_n int g Phi(log g) r^(n-1) dr over the ball, origin
-    stub included; zeros of g add nothing.  The integral is one
-    volume_integrator of the grid, so n omega_n and r^(n-1) are taken
-    once, not per density.  A density positive at every node skips the
-    masks that keep zeros of g out of the log; both paths give the same
-    float there.
-    """
-    integrate = volume_integrator(dim, nodes)
-
-    def budget(g) -> float:
-        pos = g > 0
-        if pos.all():
-            return integrate(g * weight.value(np.log(g)))
-        with np.errstate(divide="ignore"):
-            logs = np.where(pos, np.log(np.where(pos, g, 1.0)), 0.0)
-        return integrate(np.where(pos, g * weight.value(logs), 0.0))
-
-    return budget
-
-
 def _orlicz_budget(dim: HessianDim, nodes, g, weight: OrliczWeight) -> float:
-    """The Orlicz budget of one density g >= 0; see _orlicz_budgets."""
-    return _orlicz_budgets(dim, nodes, weight)(g)
+    """The Orlicz budget N(g) = n omega_n int g Phi(log g) r^(n-1) dr of
+    one density g >= 0 over the ball, origin stub included; zeros of g
+    add nothing.  A density positive at every node skips the masks that
+    keep zeros of g out of the log; both paths give the same float there.
+    """
+    pos = g > 0
+    if pos.all():
+        return volume_integral(dim, nodes, g * weight.value(np.log(g)))
+    with np.errstate(divide="ignore"):
+        logs = np.where(pos, np.log(np.where(pos, g, 1.0)), 0.0)
+    return volume_integral(dim, nodes, np.where(pos, g * weight.value(logs), 0.0))
 
 
 @dataclass(frozen=True)
@@ -385,13 +370,12 @@ def sample_family(
     if weight.k != dim.k:
         raise InvalidWeightError(f"weight is for k = {weight.k}, dimension has k = {dim.k}")
     nodes = quad.radial_grid(R, grid_n)
-    budget_of = _orlicz_budgets(dim, nodes, weight)
     labels, heights, budgets, sups = [], [], [], []
     for label, fn in densities:
         g = np.asarray(fn(nodes), dtype=float)
         if g.shape != nodes.shape or not np.all(np.isfinite(g)) or np.any(g < 0):
             raise InvalidArgumentError(f"density {label!r} must be nonnegative, finite, radial")
-        budget = budget_of(g)
+        budget = _orlicz_budget(dim, nodes, g, weight)
         if not np.isfinite(budget):
             raise InvalidArgumentError(f"density {label!r} has an infinite Orlicz budget")
         u = solve_dirichlet(RadialMeasure.from_density(dim, R, nodes, g), 0.0)
@@ -487,10 +471,8 @@ def mollified_dirac_family(
     the widest bump a modest share of the budget; pushing it far past 1
     lets that member's extra mass show up in sup u.
 
-    Every trial amplitude's budget comes from one _orlicz_budgets
-    function of the grid, the helper sample_family uses too, so
-    n omega_n and r^(n-1) are taken once per family.  Each trial density
-    is at least base > 0, so each budget takes the unmasked path.
+    Each trial density is at least base > 0, so each budget takes the
+    unmasked path of _orlicz_budget.
     """
     if not dim.is_intermediate:
         raise UnsupportedDimensionError(
@@ -501,8 +483,7 @@ def mollified_dirac_family(
     if budget_lift <= 1.0:
         raise InvalidArgumentError(f"budget lift must exceed 1, got {budget_lift!r}")
     nodes = quad.radial_grid(R, grid_n)
-    budget_of = _orlicz_budgets(dim, nodes, weight)
-    flat = budget_of(np.full_like(nodes, base))
+    flat = _orlicz_budget(dim, nodes, np.full_like(nodes, base), weight)
     target = budget_lift * flat
 
     members = []
@@ -513,7 +494,7 @@ def mollified_dirac_family(
         bump = np.exp(-(nodes**2) / (2.0 * eps * eps))
 
         def gap(amp, bump=bump):
-            return budget_of(base + amp * bump) - target
+            return _orlicz_budget(dim, nodes, base + amp * bump, weight) - target
 
         hi = 1.0
         while gap(hi) < 0:

@@ -35,7 +35,6 @@ from .errors import (
 from .radial import (
     RadialMeasure,
     RadialProfile,
-    measure_integrator,
     s_k_radial,
     solve_dirichlet,
     value_at,
@@ -127,14 +126,12 @@ _STALL = 20
 _EXP_CLIP = 700.0
 
 
-def _image(prob: LiouvilleProblem, measure, v: np.ndarray, x: np.ndarray) -> RadialProfile | None:
+def _image(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, x: np.ndarray) -> RadialProfile | None:
     """One application of the map u -> dirichlet_solve(V exp(-u) dx, b),
-    or None when the clipped density is too large to integrate.
-
-    measure is the grid's radial.measure_integrator."""
+    or None when the clipped density is too large to integrate."""
     density = v * np.exp(np.minimum(-x, _EXP_CLIP))
     try:
-        target = measure(density)
+        target = RadialMeasure.from_density(prob.dim, prob.R, nodes, density)
     except InvalidMeasureError:
         # Super-exponential growth between nodes breaks the quadrature;
         # that only happens on a divergent iteration.
@@ -185,7 +182,6 @@ def solve_liouville(
         raise InvalidArgumentError("max_iter must be at least 1")
     nodes = quad.radial_grid(prob.R, prob.grid_n)
     v = prob.density_on(nodes)
-    measure = measure_integrator(prob.dim, prob.R, nodes)
     if initial is None:
         x = np.full_like(nodes, float(prob.boundary))
     else:
@@ -202,7 +198,7 @@ def solve_liouville(
     since_best = 0
     reason = "iteration cap"
     for it in range(1, max_iter + 1):
-        image = _image(prob, measure, v, x)
+        image = _image(prob, nodes, v, x)
         if image is None:
             reason = "clip/overflow"
             break
@@ -274,7 +270,8 @@ class SolutionSequence:
         )
 
     def total_masses(self) -> np.ndarray:
-        return self.local_masses(self.problems[0].R)
+        """Each member's mass over its own ball."""
+        return np.array([local_mass(u, prob.V, u.R) for prob, u in zip(self.problems, self.profiles)])
 
 
 def solve_sequence(problems, continuation: bool = False, **kwargs) -> SolutionSequence:

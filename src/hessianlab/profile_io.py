@@ -9,14 +9,9 @@ a boundary or atom that disagrees with the arrays are all rejected: the
 format is versioned precisely so readers never guess.
 
 Every profile on one grid writes the same node column, so its text is
-formatted once per grid and kept in a module-private memo of at most
-quadrature._CACHE_SIZE grids, oldest dropped first, keyed on (size,
-first node, last node).  An entry holds the raw bytes of the nodes it
-was formatted from, and a lookup hits only when the nodes given have
-those bytes, bit for bit: a grid that shares the key, or nodes written
-in place since, get fresh text, and so do 0.0 and -0.0, which compare
-equal but print differently.  The values and slope columns are
-formatted per save.
+formatted once per grid and kept in the grid's quadrature cache entry,
+beside its stencils; nodes written in place since miss that entry and
+get fresh text.  The values and slope columns are formatted per save.
 """
 
 from __future__ import annotations
@@ -63,28 +58,14 @@ def save_profile(u: RadialProfile, path) -> None:
         "atom": s_k_radial(u).atom,
     }
     fields = [f' "{key}": {json.dumps(value)}' for key, value in scalars.items()]
-    for key, text in (("nodes", _node_text(u.nodes)), ("values", _entries(u.values)), ("slope", _entries(u.slope))):
+    node_text = quad._per_grid(quad._grid(u.nodes), "text", _entries)
+    for key, text in (("nodes", node_text), ("values", _entries(u.values)), ("slope", _entries(u.slope))):
         fields.append(f' "{key}": [\n  {text}\n ]')
     Path(path).write_text("{\n" + ",\n".join(fields) + "\n}\n", encoding="utf-8")
 
 
 def _entries(arr: np.ndarray) -> str:
     return ",\n  ".join(map(repr, arr.tolist()))
-
-
-_node_texts: dict[tuple, tuple[bytes, str]] = {}
-
-
-def _node_text(nodes: np.ndarray) -> str:
-    """_entries(nodes), formatted once per grid; see the module docstring."""
-    key = (nodes.size, nodes[0], nodes[-1])
-    raw = nodes.tobytes()
-    hit = _node_texts.get(key)
-    if hit is not None and hit[0] == raw:
-        return hit[1]
-    text = _entries(nodes)
-    quad._remember(_node_texts, key, (raw, text))
-    return text
 
 
 def load_profile(path) -> RadialProfile:

@@ -12,16 +12,20 @@ adds the stub over (0, r_min], a local power law fitted to the first
 two samples (an exponent at or below -1 marks a divergent integral);
 a radial measure's mass is its origin atom plus that one call.
 
-The stencil coefficients of a grid depend on its nodes alone, so they
-are built once per grid and kept in a small module-private cache of at
-most _CACHE_SIZE grids, oldest dropped first.  An entry is keyed on
-(size, first node, last node) and holds a private copy of the nodes it
-was built from; a lookup hits only when the nodes given are equal to
-that copy element by element, so an array that shares the key, or one
-mutated in place since, is never served stale stencils.  A miss
-validates the nodes in full (positive, strictly increasing, >= 3
-points, no NaN) before building; a hit has passed those checks
-already.  RadialProfile validates its nodes here too.
+Everything fixed per grid lives in one module-private cache of at most
+_CACHE_SIZE grids, oldest dropped first: the stencils, built on entry,
+and what other modules derive from the nodes alone (the powers r^(n-1)
+of the volume element, a saved profile's node text), built on first
+use by _per_grid.  An entry is keyed on (size, first node, last node)
+and holds a private read-only copy of its nodes; a lookup hits only
+when the nodes given equal that copy element by element, so an array
+that shares the key, or one mutated in place since, is never served
+stale values.  Valid nodes are positive, so equal nodes are the same
+bits.  A miss validates the nodes in full (positive, strictly
+increasing, >= 3 points, no NaN) before building; a hit has passed
+those checks already.  RadialProfile validates its nodes here too.
+Threads racing on a derived value may build it twice; no cached array
+is written to.
 
 The kernel evaluates each parabola piece a (b f0 + c f1 - d f2) with the
 operations of that expression in their order, written through two
@@ -101,7 +105,8 @@ def _stencil(h1, h2) -> tuple:
 
 
 class _Grid(NamedTuple):
-    """Validated nodes of one grid and the stencils of its n - 1 pieces.
+    """Validated nodes of one grid, the stencils of its n - 1 pieces and
+    the values derived from its nodes so far.
 
     With m = (n - 1) // 2, forward holds the stencils of pieces 0, 2, ...,
     2m - 2 and backward those of pieces 1, 3, ..., 2m - 1; last is the
@@ -112,6 +117,7 @@ class _Grid(NamedTuple):
     forward: tuple
     backward: tuple
     last: tuple
+    derived: dict
 
 
 _grids: dict[tuple, _Grid] = {}
@@ -140,17 +146,28 @@ def _grid(nodes) -> _Grid:
     x = x.copy()
     x.flags.writeable = False
     h = np.diff(np.log(x))
-    grid = _Grid(x, _stencil(h[:-1:2], h[1::2]), _stencil(h[1::2], h[:-1:2]), _stencil(h[-1], h[-2]))
+    grid = _Grid(x, _stencil(h[:-1:2], h[1::2]), _stencil(h[1::2], h[:-1:2]), _stencil(h[-1], h[-2]), {})
     _remember(_grids, (x.size, x[0], x[-1]), grid)
     return grid
 
 
-def _validate(nodes, samples) -> tuple[_Grid, np.ndarray]:
-    grid = _grid(nodes)
+def _per_grid(grid: _Grid, key, build):
+    """The value build(grid.nodes) kept under key in grid's entry, built
+    on first use; an array is made read-only before it is kept."""
+    value = grid.derived.get(key)
+    if value is None:
+        value = build(grid.nodes)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        grid.derived[key] = value
+    return value
+
+
+def _samples(grid: _Grid, samples) -> np.ndarray:
     y = np.asarray(samples, dtype=float)
     if y.shape != grid.nodes.shape:
         raise InvalidArgumentError("samples must match the nodes in shape")
-    return grid, y
+    return y
 
 
 def _cumulative(grid: _Grid, y: np.ndarray) -> np.ndarray:
@@ -179,7 +196,8 @@ def cumulative_from_left(nodes, samples) -> np.ndarray:
 
     The stub below nodes[0] is not included; see cumulative_from_origin.
     """
-    return _cumulative(*_validate(nodes, samples))
+    grid = _grid(nodes)
+    return _cumulative(grid, _samples(grid, samples))
 
 
 def cumulative_from_right(nodes, samples) -> np.ndarray:
@@ -196,7 +214,12 @@ def cumulative_from_origin(nodes, samples) -> np.ndarray:
     +inf when the fitted tail fails to integrate (p <= -1), which
     makes every C_i +inf.
     """
-    grid, y = _validate(nodes, samples)
+    return _from_origin(_grid(nodes), samples)
+
+
+def _from_origin(grid: _Grid, samples) -> np.ndarray:
+    """cumulative_from_origin on a grid already looked up."""
+    y = _samples(grid, samples)
     x, y0, y1 = grid.nodes, y[0], y[1]
     if y0 < 0 or not np.isfinite(y0):
         raise InvalidArgumentError("origin stub needs nonnegative finite edge samples")

@@ -16,14 +16,6 @@ inverts it for u'(r) and integrates inward from the boundary datum.
 A measure is therefore held as its atom at the origin, the r -> 0
 limit of m, plus the cumulative mass m at the nodes; the pointwise
 density above is s_k_density, a finite-difference diagnostic.
-
-A measure given by a density f is built by measure_integrator(dim, R,
-nodes), the one home of its formula: the shell ((n omega_n) f) r^(n-1)
-integrated from the origin in one quadrature call, after checking that
-f is finite and nonnegative, and a divergent origin stub rejected.  It
-takes n omega_n and r^(n-1) once per grid, so a caller building many
-measures on one grid (the Liouville fixed-point loop) pays for them
-once; RadialMeasure.from_parts is the same map.
 """
 
 from __future__ import annotations
@@ -67,8 +59,6 @@ __all__ = [
     "exp_integral",
     "exp_moment_bound",
     "volume_integral",
-    "volume_integrator",
-    "measure_integrator",
     "domain_volume",
 ]
 
@@ -197,7 +187,19 @@ class RadialMeasure:
         enough for round trips (log-Simpson plus a power-law stub)."""
         nodes = np.asarray(nodes, dtype=float)
         f = density(nodes) if callable(density) else density
-        return measure_integrator(dim, R, nodes)(f, atom)
+        f = np.broadcast_to(np.asarray(f, dtype=float), nodes.shape)
+        if (f < 0).any() or not np.isfinite(f).all():
+            raise InvalidMeasureError("density must be finite and nonnegative")
+        grid, shell = _shell(dim, nodes, f)
+        # a finite density whose first shell overflows is too large to
+        # integrate, like a divergent stub
+        if not math.isfinite(shell[0]):
+            raise InvalidMeasureError("density overflows at the innermost node")
+        mass = quad._from_origin(grid, shell)
+        # mass[0] is the origin stub alone
+        if not math.isfinite(mass[0]):
+            raise InvalidMeasureError("density is not integrable near the origin")
+        return cls(dim, R, nodes, float(atom), float(atom) + mass)
 
 
 class KindParams(NamedTuple):
@@ -519,53 +521,20 @@ def exp_moment_bound(dim: HessianDim, R: float, lam: float) -> float:
     return domain_volume(dim, R) * alpha0 / (alpha0 - lam)
 
 
-def volume_integrator(dim: HessianDim, nodes: np.ndarray):
-    """The map g -> volume_integral(dim, nodes, g) of one grid.
-
-    n omega_n and r^(n-1) are taken once, for callers that integrate
-    many functions on the same nodes; each result is the same float
-    volume_integral gives.
-    """
-    area = dim.n * dim.ball_volume
-    power = nodes ** (dim.n - 1)
-
-    def integrate(g) -> float:
-        shell = area * np.asarray(g, dtype=float) * power
-        return float(quad.cumulative_from_origin(nodes, shell)[-1])
-
-    return integrate
-
-
-def measure_integrator(dim: HessianDim, R: float, nodes: np.ndarray):
-    """The map (density, atom=0) -> RadialMeasure.from_parts(dim, R,
-    nodes, atom, density) of one grid, for density sample arrays.
-
-    n omega_n and r^(n-1) are taken once, for callers that build many
-    measures on the same nodes (each Liouville image); every call makes
-    the same sample checks and returns the same floats from_parts gives,
-    since from_parts is this map.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    area = dim.ball_volume * dim.n
-    power = nodes ** (dim.n - 1)
-
-    def build(density, atom: float = 0.0) -> RadialMeasure:
-        f = np.broadcast_to(np.asarray(density, dtype=float), nodes.shape)
-        if (f < 0).any() or not np.isfinite(f).all():
-            raise InvalidMeasureError("density must be finite and nonnegative")
-        mass = quad.cumulative_from_origin(nodes, area * f * power)
-        # mass[0] is the origin stub alone
-        if not math.isfinite(mass[0]):
-            raise InvalidMeasureError("density is not integrable near the origin")
-        return RadialMeasure(dim, R, nodes, float(atom), float(atom) + mass)
-
-    return build
+def _shell(dim: HessianDim, nodes, f):
+    """The grid of nodes and the shell ((n omega_n) f) r^(n-1) of the
+    radial volume element, whose integral from the origin is the mass
+    n omega_n int_0^r f s^(n-1) ds; r^(n-1) is kept beside the grid's
+    stencils, so it is taken once per grid."""
+    grid = quad._grid(nodes)
+    power = quad._per_grid(grid, ("power", dim.n), lambda x: x ** (dim.n - 1))
+    return grid, dim.n * dim.ball_volume * np.asarray(f, dtype=float) * power
 
 
 def volume_integral(dim: HessianDim, nodes: np.ndarray, g: np.ndarray) -> float:
     """Integral of a radial function g over the ball, n omega_n
     int g r^(n-1) dr, origin stub included."""
-    return volume_integrator(dim, nodes)(g)
+    return float(quad._from_origin(*_shell(dim, nodes, g))[-1])
 
 
 def _power_singularity(u: RadialProfile) -> float | None:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import hessianlab
-from hessianlab import profile_io
 from hessianlab import quadrature as quad
 from hessianlab import (
     CheckRecord,
@@ -401,8 +400,8 @@ class TestProfileLayout:
 
 
 class TestNodeTextMemo:
-    """save_profile formats each grid's node column once and serves it
-    only to nodes that are the same bits."""
+    """save_profile formats each grid's node column once, in the grid's
+    quadrature cache entry, and serves it only to nodes equal to it."""
 
     @staticmethod
     def profile(nodes, c=1.5):
@@ -431,15 +430,12 @@ class TestNodeTextMemo:
         u.nodes[50] = 0.5 * (u.nodes[49] + u.nodes[51])
         self.assert_saves_exactly(u, tmp_path / "u.json")
 
-    def test_signed_zero_is_not_served_as_zero(self):
-        assert profile_io._node_text(np.array([1.0, 0.0, 2.0])) == "1.0,\n  0.0,\n  2.0"
-        assert profile_io._node_text(np.array([1.0, -0.0, 2.0])) == "1.0,\n  -0.0,\n  2.0"
-
     def test_more_grids_than_the_bound(self, tmp_path):
         grids = [quad.radial_grid(1.0 + i, 32 + i) for i in range(quad._CACHE_SIZE + 3)]
         for nodes in grids + grids[:2]:
             self.assert_saves_exactly(self.profile(nodes), tmp_path / "u.json")
-            assert len(profile_io._node_texts) <= quad._CACHE_SIZE
+            assert "text" in quad._known_grid(nodes).derived
+            assert len(quad._grids) <= quad._CACHE_SIZE
 
 
 class TestRecordInvariants:

@@ -110,6 +110,14 @@ class TestSolver:
         with pytest.raises(NoSolutionError):
             solve_liouville(constant_problem(2.2), max_iter=200)
 
+    @pytest.mark.parametrize("c", [1e2, 1e3, 1e4, 1e5])
+    def test_large_weight_has_no_solution(self, c):
+        # at c = 1e4 the first image's shell overflows at the innermost
+        # node, which must end the solve like the others
+        with np.errstate(over="ignore"):
+            with pytest.raises(NoSolutionError):
+                solve_liouville(constant_problem(c, grid_n=256))
+
     def test_initial_guess_dimension_mismatch(self):
         prob = constant_problem(1.0)
         other = make_profile(FamilySpec("quadratic"), HessianDim(4, 2), 1.0, 64)
@@ -266,6 +274,17 @@ class TestSmallness:
             smallness_check(seq, mass_budget=4.0 * math.pi)
         with pytest.raises(InvalidArgumentError, match="budget"):
             smallness_check(seq, mass_budget=0.0)
+
+    def test_each_member_is_measured_over_its_own_ball(self):
+        # the last member's mass over R = 1.411 is above 0.9 * 4 pi; over
+        # the first member's R = 0.5 it would pass
+        seq = solve_sequence([LiouvilleProblem(DIM2, lambda r: np.ones_like(r), R=R) for R in (0.5, 1.0, 1.2, 1.411)])
+        masses = seq.total_masses()
+        for prob, u, mass in zip(seq.problems, seq.profiles, masses):
+            assert mass == local_mass(u, prob.V, prob.R)
+        assert masses[-1] > 0.9 * 4.0 * math.pi
+        with pytest.raises(PreconditionError, match="exceeds"):
+            smallness_check(seq)
 
     def test_mixed_sweeps_rejected(self):
         seq = SolutionSequence(

@@ -32,6 +32,7 @@ from hessianlab.errors import (
 )
 from hessianlab.families import KINDS, FamilySpec, make_profile
 from hessianlab.parallel import ENV_THREADS
+from hessianlab.profile_io import save_profile
 from hessianlab.radial import (
     RadialMeasure,
     RadialProfile,
@@ -41,7 +42,6 @@ from hessianlab.radial import (
     hessian_mass,
     level_set_radius,
     lp_norm,
-    measure_integrator,
     phi_norm,
     profile_from_slope,
     s_k_density,
@@ -49,7 +49,6 @@ from hessianlab.radial import (
     solve_dirichlet,
     value_at,
     volume_integral,
-    volume_integrator,
     weak_lp_quasinorm,
 )
 from hessianlab.report import emit_report
@@ -126,8 +125,15 @@ def _scipy_cumulative(nodes, samples):
     return cumulative_simpson(samples * nodes, x=np.log(nodes), initial=0.0)
 
 
+def _fresh_volume_integral(dim, nodes, g):
+    # volume_integral's formula with r^(n-1) taken from the nodes given
+    shell = dim.n * dim.ball_volume * g * nodes ** (dim.n - 1)
+    return float(quad.cumulative_from_origin(nodes, shell)[-1])
+
+
 class TestGridCache:
-    """The per-grid stencil cache serves a grid only to nodes equal to it."""
+    """The per-grid cache serves a grid's stencils and derived values
+    only to nodes equal to it."""
 
     def test_equal_copy_hits(self):
         nodes = quad.radial_grid(3.0, 2048)
@@ -158,6 +164,37 @@ class TestGridCache:
         for i in range(50):
             quad.cumulative_from_left(quad.radial_grid(1.0 + i, 32 + i), np.ones(32 + i))
         assert len(quad._grids) <= quad._CACHE_SIZE
+
+    def test_cache_with_derived_values_is_bounded(self, tmp_path):
+        for i in range(3 * quad._CACHE_SIZE):
+            nodes = quad.radial_grid(1.0 + i, 32 + i)
+            volume_integral(D42, nodes, np.ones_like(nodes))
+            save_profile(profile_from_slope(D21, float(nodes[-1]), nodes, nodes, 0.0), tmp_path / "u.json")
+            assert set(quad._known_grid(nodes).derived) == {("power", 4), "text"}
+            assert len(quad._grids) <= quad._CACHE_SIZE
+
+    def test_evicted_grid_rebuilds_its_values_bit_equal(self):
+        nodes = quad.radial_grid(2.0, 512)
+        g = np.exp(-nodes) + 1.0
+        first = volume_integral(D42, nodes, g)
+        power = quad._known_grid(nodes).derived[("power", 4)]
+        assert not power.flags.writeable
+        for i in range(quad._CACHE_SIZE):
+            quad.cumulative_from_left(quad.radial_grid(3.0 + i, 64), np.ones(64))
+        assert quad._known_grid(nodes) is None
+        assert volume_integral(D42, nodes, g) == first
+        assert quad._known_grid(nodes).derived[("power", 4)].tobytes() == power.tobytes()
+
+    def test_nodes_mutated_in_place_get_fresh_powers(self):
+        nodes = quad.radial_grid(5.0, 64)
+        g = nodes**2 + 1.0
+        volume_integral(D42, nodes, g)
+        RadialMeasure.from_density(D42, 5.0, nodes, g)
+        nodes[20] = 0.5 * (nodes[19] + nodes[21])
+        assert volume_integral(D42, nodes, g) == _fresh_volume_integral(D42, nodes, g)
+        mu = RadialMeasure.from_density(D42, 5.0, nodes, g)
+        want = quad.cumulative_from_origin(nodes, D42.n * D42.ball_volume * g * nodes**3)
+        assert mu.cumulative.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", ["zero", "repeated", "nan"])
     def test_bad_nodes_with_a_cached_key_are_rejected(self, bad):
@@ -195,11 +232,14 @@ class TestGridCache:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(quad.cumulative_from_left, x, np.sin(x) + 2.0) for x in jobs]
+                volumes = [pool.submit(volume_integral, D42, x, np.sin(x) + 2.0) for x in jobs]
                 results = [f.result(timeout=60) for f in futures]
+                volumes = [f.result(timeout=60) for f in volumes]
         finally:
             sys.setswitchinterval(interval)
-        for x, got in zip(jobs, results):
+        for x, got, volume in zip(jobs, results, volumes):
             assert np.array_equal(got, _scipy_cumulative(x, np.sin(x) + 2.0))
+            assert volume == _fresh_volume_integral(D42, x, np.sin(x) + 2.0)
         assert len(quad._grids) <= quad._CACHE_SIZE
 
     def test_thread_pool_gives_serial_rows(self, monkeypatch):
@@ -667,20 +707,18 @@ class TestEnergyFunctionals:
         width=st.floats(0.01, 1.0),
         zeros=st.tuples(st.integers(0, 255), st.integers(0, 64)),
     )
-    def test_volume_integrator_keeps_the_formula_bits(self, n, R, width, zeros):
+    def test_volume_integral_keeps_the_formula_bits(self, n, R, width, zeros):
         # n omega_n g r^(n-1) in this product order, as volume_integral
-        # formed it per call before the grid factors were taken once
+        # formed it per call before r^(n-1) was kept with the grid
         dim = HessianDim(n, 1)
         nodes = quad.radial_grid(R, 256)
         g = 2.0 + np.exp(-((nodes / R) ** 2) / (2.0 * width**2))
         start, count = zeros
         g[start : start + count] = 0.0
-        shell = dim.n * dim.ball_volume * g * nodes ** (dim.n - 1)
-        expected = float(quad.cumulative_from_origin(nodes, shell)[-1])
-        integrate = volume_integrator(dim, nodes)
-        assert integrate(g) == expected
-        assert integrate(g) == expected
-        assert volume_integral(dim, nodes, g) == expected
+        expected = _fresh_volume_integral(dim, nodes, g)
+        # the later calls read r^(n-1) from the grid's cache entry
+        for x in (nodes, nodes, nodes.copy()):
+            assert volume_integral(dim, x, g) == expected
 
     def test_domain_volume(self):
         assert domain_volume(D21, 2.0) == pytest.approx(4.0 * math.pi, rel=1e-15)
@@ -789,6 +827,19 @@ def _reference_profile(R, nodes, values, slope, boundary):
         raise NotAdmissibleError("values must be nondecreasing in r")
 
 
+# The one outcome that changed: a finite density whose first shell
+# overflows was refused by the quadrature's stub check, and is now a
+# measure error, as a divergent stub is.
+_EDGE_OVERFLOW_BEFORE = ("raised", InvalidArgumentError, "origin stub needs nonnegative finite edge samples")
+_EDGE_OVERFLOW_NOW = ("raised", InvalidMeasureError, "density overflows at the innermost node")
+
+
+def _now(want):
+    """The reference outcome of from_parts, with that change applied."""
+    result, warned = want
+    return (_EDGE_OVERFLOW_NOW if result == _EDGE_OVERFLOW_BEFORE else result), warned
+
+
 def _outcome(fn, *args):
     """What fn(*args) did: its exception class and message, or its
     result; plus the text of every warning it emitted."""
@@ -846,16 +897,14 @@ class TestParentPins:
         atom=st.sampled_from([0.0, 2.5]),
         data=st.data(),
     )
-    def test_measure_integrator_matches_from_parts_bitwise(self, nk, R, grid_n, atom, data):
+    def test_from_parts_matches_the_reference_bitwise(self, nk, R, grid_n, atom, data):
         dim = HessianDim(*nk)
         nodes = quad.radial_grid(R, grid_n)
         density = np.array(data.draw(st.lists(_DENSITY_ENTRIES, min_size=grid_n, max_size=grid_n)))
-        want = _outcome(_reference_from_parts, dim, R, nodes, atom, density)
-        built = measure_integrator(dim, R, nodes)
-        for got in (
-            _outcome(lambda: _measure_parts(built(density, atom))),
-            _outcome(lambda: _measure_parts(RadialMeasure.from_parts(dim, R, nodes, atom, density))),
-        ):
+        want = _now(_outcome(_reference_from_parts, dim, R, nodes, atom, density))
+        # the second call reads r^(n-1) from the grid's cache entry
+        for _ in range(2):
+            got = _outcome(lambda: _measure_parts(RadialMeasure.from_parts(dim, R, nodes, atom, density)))
             assert got[1] == want[1]
             if want[0][0] == "raised":
                 assert got[0] == want[0]
@@ -881,7 +930,8 @@ class TestParentPins:
             "scalar": 3.0,
             "callable": lambda r: 1.0 + r,
         }[bad]
-        want = _outcome(_reference_from_parts, dim, 1.0, nodes, 0.0, density)
+        before = _outcome(_reference_from_parts, dim, 1.0, nodes, 0.0, density)
+        want = _now(before)
         got = _outcome(lambda: _measure_parts(RadialMeasure.from_parts(dim, 1.0, nodes, 0.0, density)))
         assert got[1] == want[1]
         assert got[0][0] == want[0][0]
@@ -889,8 +939,10 @@ class TestParentPins:
             assert got[0] == want[0]
         else:
             assert _bits(got[0][1][1]) == _bits(want[0][1][1])
-        if bad in ("negative", "nan", "inf", "divergent stub"):
+        if bad in ("negative", "nan", "inf", "divergent stub", "overflowing edge"):
             assert want[0][0] == "raised" and want[0][1] is InvalidMeasureError
+        if bad == "overflowing edge":
+            assert before[0] == _EDGE_OVERFLOW_BEFORE
 
     @staticmethod
     def _profile_case(case):

@@ -1,7 +1,8 @@
 """The two gate scripts under scripts/, loaded by path, on synthetic inputs.
 
 report_diff.compare decides whether two reports differ in rows or
-verdicts; bench_pairs.verdict decides whether a metric got better,
+verdicts, and report_diff.compare_checkpoint whether two checkpoints
+differ; bench_pairs.verdict decides whether a metric got better,
 worse, stayed the same or cannot be told apart.
 """
 
@@ -83,6 +84,18 @@ class TestReportDiff:
             assert ("--suite", "all", "--grid-n", "2048", "--radius", radius) in configs
         # the ends of the accepted range
         assert set(RADIUS_RANGE) <= {float(config[-1]) for config in report_diff.RADIUS_CONFIGS}
+
+    def test_checkpoint_compare(self):
+        text = '{\n "format": "hessian-profile/1",\n "nodes": [\n  1e-08,\n  1.0\n ]\n}\n'
+        assert report_diff.compare_checkpoint(text, text) == []
+        moved = text.replace("1e-08", "1.0000000000000002e-08")
+        assert report_diff.compare_checkpoint(text, moved) == ["  line 4: '  1e-08,' -> '  1.0000000000000002e-08,'"]
+        assert report_diff.compare_checkpoint(text, text.rstrip("\n")) == ["  the bytes differ but every line matches"]
+        assert len(report_diff.compare_checkpoint(text, text + "}\n")) == 1
+
+    def test_checkpoints_cover_both_dimensions_and_grids(self):
+        assert {(n, k) for n, k, _, _ in report_diff.CHECKPOINTS} == {(2, 1), (4, 2)}
+        assert {grid for *_, grid in report_diff.CHECKPOINTS} == {2048, 8192}
 
 
 class TestBenchVerdict:

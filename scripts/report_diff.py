@@ -6,7 +6,10 @@ SUITE --grid-n GRID --format FMT` once in the base checkout and once in
 the head checkout (each on its own `src/`), and compares stdout and
 stderr.  `--suite all --grid-n 2048` at `--radius 1e-6` and `1e6`, and
 at the ends 1e-60 and 1e7 of the accepted radius range, is always
-compared too.  Identical bytes on both print one `same` line.
+compared too, and so is `--suite all --grid-n 2048` at the explicit
+pairs (n, k) = (3, 2), (5, 1), (6, 3) and (8, 4), and four bm configs
+whose --lambda, --beta or --p is out of range (exit 2, compared by
+their stderr line).  Identical bytes on both print one `same` line.
 Otherwise every differing cell is printed, numeric cells (lhs, rhs,
 margin, ms) with their absolute and relative drift, and so is every
 differing stderr line.  A config that exits 3 has an empty report on
@@ -51,6 +54,20 @@ RADIUS_CONFIGS = tuple(
     ("--suite", "all", "--grid-n", "2048", "--radius", radius) for radius in ("1e-6", "1e6", "1e-60", "1e7")
 )
 
+# Then `all` at explicit (n, k) pairs beyond the default dimensions.
+PAIR_CONFIGS = tuple(
+    ("--suite", "all", "--grid-n", "2048", "--n", n, "--k", k)
+    for n, k in (("3", "2"), ("5", "1"), ("6", "3"), ("8", "4"))
+)
+
+# Then parameters out of range, each refused with one stderr line.
+BAD_PARAMETER_CONFIGS = (
+    ("--suite", "bm", "--n", "2", "--k", "1", "--lambda", "20"),
+    ("--suite", "bm", "--n", "2", "--k", "1", "--beta", "3"),
+    ("--suite", "bm", "--n", "3", "--k", "1", "--p", "5"),
+    ("--suite", "bm", "--n", "3", "--k", "1", "--p", "0.5"),
+)
+
 
 # (n, k, c, grid) of each checkpoint compared, and the program that
 # writes one to stdout.
@@ -72,7 +89,8 @@ with tempfile.TemporaryDirectory() as tmp:
 
 def run_list(suites: list[str], grids: list[int]) -> list[tuple[str, ...]]:
     """The CLI arguments of every config compared, format excluded."""
-    return [("--suite", s, "--grid-n", str(g)) for s in suites for g in grids] + list(RADIUS_CONFIGS)
+    product = [("--suite", s, "--grid-n", str(g)) for s in suites for g in grids]
+    return product + list(RADIUS_CONFIGS) + list(PAIR_CONFIGS) + list(BAD_PARAMETER_CONFIGS)
 
 
 def run_python(checkout: Path, args: list[str]) -> tuple[int, str, str]:

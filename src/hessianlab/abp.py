@@ -34,10 +34,12 @@ import numpy as np
 
 from . import quadrature as quad
 from .core import HessianDim
-from .errors import InvalidArgumentError, InvalidWeightError, UnsupportedDimensionError
+from .errors import InvalidArgumentError, InvalidWeightError
 from .radial import (
     RadialMeasure,
     _s_k_density,
+    _s_k_second,
+    _sampled,
     RadialProfile,
     exp_integral,
     exp_moment_bound,
@@ -264,10 +266,7 @@ def verify_gk(
     chain rule; psi1'' is recovered exactly from the equation it
     solves, so no numerical differentiation enters.
     """
-    if not dim.is_intermediate:
-        raise UnsupportedDimensionError(
-            f"barrier machinery needs 2k = n, got (n, k) = ({dim.n}, {dim.k})"
-        )
+    dim.require_intermediate("barrier machinery")
     if weight.k != dim.k:
         raise InvalidWeightError(f"weight is for k = {weight.k}, dimension has k = {dim.k}")
     alpha0 = dim.moser_constant
@@ -275,9 +274,7 @@ def verify_gk(
     if not 0 < alpha_val < alpha0 * (1.0 - 1e-12):
         raise InvalidArgumentError(f"need 0 < alpha < {alpha0:g}, got {alpha_val!r}")
     nodes = quad.radial_grid(R, grid_n)
-    g = np.asarray(density(nodes), dtype=float)
-    if g.shape != nodes.shape or not np.all(np.isfinite(g)) or np.any(g <= 0):
-        raise InvalidArgumentError("density must be strictly positive, finite, and radial on the grid")
+    g = _sampled(density, nodes, positive=True)
     big_g = np.log(g)
     budget = volume_integral(dim, nodes, g * weight.value(big_g))
     f_unit = g * weight.value(big_g) / budget
@@ -289,11 +286,8 @@ def verify_gk(
     moment_ok = moment <= moment_bound * (1.0 + 1e-6)
 
     n, k = dim.n, dim.k
-    ratio1 = psi1.slope / nodes
-    # psi1'' from the equation S_k[psi1] = f_unit; the k = 1 case has no
-    # ratio power in the leading term.
-    lead = math.comb(n - 1, k - 1) * ratio1 ** (k - 1)
-    psi1_second = (f_unit - math.comb(n - 1, k) * ratio1**k) / lead
+    # psi1'' from the equation S_k[psi1] = f_unit
+    psi1_second = _s_k_second(dim, f_unit, psi1.slope / nodes)
 
     barrier = orlicz_h(weight, budget, q, alpha_val)
     s = -(alpha_val / q) * psi1.values
@@ -372,9 +366,7 @@ def sample_family(
     nodes = quad.radial_grid(R, grid_n)
     labels, heights, budgets, sups = [], [], [], []
     for label, fn in densities:
-        g = np.asarray(fn(nodes), dtype=float)
-        if g.shape != nodes.shape or not np.all(np.isfinite(g)) or np.any(g < 0):
-            raise InvalidArgumentError(f"density {label!r} must be nonnegative, finite, radial")
+        g = _sampled(fn, nodes, f"density {label!r}")
         budget = _orlicz_budget(dim, nodes, g, weight)
         if not np.isfinite(budget):
             raise InvalidArgumentError(f"density {label!r} has an infinite Orlicz budget")
@@ -396,10 +388,7 @@ def abp_bound_check(family: SampledFamily, slack: float = 0.10) -> list[CheckRec
     per member, held-out ones marked.
     """
     dim = family.dim
-    if not dim.is_intermediate:
-        raise UnsupportedDimensionError(
-            f"the sup-bound check needs 2k = n, got (n, k) = ({dim.n}, {dim.k})"
-        )
+    dim.require_intermediate("the sup-bound check")
     count = len(family.labels)
     if count < 4:
         raise InvalidArgumentError(f"need at least 4 family members, got {count}")
@@ -474,10 +463,7 @@ def mollified_dirac_family(
     Each trial density is at least base > 0, so each budget takes the
     unmasked path of _orlicz_budget.
     """
-    if not dim.is_intermediate:
-        raise UnsupportedDimensionError(
-            f"the fixed-budget family needs 2k = n, got (n, k) = ({dim.n}, {dim.k})"
-        )
+    dim.require_intermediate("the fixed-budget family")
     if not (np.isfinite(base) and base > 0):
         raise InvalidArgumentError(f"base level must be positive, got {base!r}")
     if budget_lift <= 1.0:
@@ -669,9 +655,7 @@ def abp_degiorgi_check(
     the predicted s_inf.
     """
     nodes = quad.radial_grid(R, grid_n)
-    g = np.asarray(density(nodes), dtype=float)
-    if g.shape != nodes.shape or not np.all(np.isfinite(g)) or np.any(g < 0):
-        raise InvalidArgumentError("density must be nonnegative, finite, radial")
+    g = _sampled(density, nodes)
     mu = RadialMeasure.from_density(dim, R, nodes, g)
     solution = solve_dirichlet(mu, 0.0)
     s, phi = degiorgi_from_run(solution, mu)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .core import HessianDim
-from .errors import DegenerateProfileError, InvalidArgumentError, UnsupportedDimensionError
+from .errors import DegenerateProfileError, InvalidArgumentError
 from .families import FamilySpec, make_family, make_profile
 from .radial import (
     domain_volume, exp_integral, exp_moment_bound, hessian_mass, lp_norm, weak_lp_quasinorm,
@@ -67,23 +67,15 @@ class BMQuery:
         if self.amplitudes < 1 or self.mollification_levels < 1:
             raise InvalidArgumentError("sweep sizes must be positive")
         if self.branch == "lp":
-            if not self.dim.is_subcritical:
-                raise UnsupportedDimensionError(
-                    f"the L^p branch needs 2k < n, got (n, k) = ({self.dim.n}, {self.dim.k})"
-                )
+            self.dim.require_subcritical("the L^p branch")
             if self.p is None or not np.isfinite(self.p) or self.p < 1:
                 raise InvalidArgumentError(f"the L^p branch needs p >= 1, got {self.p!r}")
         else:
-            if not self.dim.is_intermediate:
-                raise UnsupportedDimensionError(
-                    f"the exponential branch needs 2k = n, got (n, k) = ({self.dim.n}, {self.dim.k})"
-                )
+            self.dim.require_intermediate("the exponential branch")
             if self.lam is None or not np.isfinite(self.lam) or self.lam <= 0:
                 raise InvalidArgumentError(f"the exponential branch needs lam > 0, got {self.lam!r}")
-            if self.beta is not None and not 1.0 <= self.beta <= self.dim.beta_max * (1.0 + 1e-12):
-                raise InvalidArgumentError(
-                    f"beta must lie in [1, {self.dim.beta_max:g}], got {self.beta!r}"
-                )
+            if self.beta is not None:
+                self.dim.check_beta(self.beta)
 
     @property
     def beta_value(self) -> float:
@@ -157,7 +149,7 @@ def bm_exp_check(q: BMQuery) -> list[CheckRecord]:
             f"lam = {q.lam:g} is at or past the sharp coefficient {alpha0:g}; use sharpness_probe"
         )
     beta = q.beta_value
-    at_ceiling = abs(beta - dim.beta_max) <= 1e-12
+    at_ceiling = dim.at_ceiling(beta)
     bound = exp_moment_bound(dim, q.R, q.lam)
     ratios = [exp_integral(u, q.lam, beta) / bound for u in q.members()]
     sup_ratio = float(np.max(ratios))
@@ -197,17 +189,14 @@ def sharpness_probe(
     reaches the space dimension, analytically, not by overflow.  Below
     the ceiling the moment stays finite even at lam = a0.
     """
-    if not dim.is_intermediate:
-        raise UnsupportedDimensionError(
-            f"the sharpness probe needs 2k = n, got (n, k) = ({dim.n}, {dim.k})"
-        )
+    dim.require_intermediate("the sharpness probe")
     if not isinstance(levels, (int, np.integer)) or levels < 1:
         raise InvalidArgumentError(f"levels must be a positive integer, got {levels!r}")
     beta_val = dim.beta_max if beta is None else float(beta)
     alpha0 = dim.moser_constant
     u = make_profile(FamilySpec("log"), dim, R, grid_n)
     volume = domain_volume(dim, R)
-    at_ceiling = abs(beta_val - dim.beta_max) <= 1e-12
+    at_ceiling = dim.at_ceiling(beta_val)
     if not at_ceiling:
         value = exp_integral(u, alpha0, beta_val)
         finite = bool(np.isfinite(value))

@@ -130,12 +130,10 @@ def isocapacitary_margin(cfg: CapacityConfig, exponent: float) -> CheckRecord:
             {"n": dim.n, "k": dim.k, "q": exponent, "inner": cfg.inner, "outer": cfg.outer},
             ratio, math.inf, {"capacity": cap, "inner_volume": inner_volume}, holds=bool(np.isfinite(ratio)),
         )
-    beta_max = dim.beta_max
-    if not np.isfinite(exponent) or not 1.0 <= exponent <= beta_max + 1e-12:
-        raise InvalidArgumentError(f"exponent beta must lie in [1, {beta_max}], got {exponent!r}")
+    dim.check_beta(exponent)
     outer_volume = domain_volume(dim, cfg.outer)
     ratio = inner_volume * math.exp(dim.moser_constant * cap ** (-exponent / (dim.k + 1.0))) / outer_volume
-    at_ceiling = abs(exponent - beta_max) <= 1e-12
+    at_ceiling = dim.at_ceiling(exponent)
     check = f"isocap-exp[n={dim.n},k={dim.k},beta={exponent:g},inner={cfg.inner:g}]"
     anchor = "isocap-saturation"
     inputs = {"n": dim.n, "k": dim.k, "beta": exponent, "inner": cfg.inner, "outer": cfg.outer}

@@ -59,7 +59,8 @@ class HessianDim:
 
     The regime splits on the sign of n - 2k: subcritical (2k < n),
     intermediate (2k = n, the borderline exponential regime), and
-    supercritical (2k > n, allowed for profile bookkeeping only).
+    supercritical (2k > n, allowed for profile bookkeeping only).  The
+    rules on the regime and on the inner exponent beta live here.
     """
 
     n: int
@@ -97,15 +98,33 @@ class HessianDim:
         exponential integrability bound."""
         return self.n * (self.ball_volume * self.n_choose_k) ** (2.0 / self.n)
 
+    def require_intermediate(self, what: str) -> None:
+        """Raise UnsupportedDimensionError naming `what` unless 2k = n."""
+        if not self.is_intermediate:
+            raise UnsupportedDimensionError(f"{what} needs 2k = n, got (n, k) = ({self.n}, {self.k})")
+
+    def require_subcritical(self, what: str) -> None:
+        """Raise UnsupportedDimensionError naming `what` unless 2k < n."""
+        if not self.is_subcritical:
+            raise UnsupportedDimensionError(f"{what} needs 2k < n, got (n, k) = ({self.n}, {self.k})")
+
     @property
     def beta_max(self) -> float:
         """Largest admissible inner exponent (n+2)/n; only the
         intermediate regime 2k = n has an exponential endpoint."""
-        if not self.is_intermediate:
-            raise UnsupportedDimensionError(
-                f"exponent ceiling is defined only when 2k = n, got (n, k) = ({self.n}, {self.k})"
-            )
+        self.require_intermediate("the exponent ceiling")
         return (self.n + 2.0) / self.n
+
+    def check_beta(self, beta: float) -> None:
+        """The one rule on an inner exponent: finite, and
+        1 <= beta <= beta_max + 1e-12."""
+        beta_max = self.beta_max
+        if not np.isfinite(beta) or not 1.0 <= beta <= beta_max + 1e-12:
+            raise InvalidArgumentError(f"beta must lie in [1, {beta_max}], got {beta!r}")
+
+    def at_ceiling(self, beta: float) -> bool:
+        """Whether beta is the exponent ceiling, within 1e-12."""
+        return abs(beta - self.beta_max) <= 1e-12
 
     @property
     def power_exponent(self) -> float:
@@ -122,10 +141,7 @@ class HessianDim:
     def lp_endpoint(self) -> float:
         """Endpoint integrability exponent k n / (n - 2k) of the
         subcritical regime."""
-        if not self.is_subcritical:
-            raise UnsupportedDimensionError(
-                f"the strong integrability endpoint needs 2k < n, got (n, k) = ({self.n}, {self.k})"
-            )
+        self.require_subcritical("the strong integrability endpoint")
         return self.k * self.n / (self.n - 2.0 * self.k)
 
 

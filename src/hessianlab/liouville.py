@@ -35,6 +35,8 @@ from .errors import (
 from .radial import (
     RadialMeasure,
     RadialProfile,
+    _s_k_density,
+    _sampled,
     s_k_radial,
     solve_dirichlet,
     value_at,
@@ -84,10 +86,7 @@ class LiouvilleProblem:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not self.dim.is_intermediate:
-            raise UnsupportedDimensionError(
-                f"the exponential equation needs 2k = n, got (n, k) = ({self.dim.n}, {self.dim.k})"
-            )
+        self.dim.require_intermediate("the exponential equation")
         if (self.dim.n, self.dim.k) not in SUPPORTED_DIMS:
             raise UnsupportedDimensionError(
                 f"supported dimensions are {SUPPORTED_DIMS}, got ({self.dim.n}, {self.dim.k})"
@@ -112,10 +111,7 @@ class LiouvilleProblem:
         return self.dim.concentration_quantum(self.p_prime)
 
     def density_on(self, nodes: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.V(nodes), dtype=float)
-        if v.shape != nodes.shape or not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise InvalidArgumentError("V must be nonnegative, finite, and radial on the grid")
-        return v
+        return _sampled(self.V, nodes, "V")
 
 
 # Anderson depth, and the number of steps without halving the best step
@@ -126,12 +122,19 @@ _STALL = 20
 _EXP_CLIP = 700.0
 
 
+def _exp_measure(dim: HessianDim, R: float, nodes: np.ndarray, v: np.ndarray, u: np.ndarray) -> RadialMeasure:
+    """V exp(-u) dx from samples, exp(-u) clipped at exp(700).  Overflow
+    is quiet: it ends as InvalidMeasureError or an infinite total, which
+    every caller handles."""
+    with np.errstate(over="ignore"):
+        return RadialMeasure.from_density(dim, R, nodes, v * np.exp(np.minimum(-u, _EXP_CLIP)))
+
+
 def _image(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, x: np.ndarray) -> RadialProfile | None:
     """One application of the map u -> dirichlet_solve(V exp(-u) dx, b),
     or None when the clipped density is too large to integrate."""
-    density = v * np.exp(np.minimum(-x, _EXP_CLIP))
     try:
-        target = RadialMeasure.from_density(prob.dim, prob.R, nodes, density)
+        target = _exp_measure(prob.dim, prob.R, nodes, v, x)
     except InvalidMeasureError:
         # Super-exponential growth between nodes breaks the quadrature;
         # that only happens on a divergent iteration.
@@ -149,7 +152,8 @@ def equation_residual(prob: LiouvilleProblem, u: RadialProfile) -> float:
         return math.inf
     v = prob.density_on(u.nodes)
     try:
-        target = RadialMeasure.from_density(prob.dim, prob.R, u.nodes, v * np.exp(-u.values))
+        # below the clip, so the measure is the unclipped one
+        target = _exp_measure(prob.dim, prob.R, u.nodes, v, u.values)
     except InvalidMeasureError:
         return math.inf
     if target.total == 0.0:
@@ -289,10 +293,8 @@ def local_mass(u: RadialProfile, V, r: float) -> float:
     """int over B_r of V exp(-u), by radial quadrature."""
     if not (np.isfinite(r) and 0 <= r <= u.R * (1.0 + 1e-12)):
         raise InvalidArgumentError(f"need 0 <= r <= {u.R:g}, got {r!r}")
-    v = np.asarray(V(u.nodes), dtype=float)
-    density = v * np.exp(np.minimum(-u.values, _EXP_CLIP))
-    mu = RadialMeasure.from_density(u.dim, u.R, u.nodes, density)
-    return mu.cumulative_at(min(r, u.R))
+    v = _sampled(V, u.nodes, "V")
+    return _exp_measure(u.dim, u.R, u.nodes, v, u.values).cumulative_at(min(r, u.R))
 
 
 def smallness_check(seq: SolutionSequence, mass_budget: float | None = None) -> CheckRecord:
@@ -521,10 +523,7 @@ def singular_comparison_check(
     quantum (a0/p')^k; then z - (n/p') log r must be nondecreasing, so
     z stays below (n/p') log r plus its boundary offset everywhere.
     """
-    if not dim.is_intermediate:
-        raise UnsupportedDimensionError(
-            f"the comparison needs 2k = n, got (n, k) = ({dim.n}, {dim.k})"
-        )
+    dim.require_intermediate("the comparison")
     if atom_factor < 1.0:
         raise InvalidArgumentError(
             f"the bound needs an atom at or above the quantum, got factor {atom_factor!r}"
@@ -577,7 +576,7 @@ def bubble_residual_sup(lam: float, R: float = 1.0, grid_n: int = quad.DEFAULT_G
     form; zero up to round-off by the defining identity."""
     nodes = quad.radial_grid(R, grid_n)
     t = (lam * nodes) ** 2
-    lap = 4.0 * lam * lam * (1.0 - t) / (1.0 + t) ** 2 + 4.0 * lam * lam / (1.0 + t)
+    lap = _s_k_density(_BUBBLE_DIM, 4.0 * lam * lam * (1.0 - t) / (1.0 + t) ** 2, 4.0 * lam * lam / (1.0 + t))
     rhs = 8.0 * lam * lam / (1.0 + t) ** 2
     return float(np.max(np.abs(lap - rhs)))
 

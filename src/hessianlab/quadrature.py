@@ -33,12 +33,10 @@ scratch arrays allocated per call rather than one temporary per
 operation, so its floats are those of the plain expression.  Scratch
 is never shared between calls, since checks may run on threads.
 
-radial_grid keeps the geometric grids it has built in a second memo,
-also of at most _CACHE_SIZE grids and oldest dropped first, keyed on
-(float(R), int(grid_n), float(rmin_factor)).  Each call validates its
-arguments as before and returns a fresh writable copy of the memo's
-nodes, so a caller may write into its grid without touching the memo
-or any other caller's grid.
+radial_grid is served from the same cache: np.geomspace puts
+rmin_factor * R and R exactly at the ends, so they key the entry.  It
+serves only an entry it built and marked in derived, never a caller's
+grid under that key, and returns a fresh writable copy of its nodes.
 """
 
 from __future__ import annotations
@@ -64,18 +62,8 @@ __all__ = [
 
 _CACHE_SIZE = 8
 _cache_lock = threading.Lock()
-
-
-def _remember(cache: dict, key, value) -> None:
-    """Store value in cache under key, dropping the oldest entries past
-    _CACHE_SIZE."""
-    with _cache_lock:
-        cache[key] = value
-        while len(cache) > _CACHE_SIZE:
-            del cache[next(iter(cache))]
-
-
-_nodes: dict[tuple, np.ndarray] = {}
+# the derived key that marks an entry radial_grid built itself
+_GEOMETRIC = "geometric"
 
 
 def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N, rmin_factor: float = DEFAULT_RMIN_FACTOR) -> np.ndarray:
@@ -86,13 +74,12 @@ def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N, rmin_factor: float = DEF
         raise InvalidArgumentError(f"grid size must be an integer >= 16, got {grid_n!r}")
     if not 0 < rmin_factor < 1:
         raise InvalidArgumentError(f"inner cutoff factor must lie in (0, 1), got {rmin_factor!r}")
-    key = (float(R), int(grid_n), float(rmin_factor))
-    nodes = _nodes.get(key)
-    if nodes is None:
-        R, grid_n, rmin_factor = key
-        nodes = np.geomspace(rmin_factor * R, R, grid_n)
-        _remember(_nodes, key, nodes)
-    return nodes.copy()
+    R, grid_n, start = float(R), int(grid_n), float(rmin_factor) * float(R)
+    grid = _grids.get((grid_n, start, R))
+    if grid is None or _GEOMETRIC not in grid.derived:
+        grid = _grid(np.geomspace(start, R, grid_n))
+        grid.derived[_GEOMETRIC] = True
+    return grid.nodes.copy()
 
 
 def _stencil(h1, h2) -> tuple:
@@ -147,7 +134,10 @@ def _grid(nodes) -> _Grid:
     x.flags.writeable = False
     h = np.diff(np.log(x))
     grid = _Grid(x, _stencil(h[:-1:2], h[1::2]), _stencil(h[1::2], h[:-1:2]), _stencil(h[-1], h[-2]), {})
-    _remember(_grids, (x.size, x[0], x[-1]), grid)
+    with _cache_lock:
+        _grids[x.size, x[0], x[-1]] = grid
+        while len(_grids) > _CACHE_SIZE:
+            del _grids[next(iter(_grids))]
     return grid
 
 

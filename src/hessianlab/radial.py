@@ -16,6 +16,9 @@ inverts it for u'(r) and integrates inward from the boundary datum.
 A measure is therefore held as its atom at the origin, the r -> 0
 limit of m, plus the cumulative mass m at the nodes; the pointwise
 density above is s_k_density, a finite-difference diagnostic.
+The density formula lives in _s_k_density and its solution for u'' in
+_s_k_second; _sampled is the one check of a density or weight sampled
+on a grid.
 """
 
 from __future__ import annotations
@@ -212,13 +215,6 @@ class KindParams(NamedTuple):
     eps: float
 
 
-def _require_subcritical(dim: HessianDim) -> None:
-    if not dim.is_subcritical:
-        raise UnsupportedDimensionError(
-            f"power profiles need 2k < n, got (n, k) = ({dim.n}, {dim.k})"
-        )
-
-
 def _require_newtonian(dim: HessianDim) -> None:
     if (dim.n, dim.k) != (3, 1):
         raise UnsupportedDimensionError("the newtonian kind is the (n, k) = (3, 1) power profile")
@@ -272,7 +268,7 @@ CLOSED_FORMS: dict[str, ClosedForm] = {
         exponent=lambda p: 0.0,
         unbounded=True,
     ),
-    "power": _power_form(_require_subcritical),
+    "power": _power_form(lambda dim: dim.require_subcritical("a power profile")),
     # u = c (r^2 - R^2)/2: constant density
     "quadratic": ClosedForm(
         value=lambda r, p: p.c * (r**2 - p.R**2) / 2.0,
@@ -366,6 +362,14 @@ def _s_k_density(dim: HessianDim, second, ratio):
     # S_k of a radial function from u'' and u'/r
     n, k = dim.n, dim.k
     return math.comb(n - 1, k - 1) * second * ratio ** (k - 1) + math.comb(n - 1, k) * ratio**k
+
+
+def _s_k_second(dim: HessianDim, density, ratio):
+    # u'' of a radial function from S_k and u'/r: _s_k_density solved
+    # for its second argument
+    n, k = dim.n, dim.k
+    lead = math.comb(n - 1, k - 1) * ratio ** (k - 1)
+    return (density - math.comb(n - 1, k) * ratio**k) / lead
 
 
 def s_k_density(u: RadialProfile) -> np.ndarray:
@@ -521,6 +525,16 @@ def exp_moment_bound(dim: HessianDim, R: float, lam: float) -> float:
     return domain_volume(dim, R) * alpha0 / (alpha0 - lam)
 
 
+def _sampled(fn: Callable, nodes: np.ndarray, what: str = "density", positive: bool = False) -> np.ndarray:
+    """fn(nodes) as floats, checked to be a finite radial array on the
+    grid that is nonnegative, or strictly positive when asked."""
+    f = np.asarray(fn(nodes), dtype=float)
+    if f.shape != nodes.shape or not np.all(np.isfinite(f)) or np.any(f <= 0 if positive else f < 0):
+        sign = "strictly positive" if positive else "nonnegative"
+        raise InvalidArgumentError(f"{what} must be {sign}, finite, and radial on the grid")
+    return f
+
+
 def _shell(dim: HessianDim, nodes, f):
     """The grid of nodes and the shell ((n omega_n) f) r^(n-1) of the
     radial volume element, whose integral from the origin is the mass
@@ -614,13 +628,8 @@ def exp_integral(u: RadialProfile, lam: float, beta: float) -> float:
     analytic divergence test on their origin exponent.
     """
     dim = u.dim
-    if not dim.is_intermediate:
-        raise UnsupportedDimensionError(
-            f"exponential moment needs 2k = n, got (n, k) = ({dim.n}, {dim.k})"
-        )
-    beta_max = dim.beta_max
-    if not np.isfinite(beta) or not 1.0 <= beta <= beta_max + 1e-12:
-        raise InvalidArgumentError(f"beta must lie in [1, {beta_max}], got {beta!r}")
+    dim.require_intermediate("exponential moment")
+    dim.check_beta(beta)
     if not np.isfinite(lam) or lam < 0:
         raise InvalidArgumentError(f"coefficient lam must be >= 0, got {lam!r}")
     _require_zero_boundary(u, "exponential moment")
@@ -629,7 +638,7 @@ def exp_integral(u: RadialProfile, lam: float, beta: float) -> float:
         raise DegenerateProfileError("exponential moment needs positive Hessian mass")
     n, k = dim.n, dim.k
     alpha0 = dim.moser_constant
-    at_ceiling = abs(beta - beta_max) <= 1e-12
+    at_ceiling = dim.at_ceiling(beta)
     if at_ceiling and u.unbounded_origin:
         if u.kind == "log":
             # normalization removes the amplitude: the local exponent is

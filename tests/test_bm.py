@@ -180,3 +180,11 @@ class TestQueryValidation:
             BMQuery(HessianDim(2, 1), "exp", FamilySpec("log"), lam=1.0, R=-1.0)
         with pytest.raises(InvalidArgumentError, match="sweep"):
             BMQuery(HessianDim(2, 1), "exp", FamilySpec("log"), lam=1.0, amplitudes=0)
+
+    def test_beta_rule_is_the_moment_rule(self):
+        # a query accepts exactly the betas exp_integral accepts
+        dim = HessianDim(2, 1)
+        with pytest.raises(InvalidArgumentError, match=r"beta must lie in \[1, 2.0\]"):
+            BMQuery(dim, "exp", FamilySpec("log"), lam=1.0, beta=2.0 + 1.5e-12)
+        q = BMQuery(dim, "exp", FamilySpec("log"), lam=1.0, beta=2.0 + 1e-12, amplitudes=1, grid_n=256)
+        assert len(bm_exp_check(q)) == 1

@@ -111,6 +111,28 @@ class TestExitCodes:
         assert {c.split(",p=")[1].split(",")[0] for c in checks} == {"1", f"{int(n) / (int(n) - 2):g}"}
 
 
+# Out-of-range parameters and the one stderr line each prints.
+_BAD_PARAMETERS = [
+    (("--suite", "bm", "--n", "2", "--k", "1", "--lambda", "20"),
+     "lambda must lie in (0, 12.5664) for (n, k) = (2, 1)"),
+    (("--suite", "bm", "--n", "2", "--k", "1", "--beta", "3"), "beta must lie in [1, 2] for (n, k) = (2, 1)"),
+    (("--suite", "bm", "--n", "3", "--k", "1", "--p", "5"), "p must lie in [1, 3] for (n, k) = (3, 1)"),
+    (("--suite", "bm", "--n", "3", "--k", "1", "--p", "0.5"), "p must lie in [1, 3] for (n, k) = (3, 1)"),
+]
+
+
+class TestParameterRanges:
+    @pytest.mark.parametrize("argv, message", _BAD_PARAMETERS, ids=["lambda", "beta", "p-above", "p-below"])
+    def test_out_of_range_exits_two_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"hessianlab: {message}\n")
+
+    def test_module_run_prints_the_same_line(self):
+        argv, message = _BAD_PARAMETERS[1]
+        proc = run_python("-m", "hessianlab.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"hessianlab: {message}\n")
+
+
 class TestConfigMerging:
     def test_defaults(self):
         cfg = config_from_sources()

@@ -29,7 +29,11 @@ from hessianlab.core import (
     s_k_of_matrix,
     unit_ball_volume,
 )
+from hessianlab import abp, radial
+from hessianlab import brezis_merle as bm
+from hessianlab import liouville as liu
 from hessianlab.errors import InvalidArgumentError, UnsupportedDimensionError
+from hessianlab.families import FamilySpec, make_profile
 
 
 def sigma_oracle(eigs: np.ndarray, j: int) -> float:
@@ -296,6 +300,73 @@ class TestConstants:
             HessianDim(3, 5)
         with pytest.raises(UnsupportedDimensionError):
             HessianDim(0, 0)
+
+
+_D21, _D31 = HessianDim(2, 1), HessianDim(3, 1)
+_EXP_WEIGHT = abp.OrliczWeight("exp", 1, rate=1.0)
+
+
+def _ones(r):
+    return np.ones_like(r)
+
+
+# Every operation that needs one regime, called at a dimension outside
+# it: (operation name in the message, the regime it needs, the call).
+_GUARD_SITES = [
+    ("barrier machinery", "2k = n", lambda: abp.verify_gk(_D31, _ones, _EXP_WEIGHT, grid_n=64)),
+    ("the sup-bound check", "2k = n", lambda: abp.abp_bound_check(
+        abp.SampledFamily(_D31, _EXP_WEIGHT, 1.0, ("a",) * 4, (1.0,) * 4, (1.0,) * 4, (1.0,) * 4))),
+    ("the fixed-budget family", "2k = n", lambda: abp.mollified_dirac_family(_D31, _EXP_WEIGHT, grid_n=64)),
+    ("the exponential branch", "2k = n", lambda: bm.BMQuery(_D31, "exp", FamilySpec("log"), lam=1.0)),
+    ("the sharpness probe", "2k = n", lambda: bm.sharpness_probe(_D31, grid_n=64)),
+    ("the exponential equation", "2k = n", lambda: liu.LiouvilleProblem(_D31, _ones)),
+    ("the comparison", "2k = n", lambda: liu.singular_comparison_check(_D31, grid_n=64)),
+    ("exponential moment", "2k = n", lambda: radial.exp_integral(
+        make_profile(FamilySpec("newtonian"), _D31, 1.0, 64), 1.0, 1.0)),
+    ("the exponent ceiling", "2k = n", lambda: _D31.beta_max),
+    ("the L^p branch", "2k < n", lambda: bm.BMQuery(_D21, "lp", FamilySpec("log"), p=2.0)),
+    ("a power profile", "2k < n", lambda: make_profile(FamilySpec("power"), _D21, 1.0, 64)),
+    ("the strong integrability endpoint", "2k < n", lambda: _D21.lp_endpoint()),
+]
+
+
+class TestRegimeRules:
+    """HessianDim owns the regime split and the rules on beta; every
+    guarded operation raises through it."""
+
+    @pytest.mark.parametrize("what, regime, call", _GUARD_SITES, ids=[site[0] for site in _GUARD_SITES])
+    def test_each_guard_names_its_operation_and_the_pair(self, what, regime, call):
+        pair = "(3, 1)" if regime == "2k = n" else "(2, 1)"
+        with pytest.raises(UnsupportedDimensionError) as exc:
+            call()
+        assert str(exc.value) == f"{what} needs {regime}, got (n, k) = {pair}"
+
+    def test_require_passes_inside_the_regime(self):
+        assert _D21.require_intermediate("x") is None
+        assert _D31.require_subcritical("x") is None
+        with pytest.raises(UnsupportedDimensionError, match="x needs 2k < n"):
+            HessianDim(4, 3).require_subcritical("x")
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 2.0 + 1e-12])
+    def test_check_beta_accepts(self, beta):
+        assert _D21.check_beta(beta) is None
+
+    @pytest.mark.parametrize("beta", [0.999, 2.0 + 1.5e-12, 3.0, math.inf, -math.inf, math.nan])
+    def test_check_beta_rejects(self, beta):
+        with pytest.raises(InvalidArgumentError) as exc:
+            _D21.check_beta(beta)
+        assert str(exc.value) == f"beta must lie in [1, 2.0], got {beta!r}"
+
+    def test_check_beta_needs_the_intermediate_regime(self):
+        with pytest.raises(UnsupportedDimensionError, match="exponent ceiling"):
+            _D31.check_beta(1.0)
+
+    def test_at_ceiling(self):
+        assert _D21.at_ceiling(2.0)
+        assert _D21.at_ceiling(2.0 - 5e-13)
+        assert not _D21.at_ceiling(2.0 - 2e-12)
+        assert HessianDim(4, 2).at_ceiling(1.5)
+        assert not HessianDim(4, 2).at_ceiling(2.0)
 
 
 @settings(max_examples=30)

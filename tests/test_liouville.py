@@ -2,6 +2,7 @@
 on the exact n = 2 scale family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ class TestBubbleOracle:
         got = local_mass(u, lambda r: np.ones_like(r), 1.0)
         assert got == pytest.approx(bubble_local_mass(lam, 1.0), rel=1e-6)
 
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0, 16.0, 1e3])
+    @pytest.mark.parametrize("grid_n", [64, 2048])
+    def test_residual_keeps_the_hand_written_laplacian_bits(self, lam, grid_n):
+        # the (2,1) Laplacian u'' + u'/r as it was written out by hand
+        nodes = liouville_mod.quad.radial_grid(1.0, grid_n)
+        t = (lam * nodes) ** 2
+        lap = 4.0 * lam * lam * (1.0 - t) / (1.0 + t) ** 2 + 4.0 * lam * lam / (1.0 + t)
+        rhs = 8.0 * lam * lam / (1.0 + t) ** 2
+        assert bubble_residual_sup(lam, grid_n=grid_n) == float(np.max(np.abs(lap - rhs)))
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             bubble_profile(0.0)
@@ -115,6 +126,14 @@ class TestSolver:
         # at c = 1e4 the first image's shell overflows at the innermost
         # node, which must end the solve like the others
         with np.errstate(over="ignore"):
+            with pytest.raises(NoSolutionError):
+                solve_liouville(constant_problem(c, grid_n=256))
+
+    @pytest.mark.parametrize("c", [1e4, 1e5])
+    def test_large_weight_fails_without_a_warning(self, c):
+        # the overflow at the clip is what ends the solve, not news
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
             with pytest.raises(NoSolutionError):
                 solve_liouville(constant_problem(c, grid_n=256))
 
@@ -251,6 +270,24 @@ class TestProblemValidation:
         prob = LiouvilleProblem(DIM2, lambda r: -np.ones_like(r))
         with pytest.raises(InvalidArgumentError, match="nonnegative"):
             solve_liouville(prob)
+
+
+class TestLocalMass:
+    @pytest.mark.parametrize("V", [
+        lambda r: np.ones(3), lambda r: 1.0, lambda r: -np.ones_like(r),
+        lambda r: np.full_like(r, math.inf), lambda r: np.full_like(r, math.nan),
+    ], ids=["short", "scalar", "negative", "inf", "nan"])
+    def test_bad_weight_is_named(self, V):
+        u = bubble_profile(2.0, grid_n=256)
+        with pytest.raises(InvalidArgumentError) as exc:
+            local_mass(u, V, 0.5)
+        assert str(exc.value) == "V must be nonnegative, finite, and radial on the grid"
+
+    def test_matches_the_measure_of_the_clipped_density(self):
+        u = bubble_profile(2.0, grid_n=256)
+        density = 2.0 * np.exp(np.minimum(-u.values, 700.0))
+        mu = liouville_mod.RadialMeasure.from_density(DIM2, 1.0, u.nodes, density)
+        assert local_mass(u, lambda r: np.full_like(r, 2.0), 0.5) == mu.cumulative_at(0.5)
 
 
 class TestSmallness:

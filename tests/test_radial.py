@@ -35,6 +35,9 @@ from hessianlab.parallel import ENV_THREADS
 from hessianlab.profile_io import save_profile
 from hessianlab.radial import (
     RadialMeasure,
+    _s_k_density,
+    _s_k_second,
+    _sampled,
     RadialProfile,
     domain_volume,
     exp_integral,
@@ -170,7 +173,7 @@ class TestGridCache:
             nodes = quad.radial_grid(1.0 + i, 32 + i)
             volume_integral(D42, nodes, np.ones_like(nodes))
             save_profile(profile_from_slope(D21, float(nodes[-1]), nodes, nodes, 0.0), tmp_path / "u.json")
-            assert set(quad._known_grid(nodes).derived) == {("power", 4), "text"}
+            assert set(quad._known_grid(nodes).derived) == {quad._GEOMETRIC, ("power", 4), "text"}
             assert len(quad._grids) <= quad._CACHE_SIZE
 
     def test_evicted_grid_rebuilds_its_values_bit_equal(self):
@@ -253,8 +256,8 @@ class TestGridCache:
 
 
 class TestGridMemo:
-    """radial_grid serves each geometric grid from a bounded memo, as a
-    fresh writable copy."""
+    """radial_grid serves each geometric grid from the per-grid cache,
+    as a fresh writable copy."""
 
     @pytest.mark.parametrize("R, grid_n, rmin", [
         (1.0, 2048, quad.DEFAULT_RMIN_FACTOR), (1e-6, 8192, quad.DEFAULT_RMIN_FACTOR),
@@ -279,7 +282,7 @@ class TestGridMemo:
     def test_memo_is_bounded(self):
         for i in range(3 * quad._CACHE_SIZE):
             quad.radial_grid(1.0 + i, 32 + i)
-        assert len(quad._nodes) <= quad._CACHE_SIZE
+        assert len(quad._grids) <= quad._CACHE_SIZE
 
     def test_threads_get_exact_copies(self):
         # more threads than cores and more keys than the bound, with a
@@ -297,13 +300,115 @@ class TestGridMemo:
         for (R, grid_n), got in zip(jobs, results):
             assert got.tobytes() == np.geomspace(quad.DEFAULT_RMIN_FACTOR * R, R, grid_n).tobytes()
         assert len({id(got) for got in results}) == len(results)
-        assert len(quad._nodes) <= quad._CACHE_SIZE
+        assert len(quad._grids) <= quad._CACHE_SIZE
+
+    def test_threads_never_get_a_moved_grid(self):
+        # grids with one interior node moved share each key, and are
+        # cached by other threads between the radial_grid calls
+        keys = [(1.0 + i, 40 + i) for i in range(3 * quad._CACHE_SIZE)]
+        wants = {key: np.geomspace(quad.DEFAULT_RMIN_FACTOR * key[0], key[0], key[1]) for key in keys}
+        moved = {}
+        for key, want in wants.items():
+            moved[key] = want.copy()
+            moved[key][5] = 0.5 * (want[4] + want[6])
+        jobs = [keys[i % len(keys)] for i in range(2000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(quad.radial_grid, *key) for key in jobs]
+                others = [pool.submit(quad.cumulative_from_left, moved[key], np.ones(key[1])) for key in jobs]
+                results = [f.result(timeout=60) for f in futures]
+                for f in others:
+                    f.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        for key, got in zip(jobs, results):
+            assert got.tobytes() == wants[key].tobytes()
+        assert len(quad._grids) <= quad._CACHE_SIZE
+
+    @pytest.mark.parametrize("first", ["moved", "geometric"])
+    def test_a_moved_grid_under_the_key_is_never_served(self, first):
+        R, grid_n = 4.25, 515
+        want = np.geomspace(quad.DEFAULT_RMIN_FACTOR * R, R, grid_n)
+        moved = want.copy()
+        moved[200] = 0.5 * (want[199] + want[201])
+        assert (moved.size, moved[0], moved[-1]) == (grid_n, quad.DEFAULT_RMIN_FACTOR * R, R)
+        if first == "geometric":
+            quad.radial_grid(R, grid_n)
+        quad.cumulative_from_left(moved, np.ones(grid_n))
+        assert quad._known_grid(moved) is not None
+        for _ in range(2):
+            assert quad.radial_grid(R, grid_n).tobytes() == want.tobytes()
+        assert quad._GEOMETRIC in quad._known_grid(want).derived
+
+    def test_grid_is_served_from_the_cache_entry(self):
+        nodes = quad.radial_grid(6.5, 300)
+        entry = quad._known_grid(nodes)
+        assert entry.derived[quad._GEOMETRIC] is True
+        assert quad.radial_grid(6.5, 300).tobytes() == entry.nodes.tobytes()
+        assert quad._known_grid(nodes) is entry
 
     @pytest.mark.parametrize("args", [(0.0, 64), (math.inf, 64), (1.0, 8), (1.0, 64.0), (1.0, 64, 1.0)])
     def test_bad_arguments_are_rejected_after_a_hit(self, args):
         quad.radial_grid(1.0, 64)
         with pytest.raises(InvalidArgumentError):
             quad.radial_grid(*args)
+
+
+_FORMULA_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]) | st.floats(-1e6, 1e6)
+
+
+class TestFormulaBothWays:
+    """_s_k_second is _s_k_density solved for u''."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nk=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        size=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_keeps_the_bits_of_the_inline_inversion(self, nk, size, data):
+        n, k = nk
+        density = np.array(data.draw(st.lists(_FORMULA_FLOATS, min_size=size, max_size=size)))
+        ratio = np.array(data.draw(st.lists(_FORMULA_FLOATS, min_size=size, max_size=size)))
+        with np.errstate(all="ignore"):
+            # the inversion as it was written inline in verify_gk
+            lead = math.comb(n - 1, k - 1) * ratio ** (k - 1)
+            want = (density - math.comb(n - 1, k) * ratio**k) / lead
+            got = _s_k_second(HessianDim(n, k), density, ratio)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nk", [(2, 1), (3, 1), (4, 2), (6, 3), (8, 4), (5, 5)])
+    def test_inverts_the_density(self, nk):
+        dim = HessianDim(*nk)
+        ratio = np.linspace(0.5, 3.0, 7)
+        second = np.linspace(-0.2, 4.0, 7)
+        density = _s_k_density(dim, second, ratio)
+        assert np.allclose(_s_k_second(dim, density, ratio), second, rtol=1e-12, atol=1e-12)
+
+
+class TestSampled:
+    def test_returns_the_samples_as_floats(self):
+        nodes = quad.radial_grid(1.0, 64)
+        got = _sampled(lambda r: (r > 0.5).astype(int), nodes)
+        assert got.dtype == float and np.array_equal(got, (nodes > 0.5).astype(float))
+
+    @pytest.mark.parametrize("positive, word", [(False, "nonnegative"), (True, "strictly positive")])
+    @pytest.mark.parametrize("fn", [
+        lambda r: np.ones(3), lambda r: -np.ones_like(r), lambda r: np.full_like(r, math.nan),
+        lambda r: np.full_like(r, math.inf),
+    ], ids=["shape", "negative", "nan", "inf"])
+    def test_bad_samples_are_named(self, fn, positive, word):
+        with pytest.raises(InvalidArgumentError) as exc:
+            _sampled(fn, quad.radial_grid(1.0, 64), "weight", positive)
+        assert str(exc.value) == f"weight must be {word}, finite, and radial on the grid"
+
+    def test_zero_is_refused_only_when_positive(self):
+        nodes = quad.radial_grid(1.0, 64)
+        assert not _sampled(np.zeros_like, nodes).any()
+        with pytest.raises(InvalidArgumentError, match="density must be strictly positive"):
+            _sampled(np.zeros_like, nodes, positive=True)
 
 
 class TestAgainstFullHessian:

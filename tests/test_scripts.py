@@ -85,6 +85,20 @@ class TestReportDiff:
         # the ends of the accepted range
         assert set(RADIUS_RANGE) <= {float(config[-1]) for config in report_diff.RADIUS_CONFIGS}
 
+    def test_run_list_is_pinned(self):
+        all_2048 = ("--suite", "all", "--grid-n", "2048")
+        bm = ("--suite", "bm", "--n")
+        assert report_diff.run_list(["sym", "bm"], [512]) == [
+            ("--suite", "sym", "--grid-n", "512"),
+            ("--suite", "bm", "--grid-n", "512"),
+            *(all_2048 + ("--radius", radius) for radius in ("1e-6", "1e6", "1e-60", "1e7")),
+            *(all_2048 + ("--n", n, "--k", k) for n, k in (("3", "2"), ("5", "1"), ("6", "3"), ("8", "4"))),
+            bm + ("2", "--k", "1", "--lambda", "20"),
+            bm + ("2", "--k", "1", "--beta", "3"),
+            bm + ("3", "--k", "1", "--p", "5"),
+            bm + ("3", "--k", "1", "--p", "0.5"),
+        ]
+
     def test_checkpoint_compare(self):
         text = '{\n "format": "hessian-profile/1",\n "nodes": [\n  1e-08,\n  1.0\n ]\n}\n'
         assert report_diff.compare_checkpoint(text, text) == []

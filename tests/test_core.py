@@ -1,4 +1,4 @@
-"""Spectral kernels and dimensional constants.
+"""Spectral kernels, dimensional constants and the regime rules.
 
 Oracles: elementary symmetrics by explicit subset-product enumeration,
 minors by explicit determinant enumeration, ball volumes against the

@@ -243,6 +243,11 @@ def barrier_epsilon(amplitude: float, k: int) -> float:
     return ((k + 1.0) / k) ** (k / (k + 1.0)) * amplitude ** (1.0 / (k + 1.0))
 
 
+def _require_weight_order(dim: HessianDim, weight: OrliczWeight) -> None:
+    if weight.k != dim.k:
+        raise InvalidWeightError(f"weight is for k = {weight.k}, dimension has k = {dim.k}")
+
+
 def verify_gk(
     dim: HessianDim,
     density,
@@ -267,8 +272,7 @@ def verify_gk(
     solves, so no numerical differentiation enters.
     """
     dim.require_intermediate("barrier machinery")
-    if weight.k != dim.k:
-        raise InvalidWeightError(f"weight is for k = {weight.k}, dimension has k = {dim.k}")
+    _require_weight_order(dim, weight)
     alpha0 = dim.moser_constant
     alpha_val = 0.5 * alpha0 if alpha is None else float(alpha)
     if not 0 < alpha_val < alpha0 * (1.0 - 1e-12):
@@ -276,8 +280,9 @@ def verify_gk(
     nodes = quad.radial_grid(R, grid_n)
     g = _sampled(density, nodes, positive=True)
     big_g = np.log(g)
-    budget = volume_integral(dim, nodes, g * weight.value(big_g))
-    f_unit = g * weight.value(big_g) / budget
+    weighted = g * weight.value(big_g)
+    budget = volume_integral(dim, nodes, weighted)
+    f_unit = weighted / budget
     mu = RadialMeasure.from_density(dim, R, nodes, f_unit)
     psi1 = solve_dirichlet(mu, 0.0)
 
@@ -361,8 +366,7 @@ def sample_family(
     """Sample each (label, callable) density on the grid, take its
     Orlicz budget and solve its Dirichlet problem once, for the checks
     that read the family."""
-    if weight.k != dim.k:
-        raise InvalidWeightError(f"weight is for k = {weight.k}, dimension has k = {dim.k}")
+    _require_weight_order(dim, weight)
     nodes = quad.radial_grid(R, grid_n)
     labels, heights, budgets, sups = [], [], [], []
     for label, fn in densities:
@@ -466,7 +470,7 @@ def mollified_dirac_family(
     dim.require_intermediate("the fixed-budget family")
     if not (np.isfinite(base) and base > 0):
         raise InvalidArgumentError(f"base level must be positive, got {base!r}")
-    if budget_lift <= 1.0:
+    if not budget_lift > 1.0:
         raise InvalidArgumentError(f"budget lift must exceed 1, got {budget_lift!r}")
     nodes = quad.radial_grid(R, grid_n)
     flat = _orlicz_budget(dim, nodes, np.full_like(nodes, base), weight)

@@ -82,10 +82,9 @@ class BMQuery:
         return self.dim.beta_max if self.beta is None else float(self.beta)
 
     def members(self):
-        levels = self.mollification_levels if self.family.kind == "mollified-log" else 1
         return make_family(
             self.family, self.dim, self.R, count=self.amplitudes, grid_n=self.grid_n,
-            mollification_levels=levels,
+            mollification_levels=self.mollification_levels,
         )
 
 

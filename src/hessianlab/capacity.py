@@ -175,62 +175,33 @@ def levelset_cap_check(u: RadialProfile, t_values, tol: float = 1e-8) -> CheckRe
     )
 
 
-def _crossings(nodes: np.ndarray, diff: np.ndarray) -> list[float]:
-    """Sign-change radii of diff, bisected on the log-linear interpolant
-    to 1e-10 relative resolution."""
-    log_r = np.log(nodes)
-
-    def interp(lr: float) -> float:
-        return float(np.interp(lr, log_r, diff))
-
-    out = []
-    sign = np.sign(diff)
-    for i in np.flatnonzero(sign[:-1] != sign[1:]).tolist():
-        lo, hi = log_r[i], log_r[i + 1]
-        flo = diff[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fmid = interp(mid)
-            if (flo < 0) == (fmid < 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-            if hi - lo < 1e-10:
-                break
-        out.append(float(np.exp(0.5 * (lo + hi))))
-    return out
-
-
 def comparison_check(u: RadialProfile, v: RadialProfile, tol: float = 1e-9) -> CheckRecord:
     """Comparison principle on the sublevel region {u < v}: the Hessian
     measure of u dominates that of v there.
 
     Profiles must live on the same ball with u >= v on the boundary.
-    The region is resolved into radial intervals; masses are differences
-    of the cumulative functions at refined crossing radii.
+    The region is where the log-linear interpolant of v - u on u's
+    nodes is positive; its edges are that interpolant's exact zeros, and
+    masses are differences of the cumulative functions at the edges.
     """
     if (u.dim.n, u.dim.k) != (v.dim.n, v.dim.k) or abs(u.R - v.R) > 1e-12 * u.R:
         raise InvalidArgumentError("comparison needs matching dimension, order, and domain radius")
     vscale = max(float(np.max(np.abs(u.values))), float(np.max(np.abs(v.values))), 1.0)
     if u.boundary < v.boundary - 1e-12 * vscale:
         raise PreconditionError("comparison needs u >= v on the boundary")
-    v_on_u = np.interp(np.log(u.nodes), np.log(v.nodes), v.values)
-    diff = v_on_u - u.values
-    cross = _crossings(u.nodes, diff)
-    edges = [0.0] + cross + [u.R]
+    log_r = np.log(u.nodes)
+    diff = np.interp(log_r, np.log(v.nodes), v.values) - u.values
+    # At a flip one side is > 0 and the other <= 0, so the denominator is nonzero.
+    i = np.flatnonzero((diff[:-1] > 0) != (diff[1:] > 0))
+    cross = np.exp(log_r[i] + (log_r[i + 1] - log_r[i]) * diff[i] / (diff[i] - diff[i + 1]))
+    edges = [0.0, *cross.tolist(), u.R]
+    # The region starts inside exactly when diff[0] > 0 and alternates at each edge.
+    intervals = list(zip(edges[:-1], edges[1:]))[0 if diff[0] > 0 else 1::2]
     mu_u: RadialMeasure = s_k_radial(u)
     mu_v: RadialMeasure = s_k_radial(v)
     mass_u = 0.0
     mass_v = 0.0
-    intervals = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = math.sqrt(max(a, u.nodes[0] * 0.5) * b) if b > 0 else 0.0
-        inside = np.interp(np.log(max(mid, u.nodes[0])), np.log(u.nodes), diff) > 0
-        if a == 0.0 and diff[0] > 0:
-            inside = True
-        if not inside:
-            continue
-        intervals.append((a, b))
+    for a, b in intervals:
         mass_u += float(mu_u.cumulative_at(b) - mu_u.cumulative_at(a))
         mass_v += float(mu_v.cumulative_at(b) - mu_v.cumulative_at(a))
     scale = max(mu_u.total, mu_v.total, 1.0)

@@ -35,6 +35,7 @@ from .errors import (
 from .radial import (
     RadialMeasure,
     RadialProfile,
+    _require_radius,
     _s_k_density,
     _sampled,
     s_k_radial,
@@ -291,10 +292,9 @@ def solve_sequence(problems, continuation: bool = False, **kwargs) -> SolutionSe
 
 def local_mass(u: RadialProfile, V, r: float) -> float:
     """int over B_r of V exp(-u), by radial quadrature."""
-    if not (np.isfinite(r) and 0 <= r <= u.R * (1.0 + 1e-12)):
-        raise InvalidArgumentError(f"need 0 <= r <= {u.R:g}, got {r!r}")
+    r = _require_radius(u, r)
     v = _sampled(V, u.nodes, "V")
-    return _exp_measure(u.dim, u.R, u.nodes, v, u.values).cumulative_at(min(r, u.R))
+    return _exp_measure(u.dim, u.R, u.nodes, v, u.values).cumulative_at(r)
 
 
 def smallness_check(seq: SolutionSequence, mass_budget: float | None = None) -> CheckRecord:
@@ -436,7 +436,7 @@ def classify_alternative(
     blowup_radii: tuple[float, ...] = ()
     atom_masses: tuple[float, ...] = ()
     if sinking_center and rising_annulus:
-        atom = float(seq.local_masses(atom_radius_factor * R)[-1])
+        atom = local_mass(seq.profiles[-1], seq.problems[-1].V, atom_radius_factor * R)
         atom_masses = (atom,)
         margins = {"atom_minus_threshold": atom - threshold}
         if atom >= threshold * (1.0 - tol):
@@ -524,11 +524,11 @@ def singular_comparison_check(
     z stays below (n/p') log r plus its boundary offset everywhere.
     """
     dim.require_intermediate("the comparison")
-    if atom_factor < 1.0:
+    if not atom_factor >= 1.0:
         raise InvalidArgumentError(
             f"the bound needs an atom at or above the quantum, got factor {atom_factor!r}"
         )
-    if background < 0:
+    if not background >= 0:
         raise InvalidArgumentError(f"background density must be nonnegative, got {background!r}")
     quantum = dim.concentration_quantum(p_prime)
     atom = atom_factor * quantum

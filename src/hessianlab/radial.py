@@ -454,6 +454,18 @@ def _require_level(t: float) -> None:
         raise InvalidArgumentError(f"level t must be positive, got {t!r}")
 
 
+def _require_exponent(p: float) -> None:
+    if not np.isfinite(p) or p < 1:
+        raise InvalidArgumentError(f"exponent p must satisfy p >= 1, got {p!r}")
+
+
+def _require_radius(u: RadialProfile, r: float) -> float:
+    """r as a float at most R, for 0 <= r <= R up to rounding."""
+    if not (np.isfinite(r) and 0.0 <= r <= u.R * (1.0 + 1e-12)):
+        raise InvalidArgumentError(f"need 0 <= r <= {u.R:g}, got {r!r}")
+    return min(float(r), u.R)
+
+
 def value_at(u: RadialProfile, r: float) -> float:
     """Profile value at radius r.
 
@@ -462,9 +474,7 @@ def value_at(u: RadialProfile, r: float) -> float:
     anything else interpolates the grid in log radius, holding the
     first node's value below it.
     """
-    if not (np.isfinite(r) and 0.0 <= r <= u.R * (1.0 + 1e-12)):
-        raise InvalidArgumentError(f"need 0 <= r <= {u.R:g}, got {r!r}")
-    r = min(float(r), u.R)
+    r = _require_radius(u, r)
     closed = _closed_form(u)
     if closed is not None:
         form, p = closed
@@ -576,8 +586,7 @@ def lp_norm(u: RadialProfile, p: float) -> float:
     Profiles with a power singularity r^(-m) at the origin are flagged
     +inf at and above the endpoint p = n/m.
     """
-    if not np.isfinite(p) or p < 1:
-        raise InvalidArgumentError(f"exponent p must satisfy p >= 1, got {p!r}")
+    _require_exponent(p)
     m_sing = _power_singularity(u)
     if m_sing is not None and m_sing > 0 and p * m_sing >= u.dim.n * (1.0 - 1e-12):
         return float("inf")
@@ -595,8 +604,7 @@ def weak_lp_quasinorm(u: RadialProfile, p: float) -> float:
     level t = -u(r)) and, for profiles with a recognized power
     singularity, the analytic t -> inf tail is included.
     """
-    if not np.isfinite(p) or p < 1:
-        raise InvalidArgumentError(f"exponent p must satisfy p >= 1, got {p!r}")
+    _require_exponent(p)
     dim = u.dim
     neg = -u.values
     mask = neg > 0

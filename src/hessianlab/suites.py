@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
@@ -146,7 +146,9 @@ OPTIONS = (
     Option("suite", "suite", str, "suite to run (default: all)", choices=SUITES),
     Option("n", "n", int, "ambient dimension"),
     Option("k", "k", int, "Hessian order, 1 <= k <= n"),
-    Option("radius", "radius", float, "domain ball radius in [{:g}, {:g}] (default 1)".format(*RADIUS_RANGE)),
+    Option("radius", "radius", float, "domain ball radius in [{:g}, {:g}] (default 1); ".format(*RADIUS_RANGE)
+           + "read by the solve, capacity, bm and abp suites only: sym and degiorgi have no ball,"
+           + " liouville runs on the unit ball"),
     Option("grid_n", "grid_n", int, "radial grid size (default 2048)"),
     Option("lambda", "lam", float, "exponential-moment coefficient"),
     Option("beta", "beta", float, "exponential-moment exponent"),
@@ -723,12 +725,11 @@ def _suite_liouville(cfg: ExperimentConfig, soft: bool = False):
             levels = tuple(float(c) for c in np.linspace(0.15, 1.9, 12))
             jobs.append(partial(_smallness, cfg, dim, levels))
             jobs.append(partial(_harnack, cfg))
-            jobs.append(partial(singular, atom_factor=1.0, background=0.0))
             jobs.append(partial(singular, atom_factor=2.0, background=float(dim.n_choose_k)))
         else:
             jobs.append(partial(_residual_row, cfg, dim))
             jobs.append(partial(_smallness, cfg, dim, (1.0, 4.0, 10.0, 25.0)))
-            jobs.append(partial(singular, atom_factor=1.0, background=0.0))
+        jobs.append(partial(singular, atom_factor=1.0, background=0.0))
     return jobs
 
 
@@ -750,8 +751,7 @@ def run_suite(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
     names = list(_BUILDERS) if soft else [cfg.suite]
     labeled: list[tuple[str, object]] = []
     for name in names:
-        sub_cfg = replace(cfg, suite=name) if soft else cfg
-        for thunk in _BUILDERS[name](sub_cfg, soft=soft):
+        for thunk in _BUILDERS[name](cfg, soft=soft):
             labeled.append((name, thunk))
     outcomes = map_ordered(lambda item: item[1](), labeled)
     rows: list[ReportRow] = []

@@ -303,8 +303,12 @@ class TestVerifyGk:
         dim = HessianDim(2, 1)
         with pytest.raises(UnsupportedDimensionError):
             verify_gk(HessianDim(3, 1), lambda r: np.ones_like(r), exp_weight(1))
-        with pytest.raises(InvalidWeightError, match="k = "):
+        with pytest.raises(UnsupportedDimensionError):
+            verify_gk(HessianDim(3, 1), lambda r: np.ones_like(r), exp_weight(2))
+        with pytest.raises(InvalidWeightError, match="^weight is for k = 2, dimension has k = 1$"):
             verify_gk(dim, lambda r: np.ones_like(r), exp_weight(2))
+        with pytest.raises(InvalidWeightError, match="^weight is for k = 2, dimension has k = 1$"):
+            sample_family(dim, [("one", np.ones_like)], exp_weight(2), grid_n=64)
         with pytest.raises(InvalidArgumentError, match="alpha"):
             verify_gk(dim, lambda r: np.ones_like(r), exp_weight(1), alpha=dim.moser_constant)
         with pytest.raises(InvalidArgumentError, match="positive"):
@@ -383,6 +387,11 @@ class TestFixedBudgetFamily:
             mollified_dirac_family(dim, w, base=0.0)
         with pytest.raises(InvalidArgumentError, match="scale"):
             mollified_dirac_family(dim, w, scales=(1.5,))
+
+    def test_nan_lift_is_rejected(self):
+        # nan <= 1 is False, so a NaN lift once gave six flat members.
+        with pytest.raises(InvalidArgumentError, match="^budget lift must exceed 1, got nan$"):
+            mollified_dirac_family(HessianDim(2, 1), exp_weight(1), budget_lift=math.nan)
 
     def test_amplitudes_match_brentq(self, intermediate_dim):
         # scipy's brentq on the same budget gap is the oracle for the

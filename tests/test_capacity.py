@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from hessianlab import quadrature as quad
 from hessianlab.capacity import (
     CapacityConfig,
-    _crossings,
     cap_concentric,
     comparison_check,
     extremal_profile,
@@ -32,7 +31,7 @@ from hessianlab.errors import (
     UnsupportedDimensionError,
 )
 from hessianlab.families import FamilySpec, make_profile
-from hessianlab.radial import RadialMeasure, RadialProfile, hessian_mass, solve_dirichlet
+from hessianlab.radial import RadialMeasure, RadialProfile, hessian_mass, s_k_radial, solve_dirichlet
 from hessianlab.suites import config_from_sources, run_suite
 
 D21 = HessianDim(2, 1)
@@ -203,15 +202,15 @@ class TestLevelsetBound:
             levelset_cap_check(u, [0.5])
 
 
-def per_node_crossings(nodes, diff):
-    """_crossings with the sign changes found by a scan over every node."""
+def bisected_region_masses(nodes, diff, mu_u, mu_v):
+    """The region masses by comparison_check's earlier algorithm: sign
+    changes of diff bisected on its log-linear interpolant to 1e-10,
+    then each interval between edges kept when the interpolant is
+    positive at its geometric midpoint."""
     log_r = np.log(nodes)
-    out = []
+    cross = []
     sign = np.sign(diff)
-    for i in range(len(nodes) - 1):
-        a, b = sign[i], sign[i + 1]
-        if a == b or a == 0 and b == 0:
-            continue
+    for i in np.flatnonzero(sign[:-1] != sign[1:]).tolist():
         lo, hi = log_r[i], log_r[i + 1]
         flo = diff[i]
         for _ in range(60):
@@ -223,19 +222,89 @@ def per_node_crossings(nodes, diff):
                 hi = mid
             if hi - lo < 1e-10:
                 break
-        out.append(float(np.exp(0.5 * (lo + hi))))
-    return out
+        cross.append(float(np.exp(0.5 * (lo + hi))))
+    edges = [0.0] + cross + [float(nodes[-1])]
+    mass_u = mass_v = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = math.sqrt(max(a, nodes[0] * 0.5) * b) if b > 0 else 0.0
+        inside = np.interp(np.log(max(mid, nodes[0])), log_r, diff) > 0
+        if a == 0.0 and diff[0] > 0:
+            inside = True
+        if inside:
+            mass_u += float(mu_u.cumulative_at(b) - mu_u.cumulative_at(a))
+            mass_v += float(mu_v.cumulative_at(b) - mu_v.cumulative_at(a))
+    return mass_u, mass_v
+
+
+def bisection_blind_spots(diff):
+    """Nodes i where a positive run starts after a zero that follows
+    another zero or sits at the first node.  The bisection counts a zero
+    as positive, so it puts that edge near node i + 1 instead of at
+    node i, and the midpoint test then keeps or drops the whole interval
+    up to it."""
+    starts = (diff[:-1] == 0) & (diff[1:] > 0)
+    after_zero = np.concatenate(([True], diff[:-2] == 0))
+    return np.flatnonzero(starts & after_zero)
+
+
+def comparison_pair(samples, dim=D21):
+    """Profiles u, v on one grid with v - u = samples up to rounding:
+    the measures depend on the slopes alone, and the values only need
+    to stay nondecreasing."""
+    size = len(samples)
+    nodes = quad.radial_grid(1.0, size)
+    base = 20.0 * (np.arange(size) - (size - 1))
+    u = RadialProfile(dim, 1.0, nodes, base, np.ones_like(nodes), 0.0)
+    v = RadialProfile(dim, 1.0, nodes, base + np.array(samples), np.linspace(1.5, 2.5, size), 0.0)
+    return u, v
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(
     st.sampled_from([-2.5, -1e-3, 0.0, 0.0, 1e-3, 3.0]) | st.floats(-5.0, 5.0), min_size=16, max_size=64,
 ))
-def test_crossings_match_the_per_node_scan(samples):
+def test_comparison_region_matches_the_bisected_region(samples):
     # Zeros, runs of one sign and sign flips between neighbours.
-    diff = np.array(samples)
-    nodes = quad.radial_grid(1.0, diff.size)
-    assert _crossings(nodes, diff) == per_node_crossings(nodes, diff)
+    u, v = comparison_pair(samples)
+    nodes = u.nodes
+    log_r = np.log(nodes)
+    diff = v.values - u.values  # what the check sees; tiny samples round to zero
+    rec = comparison_check(u, v)
+    intervals = rec.details["intervals"]
+    tol = 1e-12 * max(float(np.max(np.abs(diff))), 1.0)
+    edges = [e for interval in intervals for e in interval if 0.0 < e < 1.0]
+    assert np.all(np.abs(np.interp(np.log(edges), log_r, diff)) <= tol)
+    # Away from its edges, the region is exactly where the interpolant is positive.
+    probes = (log_r[:-1, None] + np.diff(log_r)[:, None] * np.linspace(0.05, 0.95, 19)).ravel()
+    values = np.interp(probes, log_r, diff)
+    inside = np.array([any(a <= x <= b for a, b in intervals) for x in np.exp(probes)])
+    clear = np.abs(values) > tol
+    assert np.array_equal(inside[clear], values[clear] > 0)
+    if bisection_blind_spots(diff).size == 0:
+        mu_u, mu_v = s_k_radial(u), s_k_radial(v)
+        mass_u, mass_v = bisected_region_masses(nodes, diff, mu_u, mu_v)
+        scale = max(mu_u.total, mu_v.total)
+        assert abs(rec.rhs - mass_u) <= 1e-9 * scale
+        assert abs(rec.lhs - mass_v) <= 1e-9 * scale
+
+
+def test_a_positive_run_after_zeros_starts_at_the_last_zero():
+    # v - u is 0, 0, 2, 2, then negative: the region runs from r_1 to
+    # the zero two thirds of the way from r_3 to r_4.  The bisection
+    # put the first edge near r_2 and left (r_1, r_2) out.
+    u, v = comparison_pair([0.0, 0.0, 2.0, 2.0] + [-1.0] * 12)
+    nodes, log_r = u.nodes, np.log(u.nodes)
+    rec = comparison_check(u, v)
+    [(a, b)] = rec.details["intervals"]
+    assert a == pytest.approx(nodes[1], rel=1e-15)
+    assert b == pytest.approx(math.exp(log_r[3] + (log_r[4] - log_r[3]) * 2.0 / 3.0), rel=1e-15)
+    mu_u, mu_v = s_k_radial(u), s_k_radial(v)
+    assert rec.rhs == pytest.approx(mu_u.cumulative_at(b) - mu_u.cumulative[1], rel=1e-12)
+    assert rec.lhs == pytest.approx(mu_v.cumulative_at(b) - mu_v.cumulative[1], rel=1e-12)
+    bisected = bisected_region_masses(nodes, v.values - u.values, mu_u, mu_v)
+    dropped = (mu_u.cumulative[2] - mu_u.cumulative[1], mu_v.cumulative[2] - mu_v.cumulative[1])
+    assert rec.rhs == pytest.approx(bisected[0] + dropped[0], rel=1e-9)
+    assert rec.lhs == pytest.approx(bisected[1] + dropped[1], rel=1e-9)
 
 
 class TestComparison:

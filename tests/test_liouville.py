@@ -351,6 +351,11 @@ class TestClassification:
         assert report.atom_masses[0] == pytest.approx(8.0 * math.pi, rel=1e-2)
         assert report.atom_masses[0] >= report.threshold
 
+    def test_atom_mass_is_the_last_members_local_mass(self):
+        seq = self.bubble_sweep()
+        report = classify_alternative(seq)
+        assert report.atom_masses == (float(seq.local_masses(0.05)[-1]),)
+
     def test_sub_quantum_atom_is_inconclusive(self):
         # Same profiles under a weight a tenth as large: the center
         # still sinks and the annulus still rises, but the limiting
@@ -448,6 +453,15 @@ class TestSingularComparison:
             singular_comparison_check(DIM2, atom_factor=0.5)
         with pytest.raises(InvalidArgumentError, match="background"):
             singular_comparison_check(DIM2, background=-1.0)
+
+    @pytest.mark.parametrize("key, message", [
+        ("atom_factor", "the bound needs an atom at or above the quantum, got factor nan"),
+        ("background", "background density must be nonnegative, got nan"),
+    ])
+    def test_nan_is_rejected_up_front(self, key, message):
+        # NaN once passed both range checks and failed inside the measure.
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            singular_comparison_check(DIM2, **{key: math.nan})
 
 
 class TestRegularPointClassify:

@@ -31,6 +31,7 @@ from hessianlab.errors import (
     UnsupportedDimensionError,
 )
 from hessianlab.families import KINDS, FamilySpec, make_profile
+from hessianlab.liouville import local_mass
 from hessianlab.parallel import ENV_THREADS
 from hessianlab.profile_io import save_profile
 from hessianlab.radial import (
@@ -694,6 +695,14 @@ class TestValueAt:
         with pytest.raises(InvalidArgumentError):
             value_at(u, 2.0)
 
+    @pytest.mark.parametrize("r", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("at", [value_at, lambda u, r: local_mass(u, np.ones_like, r)])
+    def test_value_and_local_mass_give_one_radius_message(self, at, r):
+        u = make_profile(FamilySpec("quadratic"), D21)
+        with pytest.raises(InvalidArgumentError) as err:
+            at(u, r)
+        assert str(err.value) == f"need 0 <= r <= 1, got {r!r}"
+
 
 class TestNorms:
     def test_newtonian_l1_oracle(self):
@@ -728,9 +737,9 @@ class TestNorms:
 
     def test_norm_validation(self):
         u = make_profile(FamilySpec("quadratic"), D21)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=r"^exponent p must satisfy p >= 1, got 0\.5$"):
             lp_norm(u, 0.5)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="^exponent p must satisfy p >= 1, got nan$"):
             weak_lp_quasinorm(u, math.nan)
 
 

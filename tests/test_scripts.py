@@ -1,22 +1,28 @@
-"""The two gate scripts under scripts/, loaded by path, on synthetic inputs.
+"""The scripts under scripts/.
 
+The two gate scripts are loaded by path and fed synthetic inputs:
 report_diff.compare decides whether two reports differ in rows or
 verdicts, and report_diff.compare_checkpoint whether two checkpoints
 differ; bench_pairs.verdict decides whether a metric got better,
-worse, stayed the same or cannot be told apart.
+worse, stayed the same or cannot be told apart.  The other three are
+run once each in a subprocess on src/.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hessianlab.suites import RADIUS_RANGE
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name: str):
@@ -133,3 +139,35 @@ class TestBenchVerdict:
     def test_same(self):
         head = self.BASE[::-1]
         assert bench_pairs.verdict(self.BASE, head, self.BOUND) == "same"
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *args],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestScriptRuns:
+    def test_blowup_sweep_prints_the_three_verdicts(self):
+        run = _run_script("blowup_sweep", "--grid-n", "512")
+        assert run.returncode == 0, run.stderr
+        verdicts = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("verdict:")]
+        assert verdicts == ["concentration", "uniform-divergence", "bounded"]
+
+    def test_run_all_suites_reports_every_row(self):
+        run = _run_script("run_all_suites", "--grid-n", "2048")
+        assert run.returncode == 0, run.stderr
+        assert "total       187 rows across 7 suites" in run.stdout.splitlines()
+
+    def test_gen_sym_fixtures_writes_fifty_matrices(self, tmp_path):
+        # The entries depend on the platform's BLAS, so only the shape is checked.
+        out = tmp_path / "sym.json"
+        run = _run_script("gen_sym_fixtures", "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        sizes = [len(m["entries"]) for m in payload["matrices"]]
+        assert payload["count"] == len(sizes) == 50
+        assert set(sizes) == {2, 3, 4, 5, 6}
+        assert all(len(row) == n for m, n in zip(payload["matrices"], sizes) for row in m["entries"])

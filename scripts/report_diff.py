@@ -7,14 +7,19 @@ the head checkout (each on its own `src/`), and compares stdout and
 stderr.  `--suite all --grid-n 2048` at `--radius 1e-6` and `1e6`, and
 at the ends 1e-60 and 1e7 of the accepted radius range, is always
 compared too, and so is `--suite all --grid-n 2048` at the explicit
-pairs (n, k) = (3, 2), (5, 1), (6, 3) and (8, 4), and four bm configs
+pairs (n, k) = (3, 2), (5, 1), (6, 3) and (8, 4), four bm configs
 whose --lambda, --beta or --p is out of range (exit 2, compared by
-their stderr line).  Identical bytes on both print one `same` line.
-Otherwise every differing cell is printed, numeric cells (lhs, rhs,
-margin, ms) with their absolute and relative drift, and so is every
-differing stderr line.  A config that exits 3 has an empty report on
-both sides, so its stderr line (the error it raised) is what tells the
-two apart.
+their stderr line), and the --family and --tol paths: bm with the
+mollified-log, newtonian (at (3, 1), and at (5, 1) where it falls back
+to power) and constant (exit 2) families, degiorgi with the constant
+fixture (exit 1), and `all` at --tol 1e-7.  Identical bytes on both
+print one `same` line.  Otherwise every differing cell is printed,
+numeric cells (lhs, rhs, margin, ms) with their absolute and relative
+drift, and so is every differing stderr line.  Rows are matched by
+suite, check and occurrence: a check name that a report repeats is
+told apart by its order there, and its later copies print as `#2`,
+`#3`, ...  A config that exits 3 has an empty report on both sides, so
+its stderr line (the error it raised) is what tells the two apart.
 
 Then the checkpoint bytes: each checkout solves S_k[u] = c e^{-u},
 u(1) = 0 cold at (2,1) c = 1.9 and (4,2) c = 20 on grids 2048 and 8192
@@ -42,6 +47,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 NUMERIC = ("lhs", "rhs", "margin", "ms")
@@ -68,6 +74,16 @@ BAD_PARAMETER_CONFIGS = (
     ("--suite", "bm", "--n", "3", "--k", "1", "--p", "0.5"),
 )
 
+# Then the --family and --tol paths at the default grid.
+FAMILY_TOL_CONFIGS = (
+    ("--suite", "bm", "--family", "mollified-log"),
+    ("--suite", "bm", "--n", "3", "--k", "1", "--family", "newtonian"),
+    ("--suite", "bm", "--n", "5", "--k", "1", "--family", "newtonian"),
+    ("--suite", "bm", "--family", "constant"),
+    ("--suite", "degiorgi", "--family", "constant"),
+    ("--suite", "all", "--tol", "1e-7"),
+)
+
 
 # (n, k, c, grid) of each checkpoint compared, and the program that
 # writes one to stdout.
@@ -90,7 +106,7 @@ with tempfile.TemporaryDirectory() as tmp:
 def run_list(suites: list[str], grids: list[int]) -> list[tuple[str, ...]]:
     """The CLI arguments of every config compared, format excluded."""
     product = [("--suite", s, "--grid-n", str(g)) for s in suites for g in grids]
-    return product + list(RADIUS_CONFIGS) + list(PAIR_CONFIGS) + list(BAD_PARAMETER_CONFIGS)
+    return product + list(RADIUS_CONFIGS) + list(PAIR_CONFIGS) + list(BAD_PARAMETER_CONFIGS) + list(FAMILY_TOL_CONFIGS)
 
 
 def run_python(checkout: Path, args: list[str]) -> tuple[int, str, str]:
@@ -109,15 +125,27 @@ def run_checkpoint(checkout: Path, checkpoint: tuple) -> tuple[int, str, str]:
     return run_python(checkout, ["-c", CHECKPOINT_PROGRAM, *map(str, checkpoint)])
 
 
-def parse_rows(text: str, fmt: str) -> dict[tuple[str, str], dict[str, str]]:
-    """Rows keyed by (suite, check), every cell as its text."""
+def parse_rows(text: str, fmt: str) -> dict[tuple[str, str, int], dict[str, str]]:
+    """Rows keyed by (suite, check, occurrence), every cell as its text;
+    occurrence counts the earlier rows with the same suite and check."""
     if fmt == "csv":
         records = list(csv.DictReader(io.StringIO(text)))
     else:
         records = [json.loads(line) for line in text.splitlines() if line]
         for rec in records:
             rec["pass"] = "true" if rec["pass"] else "false"
-    return {(rec["suite"], rec["check"]): rec for rec in records}
+    seen: Counter = Counter()
+    rows = {}
+    for rec in records:
+        name = (rec["suite"], rec["check"])
+        rows[(*name, seen[name])] = rec
+        seen[name] += 1
+    return rows
+
+
+def row_name(key: tuple[str, str, int]) -> str:
+    suite, check, occurrence = key
+    return f"{suite} {check}" + (f" #{occurrence + 1}" if occurrence else "")
 
 
 def drift(a: str, b: str) -> str:
@@ -136,7 +164,7 @@ def compare(base: str, head: str, fmt: str) -> tuple[list[str], bool]:
     lines, breaking = [], False
     for key in sorted(old.keys() | new.keys()):
         if key not in new or key not in old:
-            lines.append(f"  {'only in base' if key in old else 'only in head'}: {key[0]} {key[1]}")
+            lines.append(f"  {'only in base' if key in old else 'only in head'}: {row_name(key)}")
             breaking = True
             continue
         for cell in old[key]:
@@ -144,9 +172,9 @@ def compare(base: str, head: str, fmt: str) -> tuple[list[str], bool]:
             if a == b:
                 continue
             if cell in NUMERIC:
-                lines.append(f"  {key[0]} {key[1]} {cell}: {a} -> {b} ({drift(a, b)})")
+                lines.append(f"  {row_name(key)} {cell}: {a} -> {b} ({drift(a, b)})")
             else:
-                lines.append(f"  {key[0]} {key[1]} {cell}: {a} -> {b}")
+                lines.append(f"  {row_name(key)} {cell}: {a} -> {b}")
                 breaking = True
     return lines, breaking
 

@@ -382,13 +382,13 @@ def sample_family(
     return SampledFamily(dim, weight, R, tuple(labels), tuple(heights), tuple(budgets), tuple(sups))
 
 
-def abp_bound_check(family: SampledFamily, slack: float = 0.10) -> list[CheckRecord]:
+def abp_bound_check(family: SampledFamily) -> list[CheckRecord]:
     """Calibrate-then-hold-out test of sup u <= c1 + c2 N^(1/k).
 
     The first half of the family calibrates (c1, c2) by least squares
     (c2 clamped >= 0, c1 lifted so the calibration half satisfies the
     bound outright); the remaining members are held out and must pass
-    with the stated multiplicative slack on the c2 term.  One record
+    with a multiplicative slack of 0.10 on the c2 term.  One record
     per member, held-out ones marked.
     """
     dim = family.dim
@@ -408,7 +408,7 @@ def abp_bound_check(family: SampledFamily, slack: float = 0.10) -> list[CheckRec
     records = []
     for i, label in enumerate(family.labels):
         held_out = not calib[i]
-        bound = float(c1 + (1.0 + slack) * c2 * x[i] if held_out else c1 + c2 * x[i])
+        bound = float(c1 + (1.0 + 0.10) * c2 * x[i] if held_out else c1 + c2 * x[i])
         records.append(upper_bound(
             f"abp-bound[n={dim.n},k={dim.k},{label}]",
             "abp-orlicz-bound",
@@ -422,15 +422,15 @@ def abp_bound_check(family: SampledFamily, slack: float = 0.10) -> list[CheckRec
     return records
 
 
-def _increasing_root(f, lo: float, hi: float, tol: float = 1e-15) -> float:
+def _increasing_root(f, lo: float, hi: float) -> float:
     """Root of an increasing f with f(lo) < 0 <= f(hi), by regula falsi
     with the Illinois fix: when one end moves twice in a row, the other
     end's value is halved, so both ends close in.  Stops at an exact
-    zero or once the bracket is narrower than tol * (1 + hi); the
-    default is a few ulps of the root, where f is rounding noise."""
+    zero or once the bracket is narrower than 1e-15 (1 + hi), a few
+    ulps of the root, where f is rounding noise."""
     f_lo, f_hi = f(lo), f(hi)
     x, fx, moved = hi, f_hi, None
-    while fx != 0 and hi - lo > tol * (1.0 + hi):
+    while fx != 0 and hi - lo > 1e-15 * (1.0 + hi):
         x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -470,8 +470,8 @@ def mollified_dirac_family(
     dim.require_intermediate("the fixed-budget family")
     if not (np.isfinite(base) and base > 0):
         raise InvalidArgumentError(f"base level must be positive, got {base!r}")
-    if not budget_lift > 1.0:
-        raise InvalidArgumentError(f"budget lift must exceed 1, got {budget_lift!r}")
+    if not (np.isfinite(budget_lift) and budget_lift > 1.0):
+        raise InvalidArgumentError(f"budget lift must be finite and exceed 1, got {budget_lift!r}")
     nodes = quad.radial_grid(R, grid_n)
     flat = _orlicz_budget(dim, nodes, np.full_like(nodes, base), weight)
     target = budget_lift * flat
@@ -500,17 +500,13 @@ def mollified_dirac_family(
     return members
 
 
-def fixed_budget_variation_check(
-    family: SampledFamily,
-    variation_tol: float = 0.20,
-    inf_norm_factor: float = 1e3,
-) -> CheckRecord:
+def fixed_budget_variation_check(family: SampledFamily) -> CheckRecord:
     """Uniform boundedness of sup u across the fixed-budget sweep.
 
     `family` is normally the sampled mollified_dirac_family.  Passes
-    when the relative spread of sup u stays under the tolerance while
-    the family's sup-norm ratio exceeds the required factor, i.e. the
-    maximum estimate really ignores the density's height.
+    when the relative spread of sup u stays under 0.20 while the
+    family's sup-norm ratio is at least 1e3, i.e. the maximum estimate
+    really ignores the density's height.
     """
     dim = family.dim
     sups = np.array(family.sups)
@@ -522,9 +518,9 @@ def fixed_budget_variation_check(
         "abp-fixed-budget",
         {"n": dim.n, "k": dim.k, "weight": family.weight.kind, "R": family.R, "members": len(sups)},
         variation,
-        variation_tol,
+        0.20,
         {"sup_values": list(family.sups), "height_ratio": height_ratio, "budget_spread": budget_spread},
-        holds=height_ratio >= inf_norm_factor,
+        holds=height_ratio >= 1e3,
     )
 
 
@@ -622,21 +618,18 @@ def degiorgi_fit_and_verify(s, phi, s0: float | None = None) -> DeGiorgiData:
     )
 
 
-def degiorgi_from_run(
-    solution: RadialProfile, mu: RadialMeasure, count: int = 33, s_max: float | None = None
-):
-    """Sample phi(s) = mu{solution < -s} from a solved Dirichlet run.
+def degiorgi_from_run(solution: RadialProfile, mu: RadialMeasure, s_max: float | None = None):
+    """Sample phi(s) = mu{solution < -s} at 33 levels from a solved
+    Dirichlet run.
 
     The solution is the (nonpositive) potential; s ranges from 0 to
     four times its depth by default so the vanished stretch is visible
     to the fitter.
     """
-    if count < 8:
-        raise InvalidArgumentError(f"need at least 8 levels, got {count}")
     depth = -float(solution.values[0])
     if s_max is None:
         s_max = 4.0 * depth if depth > 0 else 1.0
-    s = np.linspace(0.0, s_max, count)
+    s = np.linspace(0.0, s_max, 33)
     phi = np.empty_like(s)
     phi[0] = mu.total
     for i in range(1, s.size):

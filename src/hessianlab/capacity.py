@@ -175,7 +175,7 @@ def levelset_cap_check(u: RadialProfile, t_values, tol: float = 1e-8) -> CheckRe
     )
 
 
-def comparison_check(u: RadialProfile, v: RadialProfile, tol: float = 1e-9) -> CheckRecord:
+def comparison_check(u: RadialProfile, v: RadialProfile) -> CheckRecord:
     """Comparison principle on the sublevel region {u < v}: the Hessian
     measure of u dominates that of v there.
 
@@ -183,6 +183,7 @@ def comparison_check(u: RadialProfile, v: RadialProfile, tol: float = 1e-9) -> C
     The region is where the log-linear interpolant of v - u on u's
     nodes is positive; its edges are that interpolant's exact zeros, and
     masses are differences of the cumulative functions at the edges.
+    The claim holds up to 1e-9 of the larger total mass (at least 1).
     """
     if (u.dim.n, u.dim.k) != (v.dim.n, v.dim.k) or abs(u.R - v.R) > 1e-12 * u.R:
         raise InvalidArgumentError("comparison needs matching dimension, order, and domain radius")
@@ -209,5 +210,5 @@ def comparison_check(u: RadialProfile, v: RadialProfile, tol: float = 1e-9) -> C
     return upper_bound(
         f"comparison[{u.kind or 'profile'}-vs-{v.kind or 'profile'},n={u.dim.n},k={u.dim.k}]",
         "measure-comparison", {"n": u.dim.n, "k": u.dim.k, "R": u.R, "kinds": [u.kind, v.kind]},
-        mass_v, mass_u, {"intervals": intervals, "empty": not intervals}, slack=tol * scale,
+        mass_v, mass_u, {"intervals": intervals, "empty": not intervals}, slack=1e-9 * scale,
     )

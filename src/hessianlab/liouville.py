@@ -166,8 +166,6 @@ def solve_liouville(
     prob: LiouvilleProblem,
     initial: RadialProfile | None = None,
     max_iter: int = 500,
-    update_tol: float = 1e-10,
-    residual_tol: float = 1e-6,
 ) -> RadialProfile:
     """Anderson-accelerated fixed-point solve of S_k[u] = V exp(-u),
     u(R) = boundary.
@@ -176,15 +174,14 @@ def solve_liouville(
     solve per iteration; the next iterate mixes the last five images by
     the weights that minimize the mixed residual G(u) - u (Anderson
     acceleration; Walker & Ni, SINUM 2011).  Stops when the sup-norm
-    step |G(u) - u| falls below `update_tol` (relative to
-    max(1, sup |G(u)|)), when 20 steps in a row fail to halve the best
-    step (a stall: how the iteration behaves past the fold), or at
-    `max_iter`.  The last image is returned when its cumulative-mass
-    residual against the unclipped V exp(-u) is below `residual_tol`
-    times the total mass, else no-solution.
+    step |G(u) - u| falls below 1e-10 (relative to max(1, sup |G(u)|)),
+    when 20 steps in a row fail to halve the best step (a stall: how the
+    iteration behaves past the fold), or at `max_iter`.  The last image
+    is returned when its cumulative-mass residual against the unclipped
+    V exp(-u) is below 1e-6 times the total mass, else no-solution.
     """
-    if max_iter < 1:
-        raise InvalidArgumentError("max_iter must be at least 1")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise InvalidArgumentError(f"max_iter must be a positive integer, got {max_iter!r}")
     nodes = quad.radial_grid(prob.R, prob.grid_n)
     v = prob.density_on(nodes)
     if initial is None:
@@ -210,7 +207,7 @@ def solve_liouville(
         g = image.values
         f = g - x
         step = float(np.max(np.abs(f)))
-        if step <= update_tol * max(1.0, float(np.max(np.abs(g)))):
+        if step <= 1e-10 * max(1.0, float(np.max(np.abs(g)))):
             reason = "converged"
             break
         since_best = 0 if step <= best / 2.0 else since_best + 1
@@ -239,7 +236,7 @@ def solve_liouville(
     # Acceptance is decided by the equation residual of the last image
     # against its own density, not by why the loop stopped.
     res = math.inf if image is None else equation_residual(prob, image)
-    if res < residual_tol:
+    if res < 1e-6:
         return image
     if math.isinf(res):
         reason = "clip/overflow"
@@ -373,33 +370,28 @@ class BlowupReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _trend(series: np.ndarray, sign: float, margin: float) -> bool:
+def _trend(series: np.ndarray, sign: float) -> bool:
     # Limit behavior is a tail property: require monotonicity over the
     # second half of the sweep (early members may sit in a different
-    # regime) plus an overall move of at least `margin`.
+    # regime) plus an overall move of at least 5.
     tail = series[len(series) // 2 :]
     diffs = sign * np.diff(tail)
     scale = max(1.0, float(np.max(np.abs(series))))
-    return bool(np.all(diffs >= -1e-9 * scale) and sign * (series[-1] - series[0]) >= margin)
+    return bool(np.all(diffs >= -1e-9 * scale) and sign * (series[-1] - series[0]) >= 5.0)
 
 
-def classify_alternative(
-    seq: SolutionSequence,
-    window: tuple[float, float] = (0.25, 0.75),
-    trend_margin: float = 5.0,
-    bounded_spread: float = 1.0,
-    atom_radius_factor: float = 0.05,
-    tol: float = 1e-3,
-) -> BlowupReport:
+def classify_alternative(seq: SolutionSequence) -> BlowupReport:
     """Sort a solution sweep into bounded / uniform-divergence /
     concentration, from grid diagnostics alone.
 
     The probes: the central value u_i(0+) and the minimum over the
-    compact annulus window.  Concentration needs the center to sink
-    while the annulus rises, and is only accepted when the limiting
-    local mass near the center clears the quantum within `tol`;
-    anything that fits no case is reported as inconclusive rather than
-    guessed.
+    compact annulus 0.25 R <= r <= 0.75 R.  A trend is a monotone
+    second half of the sweep and an overall move of at least 5.
+    Concentration needs the center to sink while the annulus rises, and
+    is only accepted when the last member's mass in B_{0.05 R} reaches
+    the quantum within a relative 1e-3; bounded needs no trend and a
+    spread of sup |u| over the annulus of at most 1.  Anything that
+    fits no case is reported as inconclusive rather than guessed.
     """
     if len(seq) < 4:
         raise InvalidArgumentError(f"need at least 4 sweep members, got {len(seq)}")
@@ -408,8 +400,6 @@ def classify_alternative(
     radii = {p.R for p in seq.problems}
     if len(dims) != 1 or len(primes) != 1 or len(radii) != 1:
         raise InvalidArgumentError("sweep members must share (n, k), p', and R")
-    if not 0.0 < window[0] < window[1] < 1.0:
-        raise InvalidArgumentError(f"window must satisfy 0 < a < b < 1, got {window!r}")
     R = seq.problems[0].R
     threshold = seq.problems[0].threshold
 
@@ -417,7 +407,7 @@ def classify_alternative(
     annulus_min = []
     annulus_sup = []
     for u in seq.profiles:
-        mask = (u.nodes >= window[0] * R) & (u.nodes <= window[1] * R)
+        mask = (u.nodes >= 0.25 * R) & (u.nodes <= 0.75 * R)
         vals = u.values[mask]
         annulus_min.append(float(np.min(vals)))
         annulus_sup.append(float(np.max(np.abs(vals))))
@@ -429,17 +419,17 @@ def classify_alternative(
         "annulus_min": [float(x) for x in annulus_min],
         "annulus_sup_abs": [float(x) for x in annulus_sup],
     }
-    sinking_center = _trend(near0, -1.0, trend_margin)
-    rising_center = _trend(near0, +1.0, trend_margin)
-    rising_annulus = _trend(annulus_min, +1.0, trend_margin)
+    sinking_center = _trend(near0, -1.0)
+    rising_center = _trend(near0, +1.0)
+    rising_annulus = _trend(annulus_min, +1.0)
 
     blowup_radii: tuple[float, ...] = ()
     atom_masses: tuple[float, ...] = ()
     if sinking_center and rising_annulus:
-        atom = local_mass(seq.profiles[-1], seq.problems[-1].V, atom_radius_factor * R)
+        atom = local_mass(seq.profiles[-1], seq.problems[-1].V, 0.05 * R)
         atom_masses = (atom,)
         margins = {"atom_minus_threshold": atom - threshold}
-        if atom >= threshold * (1.0 - tol):
+        if atom >= threshold * (1.0 - 1e-3):
             classification, blowup_radii = "concentration", (0.0,)
         else:
             classification = "inconclusive"
@@ -450,7 +440,7 @@ def classify_alternative(
         spread = float(np.max(annulus_sup) - np.min(annulus_sup))
         margins = {"annulus_spread": spread}
         steady = not (sinking_center or rising_center or rising_annulus)
-        classification = "bounded" if steady and spread <= bounded_spread else "inconclusive"
+        classification = "bounded" if steady and spread <= 1.0 else "inconclusive"
     return BlowupReport(
         classification=classification,
         blowup_radii=blowup_radii,
@@ -524,12 +514,12 @@ def singular_comparison_check(
     z stays below (n/p') log r plus its boundary offset everywhere.
     """
     dim.require_intermediate("the comparison")
-    if not atom_factor >= 1.0:
+    if not (np.isfinite(atom_factor) and atom_factor >= 1.0):
         raise InvalidArgumentError(
-            f"the bound needs an atom at or above the quantum, got factor {atom_factor!r}"
+            f"the bound needs a finite atom at or above the quantum, got factor {atom_factor!r}"
         )
-    if not background >= 0:
-        raise InvalidArgumentError(f"background density must be nonnegative, got {background!r}")
+    if not (np.isfinite(background) and background >= 0):
+        raise InvalidArgumentError(f"background density must be finite and nonnegative, got {background!r}")
     quantum = dim.concentration_quantum(p_prime)
     atom = atom_factor * quantum
     nodes = quad.radial_grid(R, grid_n)

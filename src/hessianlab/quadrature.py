@@ -34,9 +34,10 @@ operation, so its floats are those of the plain expression.  Scratch
 is never shared between calls, since checks may run on threads.
 
 radial_grid is served from the same cache: np.geomspace puts
-rmin_factor * R and R exactly at the ends, so they key the entry.  It
-serves only an entry it built and marked in derived, never a caller's
-grid under that key, and returns a fresh writable copy of its nodes.
+DEFAULT_RMIN_FACTOR * R and R exactly at the ends, so they key the
+entry.  It serves only an entry it built and marked in derived, never a
+caller's grid under that key, and returns a fresh writable copy of its
+nodes.
 """
 
 from __future__ import annotations
@@ -66,15 +67,14 @@ _cache_lock = threading.Lock()
 _GEOMETRIC = "geometric"
 
 
-def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N, rmin_factor: float = DEFAULT_RMIN_FACTOR) -> np.ndarray:
-    """Geometric grid on [rmin_factor * R, R] with grid_n nodes."""
+def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
+    """Geometric grid on [1e-8 R, R] (DEFAULT_RMIN_FACTOR) with grid_n
+    nodes."""
     if not np.isfinite(R) or R <= 0:
         raise InvalidArgumentError(f"radius must be positive and finite, got {R!r}")
     if not isinstance(grid_n, (int, np.integer)) or grid_n < 16:
         raise InvalidArgumentError(f"grid size must be an integer >= 16, got {grid_n!r}")
-    if not 0 < rmin_factor < 1:
-        raise InvalidArgumentError(f"inner cutoff factor must lie in (0, 1), got {rmin_factor!r}")
-    R, grid_n, start = float(R), int(grid_n), float(rmin_factor) * float(R)
+    R, grid_n, start = float(R), int(grid_n), DEFAULT_RMIN_FACTOR * float(R)
     grid = _grids.get((grid_n, start, R))
     if grid is None or _GEOMETRIC not in grid.derived:
         grid = _grid(np.geomspace(start, R, grid_n))

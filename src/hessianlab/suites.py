@@ -156,7 +156,8 @@ OPTIONS = (
     Option("family", "family", str, "profile family or fixture name"),
     Option("out", "out", str, "write the report here instead of stdout", metavar="PATH"),
     Option("format", "fmt", str, "report format (default csv)", choices=FORMATS),
-    Option("tol", "tol", float, "override the grid-accuracy tolerances"),
+    Option("tol", "tol", float, "override the grid-accuracy tolerances; read by the sym, solve and"
+           + " capacity suites only: the sym-two-routes, solve, extremal-mass and levelset-cap rows"),
 )
 _OPTION_BY_KEY = {opt.key: opt for opt in OPTIONS}
 CONFIG_KEYS = {opt.key: opt.field for opt in OPTIONS}
@@ -223,6 +224,11 @@ def load_config_file(path: str) -> dict:
 
 def _constant(r, c=1.0):
     return np.full_like(r, c)
+
+
+def _constant_problem(cfg, dim, c=1.0, boundary=0.0):
+    """S_k[u] = c exp(-u) on the unit ball with u(1) = boundary."""
+    return liu_mod.LiouvilleProblem(dim=dim, V=partial(_constant, c=c), boundary=boundary, grid_n=cfg.grid_n)
 
 
 def _tol(cfg: ExperimentConfig, default: float) -> float:
@@ -636,16 +642,7 @@ def _classification(check, inputs, sequence, expected):
 
 
 def _classify_divergence(cfg):
-    problems = tuple(
-        liu_mod.LiouvilleProblem(
-            dim=HessianDim(2, 1),
-            V=partial(_constant, c=math.exp(-j)),
-            boundary=float(j),
-            grid_n=cfg.grid_n,
-            label=f"lifted-{j}",
-        )
-        for j in (5, 10, 15, 20)
-    )
+    problems = tuple(_constant_problem(cfg, HessianDim(2, 1), math.exp(-j), float(j)) for j in (5, 10, 15, 20))
     return _classification(
         "classify-divergence", {"boundaries": [5, 10, 15, 20]},
         liu_mod.solve_sequence(problems), "uniform-divergence",
@@ -653,30 +650,14 @@ def _classify_divergence(cfg):
 
 
 def _classify_bounded(cfg):
-    problems = tuple(
-        liu_mod.LiouvilleProblem(
-            dim=HessianDim(2, 1), V=_constant, boundary=0.0,
-            grid_n=cfg.grid_n, label=f"steady-{i}",
-        )
-        for i in range(4)
-    )
     # The members pose one problem, so one cold solve stands for all four.
-    u = liu_mod.solve_liouville(problems[0])
-    sequence = liu_mod.SolutionSequence(problems=problems, profiles=(u,) * len(problems))
+    prob = _constant_problem(cfg, HessianDim(2, 1))
+    sequence = liu_mod.SolutionSequence(problems=(prob,) * 4, profiles=(liu_mod.solve_liouville(prob),) * 4)
     return _classification("classify-bounded", {"members": 4}, sequence, "bounded")
 
 
 def _smallness(cfg, dim, levels):
-    problems = tuple(
-        liu_mod.LiouvilleProblem(
-            dim=dim,
-            V=partial(_constant, c=c),
-            boundary=0.0,
-            grid_n=cfg.grid_n,
-            label=f"const-{c:g}",
-        )
-        for c in levels
-    )
+    problems = tuple(_constant_problem(cfg, dim, c) for c in levels)
     return liu_mod.smallness_check(liu_mod.solve_sequence(problems))
 
 
@@ -692,7 +673,7 @@ def _harnack(cfg):
 
 
 def _residual_row(cfg, dim):
-    prob = liu_mod.LiouvilleProblem(dim=dim, V=_constant, boundary=0.0, grid_n=cfg.grid_n)
+    prob = _constant_problem(cfg, dim)
     residual = liu_mod.equation_residual(prob, liu_mod.solve_liouville(prob))
     return upper_bound(
         f"solve-residual[n={dim.n},k={dim.k}]", "exp-equation-residual",

@@ -389,9 +389,11 @@ class TestFixedBudgetFamily:
             mollified_dirac_family(dim, w, scales=(1.5,))
 
     def test_nan_lift_is_rejected(self):
-        # nan <= 1 is False, so a NaN lift once gave six flat members.
-        with pytest.raises(InvalidArgumentError, match="^budget lift must exceed 1, got nan$"):
-            mollified_dirac_family(HessianDim(2, 1), exp_weight(1), budget_lift=math.nan)
+        # nan <= 1 is False, so a NaN lift once gave six flat members; an
+        # infinite lift once failed in the amplitude search.
+        for lift in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match=f"^budget lift must be finite and exceed 1, got {lift!r}$"):
+                mollified_dirac_family(HessianDim(2, 1), exp_weight(1), budget_lift=lift)
 
     def test_amplitudes_match_brentq(self, intermediate_dim):
         # scipy's brentq on the same budget gap is the oracle for the

@@ -246,7 +246,7 @@ def test_criterion_09_fixed_budget_boundedness():
     for d in INTERMEDIATE:
         w = OrliczWeight("exp", d.k, rate=1.0)
         family = mollified_dirac_family(d, w)
-        rows = abp_bound_check(sample_family(d, family, w), slack=0.10)
+        rows = abp_bound_check(sample_family(d, family, w))
         held_ok &= all(r.passed for r in rows if r.inputs["held_out"])
     passed = rec.passed and rec.lhs < 0.20 and growth > 1e3 and held_ok
     verdict(
@@ -279,7 +279,7 @@ def test_criterion_10_oracle_equivalence(sym_matrices):
         fd = _fd_hessian(lambda x: float(np.dot(x, x)) ** 2, x0)
         eigs = np.linalg.eigvalsh(fd)
         oracle = float(sum(math.prod(sub) for sub in combinations(eigs.tolist(), dim.k)))
-        nodes = quad.radial_grid(1.0, 4096, rmin_factor=1e-3)
+        nodes = np.geomspace(1e-3, 1.0, 4096)
         u = profile_from_slope(dim, 1.0, nodes, 4.0 * nodes**3, 0.0, values=nodes**4 - 1.0)
         got = float(np.interp(r0, nodes, s_k_density(u)))
         worst_fd = max(worst_fd, abs(got - oracle) / abs(oracle))

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,26 @@ class TestConfigMerging:
                 ExperimentConfig(radius=radius)
         assert ExperimentConfig(radius=lo).radius == lo
         assert ExperimentConfig(radius=hi).radius == hi
+
+    def test_tol_reaches_exactly_the_grid_accuracy_rows(self):
+        # A tolerance no grid meets moves the bound of exactly the rows
+        # that read --tol, and nothing else of any row.
+        rows, status = run_suite(config_from_sources(None, {"suite": "all"}))
+        tight, tight_status = run_suite(config_from_sources(None, {"suite": "all", "tol": 1e-30}))
+        assert (status, tight_status) == (0, 1)
+        assert [(r.suite, r.check, r.anchor, r.inputs, r.lhs) for r in rows] == [
+            (r.suite, r.check, r.anchor, r.inputs, r.lhs) for r in tight
+        ]
+        moved = Counter(
+            (a.suite, a.check.split("[")[0]) for a, b in zip(rows, tight) if (a.rhs, a.margin) != (b.rhs, b.margin)
+        )
+        assert moved == {
+            ("sym", "sym-two-routes"): 50,
+            ("solve", "roundtrip-quadratic"): 3, ("solve", "fundamental-log"): 2,
+            ("solve", "fundamental-mass-constancy"): 2, ("solve", "newtonian-mass"): 1,
+            ("capacity", "extremal-mass"): 3, ("capacity", "levelset-cap"): 6,
+        }
+        assert sum(a.passed and not b.passed for a, b in zip(rows, tight)) == 60
 
     def test_malformed_config_file_is_line_anchored(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -73,6 +73,21 @@ class TestReportDiff:
         assert lines == ["  only in base: bm b"]
         assert breaking
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_repeated_check_is_matched_by_occurrence(self, fmt):
+        # Two rows share suite and check; the first flips while the second
+        # drifts, and the flip must not be hidden behind the drift.
+        emit = _csv if fmt == "csv" else _jsonl
+        twice = [ROWS[0], ROWS[0], ROWS[1]]
+        changed = [ROWS[0][:2] + ("false",) + ROWS[0][3:], ROWS[0][:3] + ("1.0000000000000002",) + ROWS[0][4:], ROWS[1]]
+        lines, breaking = report_diff.compare(emit(twice), emit(changed), fmt)
+        assert lines == [
+            "  sym a pass: true -> false",
+            "  sym a #2 lhs: 1.0 -> 1.0000000000000002 (abs 2.220e-16 rel 2.220e-16)",
+        ]
+        assert breaking
+        assert report_diff.compare(emit(twice), emit(twice[1:]), fmt) == (["  only in base: sym a #2"], True)
+
     def test_same_reports_give_no_lines(self):
         assert report_diff.compare(_csv(ROWS), _csv(ROWS), "csv") == ([], False)
 
@@ -103,6 +118,12 @@ class TestReportDiff:
             bm + ("2", "--k", "1", "--beta", "3"),
             bm + ("3", "--k", "1", "--p", "5"),
             bm + ("3", "--k", "1", "--p", "0.5"),
+            ("--suite", "bm", "--family", "mollified-log"),
+            bm + ("3", "--k", "1", "--family", "newtonian"),
+            bm + ("5", "--k", "1", "--family", "newtonian"),
+            ("--suite", "bm", "--family", "constant"),
+            ("--suite", "degiorgi", "--family", "constant"),
+            ("--suite", "all", "--tol", "1e-7"),
         ]
 
     def test_checkpoint_compare(self):

@@ -2,7 +2,8 @@
 """Run every verification suite and print a per-suite summary.
 
 Exit code matches the CLI contract: 0 when everything passes, 1 when
-any row fails.  Pass --out to also write the full merged report.
+any row fails.  Pass --out to also write the full merged report, its
+rows sorted by (suite, check) as `hessianlab --suite all` sorts them.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     counts = Counter(r.suite for r in all_rows)
     print(f"total      {sum(counts.values()):4d} rows across {len(counts)} suites")
     if args.out:
+        all_rows.sort(key=lambda row: (row.suite, row.check))
         emit_report(all_rows, out_path=args.out, fmt=args.format)
         print(f"report written to {args.out}")
     return worst

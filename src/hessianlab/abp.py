@@ -530,8 +530,9 @@ def degiorgi_threshold(c0: float, delta: float, phi0: float, s0: float = 0.0) ->
         raise InvalidArgumentError(f"delta must be positive, got {delta!r}")
     if not (np.isfinite(phi0) and phi0 >= 0):
         raise InvalidArgumentError(f"phi0 must be nonnegative, got {phi0!r}")
-    if phi0 > 0 and not (np.isfinite(c0) and c0 > 0):
-        raise InvalidArgumentError(f"c0 must be positive, got {c0!r}")
+    # a finite c0 is sign-checked only when phi0 > 0, where it matters
+    if not np.isfinite(c0) or (phi0 > 0 and c0 <= 0):
+        raise InvalidArgumentError(f"c0 must be finite, and positive when phi0 > 0, got {c0!r}")
     return 2.0 * c0 * phi0**delta / (1.0 - 2.0**-delta) + s0
 
 
@@ -629,6 +630,8 @@ def degiorgi_from_run(solution: RadialProfile, mu: RadialMeasure, s_max: float |
     depth = -float(solution.values[0])
     if s_max is None:
         s_max = 4.0 * depth if depth > 0 else 1.0
+    elif not (np.isfinite(s_max) and s_max > 0):
+        raise InvalidArgumentError(f"s_max must be positive, got {s_max!r}")
     s = np.linspace(0.0, s_max, 33)
     phi = np.empty_like(s)
     phi[0] = mu.total

@@ -155,6 +155,8 @@ def levelset_cap_check(u: RadialProfile, t_values, tol: float = 1e-8) -> CheckRe
     ts = np.atleast_1d(np.asarray(t_values, dtype=float))
     if ts.size == 0 or np.any(~np.isfinite(ts)) or np.any(ts <= 0):
         raise InvalidArgumentError("levels must be a nonempty collection of positive numbers")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InvalidArgumentError(f"tol must be nonnegative, got {tol!r}")
     if u.boundary != 0:
         raise PreconditionError(f"the level-set bound needs u = 0 on the boundary, got {u.boundary!r}")
     mass = hessian_mass(u)

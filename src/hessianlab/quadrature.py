@@ -31,7 +31,8 @@ The kernel evaluates each parabola piece a (b f0 + c f1 - d f2) with the
 operations of that expression in their order, written through two
 scratch arrays allocated per call rather than one temporary per
 operation, so its floats are those of the plain expression.  Scratch
-is never shared between calls, since checks may run on threads.
+is never shared between calls, since library callers may run checks on
+threads.
 
 radial_grid is served from the same cache: np.geomspace puts
 DEFAULT_RMIN_FACTOR * R and R exactly at the ends, so they key the

@@ -5,14 +5,14 @@ config against the suite's regime, then returns a list of jobs, each a
 check function bound to its arguments with functools.partial: a check
 module's own function where it needs nothing else (for example
 `partial(cap_mod.isocapacitary_margin, condenser, q)`), else one
-defined here (`partial(_roundtrip, cfg, dim)`).  A job
-returns one CheckRecord or a list of them.  run_suite executes the jobs
-(concurrently when allowed) and returns order-stable report rows.  Without explicit (n, k) a suite runs
-its canonical dimensions.  With an explicit pair, a named suite rejects
-a regime mismatch as a config error, while the combined "all" run
-simply skips the suites that cannot host that pair; genuine parameter
-errors (a lambda, beta or p outside its admissible range, an unknown
-family) are config errors in both modes.
+defined here (`partial(_roundtrip, cfg, dim)`).  A job returns one
+CheckRecord or a list of them.  run_suite executes the jobs one after
+another and returns order-stable report rows.  Without explicit (n, k)
+a suite runs its canonical dimensions.  With an explicit pair, a named
+suite rejects a regime mismatch as a config error, while the combined
+"all" run simply skips the suites that cannot host that pair; genuine
+parameter errors (a lambda, beta or p outside its admissible range, an
+unknown family) are config errors in both modes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from . import quadrature as quad
 from .core import HessianDim, principal_minor_sums, s_k_all_of_matrix
 from .errors import ConfigError, HessianLabError
 from .families import KINDS, FamilySpec, make_profile
-from .parallel import map_ordered
 from .radial import (
     RadialMeasure,
     domain_volume,
@@ -726,17 +725,19 @@ _BUILDERS = {
 
 
 def run_suite(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
-    """Execute the configured suite; rows come back sorted by
-    (suite, check) so concurrent execution cannot reorder the report."""
+    """Execute the configured suite.  Every catalog is built before any
+    job runs, so a config error in one suite's builder wins over a check
+    error in another's jobs.  Rows come back sorted by (suite, check),
+    which puts `all` in suite-name order."""
     soft = cfg.suite == "all"
     names = list(_BUILDERS) if soft else [cfg.suite]
     labeled: list[tuple[str, object]] = []
     for name in names:
         for thunk in _BUILDERS[name](cfg, soft=soft):
             labeled.append((name, thunk))
-    outcomes = map_ordered(lambda item: item[1](), labeled)
     rows: list[ReportRow] = []
-    for (suite_name, _), outcome in zip(labeled, outcomes):
+    for suite_name, thunk in labeled:
+        outcome = thunk()
         records = outcome if isinstance(outcome, list) else [outcome]
         for rec in records:
             rows.append(row_from_record(suite_name, rec))

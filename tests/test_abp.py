@@ -14,16 +14,19 @@ from hessianlab import (
     InvalidArgumentError,
     InvalidWeightError,
     OrliczWeight,
+    RadialMeasure,
     UnsupportedDimensionError,
     abp_bound_check,
     abp_degiorgi_check,
     barrier_epsilon,
     degiorgi_fit_and_verify,
+    degiorgi_from_run,
     degiorgi_threshold,
     fixed_budget_variation_check,
     mollified_dirac_family,
     orlicz_h,
     sample_family,
+    solve_dirichlet,
     verify_gk,
 )
 from hessianlab import abp
@@ -60,7 +63,7 @@ class TestThreshold:
 
     def test_zero_mass_returns_the_offset(self):
         assert degiorgi_threshold(7.0, 1.3, 0.0, 2.5) == 2.5
-        # c0 is irrelevant once phi0 = 0, so it is not validated.
+        # c0 is irrelevant once phi0 = 0, so its sign is not checked.
         assert degiorgi_threshold(-5.0, 1.3, 0.0, 2.5) == 2.5
 
     def test_monotone_in_constant_and_mass(self):
@@ -75,6 +78,9 @@ class TestThreshold:
             degiorgi_threshold(1.0, 1.0, -1.0)
         with pytest.raises(InvalidArgumentError, match="c0"):
             degiorgi_threshold(0.0, 1.0, 1.0)
+        for c0 in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match="c0"):
+                degiorgi_threshold(c0, 1.0, 0.0)
 
 
 def per_delta_fit(s, phi, s0=None) -> DeGiorgiData:
@@ -516,3 +522,10 @@ class TestPipeline:
         assert rec.lhs <= rec.rhs
         assert math.isfinite(rec.details["c0"])
         assert rec.details["levels"] >= 33
+
+    @pytest.mark.parametrize("s_max", [math.nan, -1.0, 0.0, math.inf])
+    def test_from_run_validation(self, s_max):
+        mu = RadialMeasure.from_density(HessianDim(2, 1), 1.0, quad.radial_grid(1.0, 256), lambda r: np.ones_like(r))
+        solution = solve_dirichlet(mu, 0.0)
+        with pytest.raises(InvalidArgumentError, match="s_max"):
+            degiorgi_from_run(solution, mu, s_max=s_max)

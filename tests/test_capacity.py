@@ -192,6 +192,9 @@ class TestLevelsetBound:
             levelset_cap_check(u, [])
         with pytest.raises(InvalidArgumentError):
             levelset_cap_check(u, [-1.0])
+        for tol in (math.nan, -1.0):
+            with pytest.raises(InvalidArgumentError, match="tol"):
+                levelset_cap_check(u, [0.5], tol=tol)
 
     def test_nonzero_boundary_rejected(self):
         # u = -1 on the sphere, so for t = 0.5 the sublevel set

@@ -11,14 +11,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from hessianlab.parallel import ENV_THREADS
 from hessianlab.suites import config_from_sources, run_suite
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
-def test_all_at_default_grid_matches_reference(monkeypatch):
-    monkeypatch.setenv(ENV_THREADS, "1")
+def test_all_at_default_grid_matches_reference():
     expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["2048/all"]
     rows, status = run_suite(config_from_sources(None, {"suite": "all", "grid_n": 2048}))
     got = [[row.suite, row.check, row.anchor, row.inputs, bool(row.passed)] for row in rows]

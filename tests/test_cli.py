@@ -38,7 +38,6 @@ from hessianlab import (
 )
 from hessianlab.cli import build_parser, config_from_args, main
 from hessianlab.families import FamilySpec
-from hessianlab.parallel import ENV_THREADS, thread_count
 from hessianlab.profile_io import FORMAT
 from hessianlab.radial import s_k_radial
 from hessianlab.report import CSV_HEADER
@@ -127,6 +126,14 @@ class TestParameterRanges:
     def test_out_of_range_exits_two_with_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"hessianlab: {message}\n")
+
+    def test_all_builds_every_catalog_before_running_a_check(self, capsys):
+        # At grid 16 a solve check raises NotAdmissibleError (exit 3), but
+        # the bm builder's lambda error comes first because run_suite
+        # builds every catalog before it runs any job.
+        argv = ("--suite", "all", "--grid-n", "16", "--lambda", "20")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"hessianlab: {_BAD_PARAMETERS[0][1]}\n")
 
     def test_module_run_prints_the_same_line(self):
         argv, message = _BAD_PARAMETERS[1]
@@ -493,17 +500,15 @@ class TestRecordInvariants:
         for row in rows:
             assert row.passed == (row.margin >= 0), row.check
 
-    def test_unset_threads_env_means_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
-        assert thread_count() == 1
-
-    def test_threads_env_does_not_change_output(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("value", ["abc", "-1", "0", "4"])
+    def test_threads_env_is_ignored(self, capsys, monkeypatch, value):
+        # the checks run one after another; the old thread-count variable
+        # is not read, so even a malformed value leaves the run unchanged
         argv = ("--suite", "solve", "--grid-n", "512")
-        monkeypatch.setenv("HESSIAN_LAB_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("HESSIAN_LAB_THREADS", "4")
-        _, parallel, _ = run_cli(capsys, *argv)
-        assert serial == parallel
+        monkeypatch.delenv("HESSIAN_LAB_THREADS", raising=False)
+        unset = run_cli(capsys, *argv)
+        monkeypatch.setenv("HESSIAN_LAB_THREADS", value)
+        assert run_cli(capsys, *argv) == unset
 
 
 class TestProcess:
@@ -514,7 +519,7 @@ class TestProcess:
         assert proc.stdout.startswith(",".join(CSV_HEADER))
 
     def test_import_loads_no_thread_pool(self):
-        # the pool module is imported by map_ordered only when it builds a pool
+        # the suites run serially, so nothing imports a thread pool
         code = "import sys, hessianlab.cli; print('concurrent.futures' in sys.modules)"
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr

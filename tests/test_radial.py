@@ -32,7 +32,6 @@ from hessianlab.errors import (
 )
 from hessianlab.families import KINDS, FamilySpec, make_profile
 from hessianlab.liouville import local_mass
-from hessianlab.parallel import ENV_THREADS
 from hessianlab.profile_io import save_profile
 from hessianlab.radial import (
     RadialMeasure,
@@ -55,8 +54,6 @@ from hessianlab.radial import (
     volume_integral,
     weak_lp_quasinorm,
 )
-from hessianlab.report import emit_report
-from hessianlab.suites import config_from_sources, run_suite
 
 D21 = HessianDim(2, 1)
 D42 = HessianDim(4, 2)
@@ -245,15 +242,6 @@ class TestGridCache:
             assert np.array_equal(got, _scipy_cumulative(x, np.sin(x) + 2.0))
             assert volume == _fresh_volume_integral(D42, x, np.sin(x) + 2.0)
         assert len(quad._grids) <= quad._CACHE_SIZE
-
-    def test_thread_pool_gives_serial_rows(self, monkeypatch):
-        cfg = config_from_sources(None, {"suite": "all", "grid_n": 2048})
-        monkeypatch.setenv(ENV_THREADS, "1")
-        serial, _ = run_suite(cfg)
-        quad._grids.clear()
-        monkeypatch.setenv(ENV_THREADS, "2")
-        pooled, _ = run_suite(cfg)
-        assert emit_report(pooled) == emit_report(serial)
 
 
 class TestGridMemo:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from hessianlab.cli import main
 from hessianlab.suites import RADIUS_RANGE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -162,6 +163,55 @@ class TestBenchVerdict:
         assert bench_pairs.verdict(self.BASE, head, self.BOUND) == "same"
 
 
+# perfbench/run.py of a fake checkout: it reports `failed` of 10 ops
+# failed and pass_s = seed, or exits 1 on seed `crash`
+_FAKE_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == {crash}:
+    sys.exit("perfbench: op raised")
+print(json.dumps({{"correct": {failed} == 0, "attempted": 10, "failed": {failed},
+                  "metrics": {{"pass_s": {{"value": float(seed)}}}}}}))
+"""
+
+
+def _fake_checkout(root: Path, failed: int, crash: int = -1) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(_FAKE_RUN.format(failed=failed, crash=crash), encoding="utf-8")
+    return root
+
+
+class TestBenchPairsRuns:
+    def _pairs(self, tmp_path, base: Path, head: Path) -> dict:
+        out = tmp_path / "bench.json"
+        argv = ["--base", str(base), "--head", str(head), "--workload", "w",
+                "--seeds", "1-3", "--seconds", "1", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        return json.loads(out.read_text(encoding="utf-8"))
+
+    def test_failed_run_is_listed_and_its_pair_left_out(self, tmp_path):
+        base = _fake_checkout(tmp_path / "base", failed=0)
+        head = _fake_checkout(tmp_path / "head", failed=0, crash=2)
+        doc = self._pairs(tmp_path, base, head)
+        assert doc["failed_runs"] == [
+            {"side": "head", "seed": 2, "exit_code": 1, "stderr": "perfbench: op raised"},
+        ]
+        assert [run["seed"] for run in doc["base"]] == [run["seed"] for run in doc["head"]] == [1, 3]
+        assert doc["summary"]["pass_s"]["pairs"] == 2
+        assert doc["timed_out"] == []
+
+    def test_runs_keep_their_op_counts(self, tmp_path):
+        doc = self._pairs(tmp_path, _fake_checkout(tmp_path / "base", 0), _fake_checkout(tmp_path / "head", 2))
+        assert {(r["correct"], r["failed"], r["attempted"]) for r in doc["base"]} == {(True, 0, 10)}
+        assert {(r["correct"], r["failed"], r["attempted"]) for r in doc["head"]} == {(False, 2, 10)}
+        assert set(doc["summary"]) == {"pass_s"}
+
+    def test_head_failed_share_above_base_is_flagged(self, tmp_path):
+        doc = self._pairs(tmp_path, _fake_checkout(tmp_path / "base", 1), _fake_checkout(tmp_path / "head", 2))
+        assert doc["failed_ops"] == {"base_share": 0.1, "head_share": 0.2, "head_above_base": True}
+        doc = self._pairs(tmp_path, _fake_checkout(tmp_path / "b2", 2), _fake_checkout(tmp_path / "h2", 1))
+        assert doc["failed_ops"]["head_above_base"] is False
+
+
 def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -177,10 +227,13 @@ class TestScriptRuns:
         verdicts = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("verdict:")]
         assert verdicts == ["concentration", "uniform-divergence", "bounded"]
 
-    def test_run_all_suites_reports_every_row(self):
-        run = _run_script("run_all_suites", "--grid-n", "2048")
+    def test_run_all_suites_reports_every_row(self, tmp_path):
+        merged, combined = tmp_path / "merged.csv", tmp_path / "all.csv"
+        run = _run_script("run_all_suites", "--grid-n", "2048", "--out", str(merged))
         assert run.returncode == 0, run.stderr
         assert "total       187 rows across 7 suites" in run.stdout.splitlines()
+        assert main(["--suite", "all", "--grid-n", "2048", "--out", str(combined)]) == 0
+        assert merged.read_bytes() == combined.read_bytes()
 
     def test_gen_sym_fixtures_writes_fifty_matrices(self, tmp_path):
         # The entries depend on the platform's BLAS, so only the shape is checked.

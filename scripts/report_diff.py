@@ -8,7 +8,8 @@ stderr.  `--suite all --grid-n 2048` at `--radius 1e-6` and `1e6`, and
 at the ends 1e-60 and 1e7 of the accepted radius range, is always
 compared too, and so is `--suite all --grid-n 2048` at the explicit
 pairs (n, k) = (3, 2), (5, 1), (6, 3) and (8, 4), four bm configs
-whose --lambda, --beta or --p is out of range (exit 2, compared by
+whose --lambda, --beta or --p is out of range and `all` at n = 171,
+past the last dimension with a ball volume (exit 2, compared by
 their stderr line), and the --family and --tol paths: bm with the
 mollified-log, newtonian (at (3, 1), and at (5, 1) where it falls back
 to power) and constant (exit 2) families, degiorgi with the constant
@@ -72,6 +73,7 @@ BAD_PARAMETER_CONFIGS = (
     ("--suite", "bm", "--n", "2", "--k", "1", "--beta", "3"),
     ("--suite", "bm", "--n", "3", "--k", "1", "--p", "5"),
     ("--suite", "bm", "--n", "3", "--k", "1", "--p", "0.5"),
+    ("--suite", "all", "--n", "171", "--k", "1"),
 )
 
 # Then the --family and --tol paths at the default grid.

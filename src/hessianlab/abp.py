@@ -60,7 +60,6 @@ __all__ = [
     "abp_bound_check",
     "mollified_dirac_family",
     "fixed_budget_variation_check",
-    "barrier_epsilon",
     "degiorgi_threshold",
     "DeGiorgiData",
     "degiorgi_fit_and_verify",
@@ -231,18 +230,6 @@ def orlicz_h(weight: OrliczWeight, budget: float, q: float, alpha: float) -> Orl
     return OrliczBarrier(weight=weight, scale=scale, s0=scale * weight.lam)
 
 
-def barrier_epsilon(amplitude: float, k: int) -> float:
-    """Comparison constant ((k+1)/k)^(k/(k+1)) A^(1/(k+1)).
-
-    Homogeneous of degree 1/(k+1) in the amplitude A.
-    """
-    if not (np.isfinite(amplitude) and amplitude >= 0):
-        raise InvalidArgumentError(f"amplitude must be finite and >= 0, got {amplitude!r}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive integer, got {k!r}")
-    return ((k + 1.0) / k) ** (k / (k + 1.0)) * amplitude ** (1.0 / (k + 1.0))
-
-
 def _require_weight_order(dim: HessianDim, weight: OrliczWeight) -> None:
     if weight.k != dim.k:
         raise InvalidWeightError(f"weight is for k = {weight.k}, dimension has k = {dim.k}")
@@ -252,16 +239,15 @@ def verify_gk(
     dim: HessianDim,
     density,
     weight: OrliczWeight,
-    q: float = 2.0,
-    alpha: float | None = None,
     R: float = 1.0,
     grid_n: int = quad.DEFAULT_GRID_N,
 ) -> CheckRecord:
     """Grid check of the barrier's pointwise domination inequality.
 
     `density` is a callable r -> exp(G(r)), strictly positive and
-    bounded.  The check: with psi1 the unit-mass auxiliary potential
-    and psi = -h(-(alpha/q) psi1),
+    bounded.  The check, at q = 2 and alpha = a0/2 (half the sharp
+    coefficient): with psi1 the unit-mass auxiliary potential and
+    psi = -h(-(alpha/q) psi1),
 
         exp(G) <= S_k[psi] + min(exp(-(alpha/q) psi1), exp(G))
 
@@ -273,10 +259,7 @@ def verify_gk(
     """
     dim.require_intermediate("barrier machinery")
     _require_weight_order(dim, weight)
-    alpha0 = dim.moser_constant
-    alpha_val = 0.5 * alpha0 if alpha is None else float(alpha)
-    if not 0 < alpha_val < alpha0 * (1.0 - 1e-12):
-        raise InvalidArgumentError(f"need 0 < alpha < {alpha0:g}, got {alpha_val!r}")
+    q, alpha = 2.0, 0.5 * dim.moser_constant
     nodes = quad.radial_grid(R, grid_n)
     g = _sampled(density, nodes, positive=True)
     big_g = np.log(g)
@@ -286,20 +269,20 @@ def verify_gk(
     mu = RadialMeasure.from_density(dim, R, nodes, f_unit)
     psi1 = solve_dirichlet(mu, 0.0)
 
-    moment = exp_integral(psi1, alpha_val, dim.beta_max)
-    moment_bound = exp_moment_bound(dim, R, alpha_val)
+    moment = exp_integral(psi1, alpha, dim.beta_max)
+    moment_bound = exp_moment_bound(dim, R, alpha)
     moment_ok = moment <= moment_bound * (1.0 + 1e-6)
 
     n, k = dim.n, dim.k
     # psi1'' from the equation S_k[psi1] = f_unit
     psi1_second = _s_k_second(dim, f_unit, psi1.slope / nodes)
 
-    barrier = orlicz_h(weight, budget, q, alpha_val)
-    s = -(alpha_val / q) * psi1.values
+    barrier = orlicz_h(weight, budget, q, alpha)
+    s = -(alpha / q) * psi1.values
     s = np.maximum(s, 0.0)
     hp = barrier.h_prime(s)
     hs = barrier.h_second(s)
-    c = alpha_val / q
+    c = alpha / q
     psi_slope = c * hp * psi1.slope
     psi_second = c * hp * psi1_second - c * c * hs * psi1.slope**2
     sk_psi = _s_k_density(dim, psi_second, psi_slope / nodes)
@@ -312,7 +295,7 @@ def verify_gk(
     return upper_bound(
         f"gk-pointwise[n={n},k={k},{weight.kind}]",
         "gk-pointwise",
-        {"n": n, "k": k, "weight": weight.kind, "q": q, "alpha": alpha_val, "R": R},
+        {"n": n, "k": k, "weight": weight.kind, "q": q, "alpha": alpha, "R": R},
         worst,
         tol,
         {
@@ -450,41 +433,32 @@ def mollified_dirac_family(
     dim: HessianDim,
     weight: OrliczWeight,
     R: float = 1.0,
-    base: float = 1.0,
-    budget_lift: float = 1.05,
-    scales: tuple[float, ...] = (2**-3, 2**-4, 2**-5, 2**-6, 2**-7, 2**-8),
     grid_n: int = quad.DEFAULT_GRID_N,
 ) -> list[tuple[str, object]]:
-    """Fixed-budget densities base + A(eps) exp(-r^2 / (2 eps^2)), with
-    eps = R * frac for each fraction in `scales`.
+    """Fixed-budget densities 1 + A(eps) exp(-r^2 / (2 eps^2)), with
+    eps = R 2^-j for the six scales j = 3 .. 8.
 
     Every member has the same Orlicz budget (the flat density's budget
-    times `budget_lift`), enforced by root-solving the bump amplitude,
-    while the sup norm blows up as eps shrinks.  The default lift keeps
-    the widest bump a modest share of the budget; pushing it far past 1
-    lets that member's extra mass show up in sup u.
+    times the lift 1.05), enforced by root-solving the bump amplitude,
+    while the sup norm blows up as eps shrinks.  The lift keeps the
+    widest bump a modest share of the budget; pushing it far past 1
+    would let that member's extra mass show up in sup u.
 
-    Each trial density is at least base > 0, so each budget takes the
+    Each trial density is at least 1, so each budget takes the
     unmasked path of _orlicz_budget.
     """
     dim.require_intermediate("the fixed-budget family")
-    if not (np.isfinite(base) and base > 0):
-        raise InvalidArgumentError(f"base level must be positive, got {base!r}")
-    if not (np.isfinite(budget_lift) and budget_lift > 1.0):
-        raise InvalidArgumentError(f"budget lift must be finite and exceed 1, got {budget_lift!r}")
     nodes = quad.radial_grid(R, grid_n)
-    flat = _orlicz_budget(dim, nodes, np.full_like(nodes, base), weight)
-    target = budget_lift * flat
+    flat = _orlicz_budget(dim, nodes, np.full_like(nodes, 1.0), weight)
+    target = 1.05 * flat
 
     members = []
-    for frac in scales:
-        if not 0 < frac < 1:
-            raise InvalidArgumentError(f"bump scale must be a fraction of R in (0, 1), got {frac!r}")
+    for frac in (2**-3, 2**-4, 2**-5, 2**-6, 2**-7, 2**-8):
         eps = R * frac
         bump = np.exp(-(nodes**2) / (2.0 * eps * eps))
 
         def gap(amp, bump=bump):
-            return _orlicz_budget(dim, nodes, base + amp * bump, weight) - target
+            return _orlicz_budget(dim, nodes, 1.0 + amp * bump, weight) - target
 
         hi = 1.0
         while gap(hi) < 0:
@@ -494,7 +468,7 @@ def mollified_dirac_family(
         amp = _increasing_root(gap, 0.0, hi)
 
         def density(r, amp=amp, eps=eps):
-            return base + amp * np.exp(-(r**2) / (2.0 * eps * eps))
+            return 1.0 + amp * np.exp(-(r**2) / (2.0 * eps * eps))
 
         members.append((f"dirac-eps={eps:g}", density))
     return members
@@ -526,6 +500,8 @@ def fixed_budget_variation_check(family: SampledFamily) -> CheckRecord:
 
 def degiorgi_threshold(c0: float, delta: float, phi0: float, s0: float = 0.0) -> float:
     """Level past which the decay lemma forces phi to vanish."""
+    if not np.isfinite(s0):
+        raise InvalidArgumentError(f"s0 must be finite, got {s0!r}")
     if not (np.isfinite(delta) and delta > 0):
         raise InvalidArgumentError(f"delta must be positive, got {delta!r}")
     if not (np.isfinite(phi0) and phi0 >= 0):
@@ -581,6 +557,8 @@ def degiorgi_fit_and_verify(s, phi, s0: float | None = None) -> DeGiorgiData:
     scale = float(phi[0]) if phi[0] > 0 else 1.0
     if np.any(np.diff(phi) > 1e-12 * scale):
         raise InvalidArgumentError("level-set masses must be nonincreasing")
+    if s0 is not None and not np.isfinite(s0):
+        raise InvalidArgumentError(f"s0 must be finite, got {s0!r}")
     phi = np.minimum.accumulate(phi)
     s0_val = float(s[0]) if s0 is None else float(s0)
     phi0 = float(phi[0])

@@ -56,7 +56,6 @@ class BMQuery:
     lam: float | None = None
     beta: float | None = None
     amplitudes: int = 8
-    mollification_levels: int = 3
     grid_n: int = quad.DEFAULT_GRID_N
 
     def __post_init__(self) -> None:
@@ -64,8 +63,8 @@ class BMQuery:
             raise InvalidArgumentError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
         if not (np.isfinite(self.R) and self.R > 0):
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
-        if self.amplitudes < 1 or self.mollification_levels < 1:
-            raise InvalidArgumentError("sweep sizes must be positive")
+        if self.amplitudes < 1:
+            raise InvalidArgumentError(f"amplitude sweep size must be positive, got {self.amplitudes!r}")
         if self.branch == "lp":
             self.dim.require_subcritical("the L^p branch")
             if self.p is None or not np.isfinite(self.p) or self.p < 1:
@@ -82,10 +81,7 @@ class BMQuery:
         return self.dim.beta_max if self.beta is None else float(self.beta)
 
     def members(self):
-        return make_family(
-            self.family, self.dim, self.R, count=self.amplitudes, grid_n=self.grid_n,
-            mollification_levels=self.mollification_levels,
-        )
+        return make_family(self.family, self.dim, self.R, count=self.amplitudes, grid_n=self.grid_n)
 
 
 def bm_lp_check(q: BMQuery) -> list[CheckRecord]:
@@ -176,11 +172,10 @@ def sharpness_probe(
     dim: HessianDim,
     R: float = 1.0,
     beta: float | None = None,
-    levels: int = 10,
     grid_n: int = quad.DEFAULT_GRID_N,
 ) -> CheckRecord:
-    """Walk lam = a0 (1 - 2^-j) toward the sharp coefficient on the log
-    family.
+    """Walk lam = a0 (1 - 2^-j), j = 1 .. 10, toward the sharp
+    coefficient on the log family.
 
     At the exponent ceiling every rung must be finite and match the
     closed form |B_R| 2^j within 1e-6, and the moment must be flagged
@@ -189,8 +184,7 @@ def sharpness_probe(
     the ceiling the moment stays finite even at lam = a0.
     """
     dim.require_intermediate("the sharpness probe")
-    if not isinstance(levels, (int, np.integer)) or levels < 1:
-        raise InvalidArgumentError(f"levels must be a positive integer, got {levels!r}")
+    levels = 10
     beta_val = dim.beta_max if beta is None else float(beta)
     alpha0 = dim.moser_constant
     u = make_profile(FamilySpec("log"), dim, R, grid_n)
@@ -206,7 +200,7 @@ def sharpness_probe(
         )
     worst_rel = 0.0
     rungs = []
-    for j in range(1, int(levels) + 1):
+    for j in range(1, levels + 1):
         lam = alpha0 * (1.0 - 2.0**-j)
         value = exp_integral(u, lam, beta_val)
         target = volume * 2.0**j

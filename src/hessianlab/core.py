@@ -2,14 +2,13 @@
 
 The k-Hessian operator of a C^2 function is the k-th elementary
 symmetric function of the Hessian eigenvalues.  This module holds the
-spectral kernels (stable elementary symmetric evaluation, admissible
-cone membership, Maclaurin means); S_k of a symmetric matrix by two
-independent routes, its spectrum and its principal minors, each also
-in an all-orders form that symmetrizes the matrix once for S_1 .. S_n;
-and the dimensional constants every other module needs: the unit ball
-volume, the sharp exponential coefficient, its exponent ceiling in the
-intermediate case 2k = n, and the mass quantum separating regular from
-singular points.
+spectral kernels (stable elementary symmetric evaluation, Maclaurin
+means); S_1 .. S_n of a symmetric matrix by two independent routes,
+its spectrum and its principal minors, each symmetrizing the matrix
+once; and the dimensional constants every other module needs: the
+unit ball volume, the sharp exponential coefficient, its exponent
+ceiling in the intermediate case 2k = n, and the mass quantum
+separating regular from singular points.
 """
 
 from __future__ import annotations
@@ -26,13 +25,9 @@ from .errors import InvalidArgumentError, UnsupportedDimensionError
 __all__ = [
     "HessianDim",
     "unit_ball_volume",
-    "elem_sym",
     "elem_sym_all",
     "s_k_all_of_matrix",
-    "s_k_of_matrix",
     "principal_minor_sums",
-    "principal_minor_sum",
-    "gamma_k_membership",
     "maclaurin_means",
 ]
 
@@ -43,10 +38,13 @@ def unit_ball_volume(n: int) -> float:
 
     Even n = 2m gives pi^m / m!, odd n = 2m+1 gives
     2 m! (4 pi)^m / (2m+1)!; both avoid the gamma function so the
-    values are exact products of floats.
+    values are exact products of floats.  From n = 171 on, the odd
+    form's (2m+1)! no longer fits in a float, so n <= 170.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"ball volume needs an integer n >= 1, got {n!r}")
+    if n > 170:
+        raise UnsupportedDimensionError(f"dimension n must be at most 170, got {int(n)}")
     m, rem = divmod(int(n), 2)
     if rem == 0:
         return math.pi**m / math.factorial(m)
@@ -60,7 +58,8 @@ class HessianDim:
     The regime splits on the sign of n - 2k: subcritical (2k < n),
     intermediate (2k = n, the borderline exponential regime), and
     supercritical (2k > n, allowed for profile bookkeeping only).  The
-    rules on the regime and on the inner exponent beta live here.
+    rules on the regime and on the inner exponent beta live here; the
+    bound n <= 170 is unit_ball_volume's.
     """
 
     n: int
@@ -75,6 +74,7 @@ class HessianDim:
             )
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", int(self.k))
+        unit_ball_volume(self.n)
 
     @property
     def ball_volume(self) -> float:
@@ -170,22 +170,12 @@ def elem_sym_all(eigs) -> np.ndarray:
     return e
 
 
-def elem_sym(eigs, j: int) -> float:
-    """j-th elementary symmetric function of the eigenvalues."""
-    lam = _as_spectrum(eigs)
-    if not isinstance(j, (int, np.integer)) or not 0 <= j <= lam.size:
-        raise InvalidArgumentError(f"order j must satisfy 0 <= j <= {lam.size}, got {j!r}")
-    return float(elem_sym_all(lam)[int(j)])
-
-
-def _check_symmetric(mat: np.ndarray, k=None) -> np.ndarray:
-    """mat symmetrized, after checking in turn its shape, the order k
-    when one is given, and its entries: finite, then symmetric."""
+def _check_symmetric(mat: np.ndarray) -> np.ndarray:
+    """mat symmetrized, after checking in turn its shape and its
+    entries: finite, then symmetric."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise InvalidArgumentError("matrix must be square and nonempty")
-    if k is not None:
-        _check_order(k, m.shape[0])
     # before the symmetry test, which inf - inf = NaN would pass
     if not np.isfinite(m).all():
         raise InvalidArgumentError("matrix entries must be finite")
@@ -195,25 +185,13 @@ def _check_symmetric(mat: np.ndarray, k=None) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _check_order(k, n: int) -> int:
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise InvalidArgumentError(f"order k must satisfy 1 <= k <= {n}, got {k!r}")
-    return int(k)
-
-
 def s_k_all_of_matrix(mat) -> np.ndarray:
     """S_1 .. S_n of a symmetric n x n matrix via its eigenvalue spectrum.
 
     One symmetrization, one eigvalsh and one elem_sym_all serve every
-    order; entry k - 1 is the float s_k_of_matrix(mat, k) returns.
+    order; entry k - 1 is S_k.
     """
     return elem_sym_all(np.linalg.eigvalsh(_check_symmetric(mat)))[1:]
-
-
-def s_k_of_matrix(mat, k: int) -> float:
-    """S_k of a symmetric matrix via its eigenvalue spectrum."""
-    m = _check_symmetric(mat, k)
-    return float(elem_sym_all(np.linalg.eigvalsh(m))[int(k)])
 
 
 def _minor_sum(m: np.ndarray, k: int) -> float:
@@ -228,30 +206,13 @@ def _minor_sum(m: np.ndarray, k: int) -> float:
 def principal_minor_sums(mat) -> np.ndarray:
     """S_1 .. S_n of a symmetric n x n matrix as sums of principal minors.
 
-    One symmetrization serves every order; entry k - 1 is the float
-    principal_minor_sum(mat, k) returns.  Cost grows as 2^n, fine for
+    One symmetrization serves every order; entry k - 1 is the sum of
+    the k x k principal minors.  Independent of the eigenvalue route;
+    the sym suite runs both and compares.  Cost grows as 2^n, fine for
     n <= 8.
     """
     m = _check_symmetric(mat)
     return np.array([_minor_sum(m, k) for k in range(1, m.shape[0] + 1)])
-
-
-def principal_minor_sum(mat, k: int) -> float:
-    """S_k of a symmetric matrix as the sum of its k x k principal minors.
-
-    Independent of the eigenvalue route; the sym suite runs both and
-    compares.  Cost grows as C(n,k), fine for n <= 8.
-    """
-    return _minor_sum(_check_symmetric(mat, k), int(k))
-
-
-def gamma_k_membership(eigs, k: int, tol: float = 0.0) -> bool:
-    """Whether the spectrum lies in the closed admissible cone of order k,
-    i.e. e_j >= -tol for every j = 1 .. k."""
-    lam = _as_spectrum(eigs)
-    k = _check_order(k, lam.size)
-    e = elem_sym_all(lam)
-    return bool(np.all(e[1 : k + 1] >= -tol))
 
 
 def maclaurin_means(eigs, k: int) -> np.ndarray:
@@ -261,8 +222,10 @@ def maclaurin_means(eigs, k: int) -> np.ndarray:
     no suite calls this, the tests check that chain.
     """
     lam = _as_spectrum(eigs)
-    k = _check_order(k, lam.size)
     n = lam.size
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise InvalidArgumentError(f"order k must satisfy 1 <= k <= {n}, got {k!r}")
+    k = int(k)
     e = elem_sym_all(lam)
     means = np.empty(k)
     for j in range(1, k + 1):

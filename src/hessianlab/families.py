@@ -72,23 +72,20 @@ def make_family(
     R: float = 1.0,
     count: int = 8,
     grid_n: int = quad.DEFAULT_GRID_N,
-    mollification_levels: int = 1,
 ) -> list[RadialProfile]:
     """Deterministic family sweep around the base spec.
 
     Amplitudes run over the dyadic ladder amplitude * 2^(i - count//2);
     for the mollified kind each amplitude is repeated at
-    mollification / 4^j for j < mollification_levels.
+    mollification / 4^j for j = 0, 1, 2.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise InvalidArgumentError(f"family count must be a positive integer, got {count!r}")
-    if not isinstance(mollification_levels, (int, np.integer)) or mollification_levels < 1:
-        raise InvalidArgumentError("mollification_levels must be a positive integer")
     members = []
     for i in range(int(count)):
         c = spec.amplitude * 2.0 ** (i - count // 2)
         if spec.kind == "mollified-log":
-            for j in range(int(mollification_levels)):
+            for j in range(3):
                 eps = spec.mollification / 4.0**j
                 members.append(make_profile(FamilySpec(spec.kind, c, eps), dim, R, grid_n))
         else:

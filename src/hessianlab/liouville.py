@@ -294,23 +294,19 @@ def local_mass(u: RadialProfile, V, r: float) -> float:
     return _exp_measure(u.dim, u.R, u.nodes, v, u.values).cumulative_at(r)
 
 
-def smallness_check(seq: SolutionSequence, mass_budget: float | None = None) -> CheckRecord:
+def smallness_check(seq: SolutionSequence) -> CheckRecord:
     """Uniform lower bound on min u across a sub-threshold sweep.
 
-    Every member's total mass must stay at or below the budget, itself
-    strictly below the quantum (a0/p')^k; under that smallness the
-    minima admit a uniform bound, which is what gets reported.
+    Every member's total mass must stay at or below the budget
+    0.9 (a0/p')^k, strictly below the quantum; under that smallness
+    the minima admit a uniform bound, which is what gets reported.
     """
     dims = {(p.dim.n, p.dim.k) for p in seq.problems}
     primes = {p.p_prime for p in seq.problems}
     if len(dims) != 1 or len(primes) != 1:
         raise InvalidArgumentError("sweep members must share (n, k) and p'")
     threshold = seq.problems[0].threshold
-    budget = 0.9 * threshold if mass_budget is None else float(mass_budget)
-    if not 0 < budget < threshold:
-        raise InvalidArgumentError(
-            f"mass budget must sit in (0, {threshold:g}), got {budget!r}"
-        )
+    budget = 0.9 * threshold
     masses = seq.total_masses()
     worst = float(np.max(masses))
     if worst > budget * (1.0 + 1e-12):

@@ -52,8 +52,6 @@ __all__ = [
     "s_k_density",
     "solve_dirichlet",
     "hessian_mass",
-    "hessian_integral",
-    "phi_norm",
     "level_set_radius",
     "level_set_log_ratio",
     "value_at",
@@ -421,34 +419,6 @@ def hessian_mass(u: RadialProfile) -> float:
     return s_k_radial(u).total
 
 
-def _require_zero_boundary(u: RadialProfile, op: str) -> None:
-    scale = max(float(np.max(np.abs(u.values))), 1.0)
-    if abs(u.boundary) > 1e-12 * scale:
-        raise InvalidArgumentError(f"{op} needs boundary value 0, got {u.boundary!r}")
-
-
-def hessian_integral(u: RadialProfile) -> float:
-    """Integral of (-u) against the k-Hessian measure of u.
-
-    Computed as the level-set identity integral of u'(r) m(r) dr, which
-    absorbs the atom contribution; an atom sitting where u = -inf makes
-    the integral +inf.
-    """
-    _require_zero_boundary(u, "hessian integral")
-    mu = s_k_radial(u)
-    if mu.atom > 0 and u.unbounded_origin:
-        return float("inf")
-    return float(quad.cumulative_from_origin(u.nodes, u.slope * mu.cumulative)[-1])
-
-
-def phi_norm(u: RadialProfile) -> float:
-    """Variational norm: the (k+1)-st root of the Hessian integral."""
-    total = hessian_integral(u)
-    if not np.isfinite(total):
-        return float("inf")
-    return total ** (1.0 / (u.dim.k + 1))
-
-
 def _require_level(t: float) -> None:
     if not np.isfinite(t) or t <= 0:
         raise InvalidArgumentError(f"level t must be positive, got {t!r}")
@@ -640,7 +610,9 @@ def exp_integral(u: RadialProfile, lam: float, beta: float) -> float:
     dim.check_beta(beta)
     if not np.isfinite(lam) or lam < 0:
         raise InvalidArgumentError(f"coefficient lam must be >= 0, got {lam!r}")
-    _require_zero_boundary(u, "exponential moment")
+    scale = max(float(np.max(np.abs(u.values))), 1.0)
+    if abs(u.boundary) > 1e-12 * scale:
+        raise InvalidArgumentError(f"exponential moment needs boundary value 0, got {u.boundary!r}")
     mass = hessian_mass(u)
     if mass <= 0:
         raise DegenerateProfileError("exponential moment needs positive Hessian mass")

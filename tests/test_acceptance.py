@@ -37,10 +37,10 @@ from hessianlab import (
     lp_norm,
     make_profile,
     mollified_dirac_family,
-    principal_minor_sum,
+    principal_minor_sums,
     profile_from_slope,
+    s_k_all_of_matrix,
     s_k_density,
-    s_k_of_matrix,
     s_k_radial,
     sample_family,
     smallness_check,
@@ -263,9 +263,9 @@ def test_criterion_10_oracle_equivalence(sym_matrices):
     for mat in sym_matrices:
         n = mat.shape[0]
         spread = float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+        via_eigs, via_minors = s_k_all_of_matrix(mat), principal_minor_sums(mat)
         for k in range(1, n + 1):
-            a = s_k_of_matrix(mat, k)
-            b = principal_minor_sum(mat, k)
+            a, b = float(via_eigs[k - 1]), float(via_minors[k - 1])
             scale = max(abs(a), abs(b), math.comb(n, k) * spread**k)
             worst_matrix = max(worst_matrix, abs(a - b) / scale)
     worst_fd = 0.0

@@ -58,7 +58,7 @@ class TestExpBranch:
     def test_mollified_sweep_shape_and_bound(self):
         q = BMQuery(
             HessianDim(2, 1), "exp", FamilySpec("mollified-log", 1.0, 0.25),
-            lam=math.pi, amplitudes=4, mollification_levels=3,
+            lam=math.pi, amplitudes=4,
         )
         records = bm_exp_check(q)
         assert len(records) == 4 * 3
@@ -141,7 +141,7 @@ class TestSharpnessProbe:
 
     def test_rung_values_match_closed_form(self):
         # Each rung lam = a0 (1 - 2^-j) makes the bound |B_R| 2^j.
-        rec = sharpness_probe(HessianDim(2, 1), levels=4)
+        rec = sharpness_probe(HessianDim(2, 1))
         volume = math.pi
         for rung in rec.details["rungs"]:
             assert rung["target"] == pytest.approx(volume * 2.0 ** rung["j"], rel=1e-15)
@@ -156,8 +156,6 @@ class TestSharpnessProbe:
     def test_validation(self):
         with pytest.raises(UnsupportedDimensionError):
             sharpness_probe(SUBCRITICAL)
-        with pytest.raises(InvalidArgumentError):
-            sharpness_probe(HessianDim(2, 1), levels=0)
 
 
 class TestQueryValidation:

@@ -1,6 +1,7 @@
 """Command line contract, config merging, report rendering, and the
 profile interchange format."""
 
+import ast
 import csv
 import dataclasses
 import io
@@ -118,11 +119,12 @@ _BAD_PARAMETERS = [
     (("--suite", "bm", "--n", "2", "--k", "1", "--beta", "3"), "beta must lie in [1, 2] for (n, k) = (2, 1)"),
     (("--suite", "bm", "--n", "3", "--k", "1", "--p", "5"), "p must lie in [1, 3] for (n, k) = (3, 1)"),
     (("--suite", "bm", "--n", "3", "--k", "1", "--p", "0.5"), "p must lie in [1, 3] for (n, k) = (3, 1)"),
+    (("--suite", "all", "--n", "171", "--k", "1"), "dimension n must be at most 170, got 171"),
 ]
 
 
 class TestParameterRanges:
-    @pytest.mark.parametrize("argv, message", _BAD_PARAMETERS, ids=["lambda", "beta", "p-above", "p-below"])
+    @pytest.mark.parametrize("argv, message", _BAD_PARAMETERS, ids=["lambda", "beta", "p-above", "p-below", "n-above"])
     def test_out_of_range_exits_two_with_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"hessianlab: {message}\n")
@@ -185,6 +187,9 @@ class TestConfigMerging:
             ExperimentConfig(family="cubic")
         with pytest.raises(ConfigError, match="grid-n"):
             ExperimentConfig(grid_n=8)
+        for n, k in ((171, 1), (400, 200)):
+            with pytest.raises(ConfigError, match=f"^dimension n must be at most 170, got {n}$"):
+                ExperimentConfig(n=n, k=k)
         lo, hi = RADIUS_RANGE
         for radius in (0.0, -1.0, math.inf, math.nan, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
             with pytest.raises(ConfigError, match=r"radius must lie in \[1e-60, 1e\+07\]"):
@@ -617,17 +622,39 @@ _EARLIER_API = """
     InvalidMeasureError InvalidWeightError LiouvilleProblem NoSolutionError NotAdmissibleError
     OrliczBarrier OrliczWeight PreconditionError ProfileFormatError RadialMeasure RadialProfile
     ReportRow SolutionSequence UnsupportedDimensionError abp_bound_check abp_degiorgi_check
-    barrier_epsilon bm_exp_check bm_lp_check bubble_local_mass bubble_problem bubble_profile
+    bm_exp_check bm_lp_check bubble_local_mass bubble_problem bubble_profile
     bubble_residual_sup cap_concentric classify_alternative comparison_check config_from_sources
-    degiorgi_fit_and_verify degiorgi_from_run degiorgi_threshold domain_volume elem_sym elem_sym_all
-    emit_report exp_integral extremal_profile fixed_budget_variation_check gamma_k_membership
-    harnack_ratio hessian_integral hessian_mass isocapacitary_margin level_set_radius
+    degiorgi_fit_and_verify degiorgi_from_run degiorgi_threshold domain_volume elem_sym_all
+    emit_report exp_integral extremal_profile fixed_budget_variation_check
+    harnack_ratio hessian_mass isocapacitary_margin level_set_radius
     levelset_cap_check load_config_file load_profile local_mass lp_norm maclaurin_means make_family
-    make_profile mollified_dirac_family orlicz_h phi_norm principal_minor_sum profile_from_slope
-    regular_point_classify row_from_record rows_status run_suite s_k_of_matrix s_k_radial save_profile
+    make_profile mollified_dirac_family orlicz_h profile_from_slope
+    regular_point_classify row_from_record rows_status run_suite s_k_radial save_profile
     sharpness_probe singular_comparison_check smallness_check solve_dirichlet solve_liouville
     solve_sequence unit_ball_volume verify_gk value_at volume_integral weak_lp_quasinorm
 """.split()
+
+# Public names no module under src/, scripts/ or perfbench/ reads yet,
+# each kept for a reason of its own.
+_UNCALLED_ALLOWED = {
+    "maclaurin_means",  # waits for a catalog row or deletion
+    "regular_point_classify",  # waits for a catalog row or deletion
+    "s_k_density",  # the finite-difference oracle of acceptance criterion 10
+    "PROFILE_FORMAT",  # goes with profile_io once the benchmark stops importing it
+    "__version__",
+}
+
+
+def _names_read(root: Path) -> set[str]:
+    """Every Name loaded and every attribute named in the .py files under root."""
+    names = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
 
 
 class TestPackageApi:
@@ -642,5 +669,11 @@ class TestPackageApi:
         assert all(hasattr(hessianlab, name) for name in hessianlab.__all__)
 
     def test_earlier_exports_stay(self):
-        assert len(_EARLIER_API) == 95
+        assert len(_EARLIER_API) == 88
         assert set(_EARLIER_API) <= set(hessianlab.__all__)
+
+    def test_every_public_name_has_a_caller(self):
+        repo = Path(__file__).resolve().parents[1]
+        used = set().union(*(_names_read(repo / part) for part in ("src", "scripts", "perfbench")))
+        assert _UNCALLED_ALLOWED <= set(hessianlab.__all__)
+        assert sorted(set(hessianlab.__all__) - used - _UNCALLED_ALLOWED) == []

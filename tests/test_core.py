@@ -19,14 +19,10 @@ from scipy.special import gamma
 
 from hessianlab.core import (
     HessianDim,
-    elem_sym,
     elem_sym_all,
-    gamma_k_membership,
     maclaurin_means,
-    principal_minor_sum,
     principal_minor_sums,
     s_k_all_of_matrix,
-    s_k_of_matrix,
     unit_ball_volume,
 )
 from hessianlab import abp, radial
@@ -53,15 +49,10 @@ class TestElementarySymmetric:
     def test_matches_enumeration(self, eigs):
         lam = np.array(eigs)
         scale = max(1.0, float(np.max(np.abs(lam)))) ** lam.size
+        e = elem_sym_all(lam)
+        assert e.shape == (lam.size + 1,) and e[0] == 1.0
         for j in range(lam.size + 1):
-            assert elem_sym(lam, j) == pytest.approx(sigma_oracle(lam, j), abs=1e-9 * scale)
-
-    @given(finite_eigs)
-    def test_all_consistent_with_single(self, eigs):
-        e = elem_sym_all(np.array(eigs))
-        assert e[0] == 1.0
-        for j in range(len(eigs) + 1):
-            assert elem_sym(np.array(eigs), j) == e[j]
+            assert e[j] == pytest.approx(sigma_oracle(lam, j), abs=1e-9 * scale)
 
     @given(finite_eigs, st.floats(min_value=0.01, max_value=100.0))
     def test_homogeneity(self, eigs, t):
@@ -78,13 +69,11 @@ class TestElementarySymmetric:
 
     def test_rejects_bad_spectra(self):
         with pytest.raises(InvalidArgumentError):
-            elem_sym([], 0)
+            elem_sym_all([])
         with pytest.raises(InvalidArgumentError):
-            elem_sym([1.0, math.nan], 1)
+            elem_sym_all([1.0, math.nan])
         with pytest.raises(InvalidArgumentError):
-            elem_sym([1.0, 2.0], 3)
-        with pytest.raises(InvalidArgumentError):
-            elem_sym([1.0, 2.0], -1)
+            elem_sym_all([[1.0, 2.0]])
 
 
 def per_order_routes(mat, k: int) -> tuple[float, float]:
@@ -92,7 +81,7 @@ def per_order_routes(mat, k: int) -> tuple[float, float]:
     the all-orders forms, each order symmetrizing the matrix again."""
     m = np.asarray(mat, dtype=float)
     m = 0.5 * (m + m.T)
-    via_eigs = elem_sym(np.linalg.eigvalsh(m), k)
+    via_eigs = float(elem_sym_all(np.linalg.eigvalsh(m))[k])
     idx = np.array(list(combinations(range(m.shape[0]), k)))
     via_minors = 0.0
     for det in np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).tolist():
@@ -107,7 +96,6 @@ def assert_all_orders_match(mat):
     for k in range(1, n + 1):
         expected = per_order_routes(mat, k)
         assert (via_eigs[k - 1], via_minors[k - 1]) == expected
-        assert (s_k_of_matrix(mat, k), principal_minor_sum(mat, k)) == expected
 
 
 class TestMatrixRoutes:
@@ -128,22 +116,8 @@ class TestMatrixRoutes:
         scale = float(np.max(np.abs(sym))) or 1.0
         assert_all_orders_match(sym + 5e-16 * scale * (a - a.T))
 
-    @pytest.mark.parametrize("route", [s_k_of_matrix, principal_minor_sum])
-    def test_bad_order_is_rejected_before_the_matrix_is_used(self, route):
-        # k is checked before the entries, so a bad order is what an inf
-        # matrix with a bad k reports
-        with np.errstate(invalid="ignore"), pytest.raises(InvalidArgumentError, match="order k"):
-            route(np.full((2, 2), np.inf), 3)
-
     @pytest.mark.parametrize(
-        "route",
-        [
-            lambda m: s_k_of_matrix(m, 1),
-            s_k_all_of_matrix,
-            lambda m: principal_minor_sum(m, 1),
-            principal_minor_sums,
-        ],
-        ids=["s_k_of_matrix", "s_k_all_of_matrix", "principal_minor_sum", "principal_minor_sums"],
+        "route", [s_k_all_of_matrix, principal_minor_sums], ids=["s_k_all_of_matrix", "principal_minor_sums"],
     )
     @pytest.mark.parametrize(
         "mat",
@@ -168,9 +142,9 @@ class TestMatrixRoutes:
             n = mat.shape[0]
             eigs = np.linalg.eigvalsh(mat)
             spread = max(1.0, float(np.max(np.abs(eigs))))
+            all_eigs, all_minors = s_k_all_of_matrix(mat), principal_minor_sums(mat)
             for k in range(1, n + 1):
-                via_eigs = s_k_of_matrix(mat, k)
-                via_minors = principal_minor_sum(mat, k)
+                via_eigs, via_minors = all_eigs[k - 1], all_minors[k - 1]
                 oracle = sigma_oracle(eigs, k)
                 scale = max(abs(via_eigs), abs(via_minors), math.comb(n, k) * spread**k)
                 assert abs(via_eigs - via_minors) <= 1e-9 * scale
@@ -186,47 +160,28 @@ class TestMatrixRoutes:
         # left-to-right sum must be those of one call per minor.
         a = np.array(entries).reshape(8, 8)[:n, :n]
         mat = 0.5 * (a + a.T)
+        sums = principal_minor_sums(mat)
         for k in range(1, n + 1):
             expected = 0.0
             for idx in combinations(range(n), k):
                 expected += float(np.linalg.det(mat[np.ix_(idx, idx)]))
-            assert principal_minor_sum(mat, k) == expected
+            assert sums[k - 1] == expected
 
     def test_corpus_sizes(self, sym_matrices):
         assert sorted({m.shape[0] for m in sym_matrices}) == [2, 3, 4, 5, 6]
 
     def test_diag_matrix_exact(self):
         mat = np.diag([1.0, 2.0, 3.0])
-        assert s_k_of_matrix(mat, 1) == pytest.approx(6.0, rel=1e-14)
-        assert s_k_of_matrix(mat, 2) == pytest.approx(11.0, rel=1e-14)
-        assert s_k_of_matrix(mat, 3) == pytest.approx(6.0, rel=1e-14)
+        assert s_k_all_of_matrix(mat) == pytest.approx([6.0, 11.0, 6.0], rel=1e-14)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidArgumentError):
-            s_k_of_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+            s_k_all_of_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(InvalidArgumentError):
-            principal_minor_sum(np.ones((2, 3)), 1)
-        with pytest.raises(InvalidArgumentError):
-            s_k_of_matrix(np.eye(2), 0)
+            principal_minor_sums(np.ones((2, 3)))
 
 
 class TestCone:
-    @given(finite_eigs)
-    def test_nesting(self, eigs):
-        # membership at order k+1 implies membership at order k
-        lam = np.array(eigs)
-        for k in range(1, lam.size):
-            if gamma_k_membership(lam, k + 1):
-                assert gamma_k_membership(lam, k)
-
-    @given(finite_eigs)
-    def test_membership_matches_enumeration(self, eigs):
-        lam = np.array(eigs)
-        spread = max(1.0, float(np.max(np.abs(lam)))) ** lam.size
-        for k in range(1, lam.size + 1):
-            oracle = all(sigma_oracle(lam, j) >= -1e-9 * spread for j in range(1, k + 1))
-            assert gamma_k_membership(lam, k, tol=1e-9 * spread) == oracle
-
     @given(
         st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=6),
     )
@@ -259,6 +214,12 @@ class TestConstants:
             unit_ball_volume(0)
         with pytest.raises(InvalidArgumentError):
             unit_ball_volume(2.5)
+        # 171! overflows a float; 170 is the last dimension with a volume
+        assert unit_ball_volume(170) == 6.425934302368584e-87
+        for n in (171, 342, 400):
+            with pytest.raises(UnsupportedDimensionError) as exc:
+                unit_ball_volume(n)
+            assert str(exc.value) == f"dimension n must be at most 170, got {n}"
 
     def test_sharp_coefficient_frozen(self):
         # n (omega_n C(n,k))^(2/n): exactly 4 pi at (2,1), 4 sqrt(3) pi at (4,2)
@@ -300,6 +261,9 @@ class TestConstants:
             HessianDim(3, 5)
         with pytest.raises(UnsupportedDimensionError):
             HessianDim(0, 0)
+        for n, k in ((171, 1), (400, 200)):
+            with pytest.raises(UnsupportedDimensionError, match=f"^dimension n must be at most 170, got {n}$"):
+                HessianDim(n, k)
 
 
 _D21, _D31 = HessianDim(2, 1), HessianDim(3, 1)
@@ -388,6 +352,6 @@ def test_matrix_routes_agree_on_random_symmetric(args):
     mat[np.triu_indices(n)] = tri
     mat = 0.5 * (mat + mat.T)
     spread = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(mat)))))
+    gap = np.abs(s_k_all_of_matrix(mat) - principal_minor_sums(mat))
     for k in range(1, n + 1):
-        scale = math.comb(n, k) * spread**k
-        assert abs(s_k_of_matrix(mat, k) - principal_minor_sum(mat, k)) <= 1e-9 * scale
+        assert gap[k - 1] <= 1e-9 * math.comb(n, k) * spread**k

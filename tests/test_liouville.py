@@ -307,15 +307,11 @@ class TestSmallness:
         assert max(rec.details["masses"]) <= 0.9 * 4.0 * math.pi
 
     def test_budget_violation_is_a_precondition_error(self):
+        # the minimal branch at c = 1.99 carries 11.678 > 0.9 * 4 pi = 11.310
+        seq = solve_sequence([constant_problem(c) for c in (0.5, 1.0, 1.5, 1.99)])
+        assert seq.total_masses()[-1] > 0.9 * 4.0 * math.pi
         with pytest.raises(PreconditionError, match="exceeds"):
-            smallness_check(self.sweep(), mass_budget=1.0)
-
-    def test_budget_validation(self):
-        seq = self.sweep()
-        with pytest.raises(InvalidArgumentError, match="budget"):
-            smallness_check(seq, mass_budget=4.0 * math.pi)
-        with pytest.raises(InvalidArgumentError, match="budget"):
-            smallness_check(seq, mass_budget=0.0)
+            smallness_check(seq)
 
     def test_each_member_is_measured_over_its_own_ball(self):
         # the last member's mass over R = 1.411 is above 0.9 * 4 pi; over

@@ -41,11 +41,9 @@ from hessianlab.radial import (
     RadialProfile,
     domain_volume,
     exp_integral,
-    hessian_integral,
     hessian_mass,
     level_set_radius,
     lp_norm,
-    phi_norm,
     profile_from_slope,
     s_k_density,
     s_k_radial,
@@ -782,20 +780,6 @@ class TestExponentialMoment:
 
 
 class TestEnergyFunctionals:
-    def test_quadratic_energy_oracle(self):
-        # int (-u) dmu for u = c(r^2 - R^2)/2, dmu = C(n,k) c^k dx
-        dim, c = D21, 1.0
-        u = make_profile(FamilySpec("quadratic", amplitude=c), dim)
-        oracle = sciquad(
-            lambda r: 2.0 * math.pi * r * 2.0 * c * c * (1.0 - r * r) / 2.0, 0.0, 1.0
-        )[0]
-        assert hessian_integral(u) == pytest.approx(oracle, rel=5e-7)
-        assert phi_norm(u) == pytest.approx(oracle ** (1.0 / (dim.k + 1)), rel=5e-7)
-
-    def test_log_energy_diverges(self):
-        assert hessian_integral(make_profile(FamilySpec("log"), D21)) == math.inf
-        assert phi_norm(make_profile(FamilySpec("log"), D21)) == math.inf
-
     def test_volume_integral_vs_quad(self):
         nodes = quad.radial_grid(1.0, 2048)
         g = np.exp(-(nodes**2))

@@ -8,9 +8,10 @@ stderr.  `--suite all --grid-n 2048` at `--radius 1e-6` and `1e6`, and
 at the ends 1e-60 and 1e7 of the accepted radius range, is always
 compared too, and so is `--suite all --grid-n 2048` at the explicit
 pairs (n, k) = (3, 2), (5, 1), (6, 3) and (8, 4), four bm configs
-whose --lambda, --beta or --p is out of range and `all` at n = 171,
-past the last dimension with a ball volume (exit 2, compared by
-their stderr line), and the --family and --tol paths: bm with the
+whose --lambda, --beta or --p is out of range, `all` at n = 171,
+past the last dimension with a ball volume, and `all` at a grid size
+far above the accepted range (all exit 2, compared by their stderr
+line), and the --family and --tol paths: bm with the
 mollified-log, newtonian (at (3, 1), and at (5, 1) where it falls back
 to power) and constant (exit 2) families, degiorgi with the constant
 fixture (exit 1), and `all` at --tol 1e-7.  Identical bytes on both
@@ -74,6 +75,7 @@ BAD_PARAMETER_CONFIGS = (
     ("--suite", "bm", "--n", "3", "--k", "1", "--p", "5"),
     ("--suite", "bm", "--n", "3", "--k", "1", "--p", "0.5"),
     ("--suite", "all", "--n", "171", "--k", "1"),
+    ("--suite", "all", "--grid-n", "100000000000"),
 )
 
 # Then the --family and --tol paths at the default grid.

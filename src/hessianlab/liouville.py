@@ -182,7 +182,28 @@ def solve_liouville(
     """
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise InvalidArgumentError(f"max_iter must be a positive integer, got {max_iter!r}")
-    nodes = quad.radial_grid(prob.R, prob.grid_n)
+    # the loop's iterates and history are freed before the residual
+    image, it, step, reason = _anderson(prob, initial, max_iter)
+    # Acceptance is decided by the equation residual of the last image
+    # against its own density, not by why the loop stopped.
+    res = math.inf if image is None else equation_residual(prob, image)
+    if res < 1e-6:
+        return image
+    if math.isinf(res):
+        reason = "clip/overflow"
+    raise NoSolutionError(
+        f"no fixed point: {reason} after {it} iterations "
+        f"(last step {step:.3e}, last residual {res:.3e}); "
+        "expected near the blow-up regime"
+    )
+
+
+def _anderson(prob: LiouvilleProblem, initial: RadialProfile | None, max_iter: int):
+    """The fixed-point loop of solve_liouville: the last image (None
+    when it overflowed), the iteration count, the last step and the
+    stop reason."""
+    # the grid's read-only nodes, which every image shares
+    nodes = quad._geometric(prob.R, prob.grid_n).nodes
     v = prob.density_on(nodes)
     if initial is None:
         x = np.full_like(nodes, float(prob.boundary))
@@ -233,18 +254,7 @@ def solve_liouville(
             weights = np.linalg.lstsq(gram, rhs, rcond=1e-14)[0]
             x = g - weights @ d_g[:depth]
         f_prev, g_prev = f, g
-    # Acceptance is decided by the equation residual of the last image
-    # against its own density, not by why the loop stopped.
-    res = math.inf if image is None else equation_residual(prob, image)
-    if res < 1e-6:
-        return image
-    if math.isinf(res):
-        reason = "clip/overflow"
-    raise NoSolutionError(
-        f"no fixed point: {reason} after {it} iterations "
-        f"(last step {step:.3e}, last residual {res:.3e}); "
-        "expected near the blow-up regime"
-    )
+    return image, it, step, reason
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,8 +10,10 @@ format is versioned precisely so readers never guess.
 
 Every profile on one grid writes the same node column, so its text is
 formatted once per grid and kept in the grid's quadrature cache entry,
-beside its stencils; nodes written in place since miss that entry and
-get fresh text.  The values and slope columns are formatted per save.
+beside its stencils; a profile's nodes are that entry's read-only
+array, so they cannot be written in place, and other nodes under the
+same key miss the entry and get fresh text.  The values and slope
+columns are formatted per save.
 """
 
 from __future__ import annotations

@@ -17,15 +17,20 @@ _CACHE_SIZE grids, oldest dropped first: the stencils, built on entry,
 and what other modules derive from the nodes alone (the powers r^(n-1)
 of the volume element, a saved profile's node text), built on first
 use by _per_grid.  An entry is keyed on (size, first node, last node)
-and holds a private read-only copy of its nodes; a lookup hits only
-when the nodes given equal that copy element by element, so an array
-that shares the key, or one mutated in place since, is never served
-stale values.  Valid nodes are positive, so equal nodes are the same
-bits.  A miss validates the nodes in full (positive, strictly
-increasing, >= 3 points, no NaN) before building; a hit has passed
-those checks already.  RadialProfile validates its nodes here too.
-Threads racing on a derived value may build it twice; no cached array
-is written to.
+and holds a read-only copy of its nodes, and that array is the one
+every profile and measure on the grid holds: RadialProfile and
+RadialMeasure.from_parts store the array of the entry they look up,
+so a grid's nodes live once.  A lookup handed the entry's own array
+hits at once; any other array hits only when it equals the entry's
+element by element, so an array that shares the key, or one mutated
+in place since, is never served stale values.  Valid nodes are
+positive, so equal nodes are the same bits.  A miss validates the
+nodes in full (positive, strictly increasing, >= 3 points, no NaN)
+before building; a hit has passed those checks already.  An evicted
+entry's array stays valid where it is held: its next lookup misses
+and builds a new entry from a copy, which it then equals.  Threads
+racing on a derived value may build it twice; no cached array is
+written to.
 
 The kernel evaluates each parabola piece a (b f0 + c f1 - d f2) with the
 operations of that expression in their order, written through two
@@ -38,7 +43,8 @@ radial_grid is served from the same cache: np.geomspace puts
 DEFAULT_RMIN_FACTOR * R and R exactly at the ends, so they key the
 entry.  It serves only an entry it built and marked in derived, never a
 caller's grid under that key, and returns a fresh writable copy of its
-nodes.
+nodes; _geometric returns the entry itself, for callers that keep its
+read-only nodes.
 """
 
 from __future__ import annotations
@@ -71,6 +77,12 @@ _GEOMETRIC = "geometric"
 def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
     """Geometric grid on [1e-8 R, R] (DEFAULT_RMIN_FACTOR) with grid_n
     nodes."""
+    return _geometric(R, grid_n).nodes.copy()
+
+
+def _geometric(R: float, grid_n: int) -> _Grid:
+    """The cache entry of radial_grid(R, grid_n), whose read-only nodes
+    callers may hold without a copy."""
     if not np.isfinite(R) or R <= 0:
         raise InvalidArgumentError(f"radius must be positive and finite, got {R!r}")
     if not isinstance(grid_n, (int, np.integer)) or grid_n < 16:
@@ -80,7 +92,7 @@ def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
     if grid is None or _GEOMETRIC not in grid.derived:
         grid = _grid(np.geomspace(start, R, grid_n))
         grid.derived[_GEOMETRIC] = True
-    return grid.nodes.copy()
+    return grid
 
 
 def _stencil(h1, h2) -> tuple:
@@ -112,11 +124,14 @@ _grids: dict[tuple, _Grid] = {}
 
 
 def _known_grid(x: np.ndarray) -> _Grid | None:
-    """The cached grid whose nodes equal the float array x, if any."""
+    """The cached grid whose nodes equal the float array x, if any; an
+    entry's own array hits without the element-wise compare."""
     if x.ndim != 1 or x.size < 3:
         return None
     grid = _grids.get((x.size, x[0], x[-1]))
-    return grid if grid is not None and np.array_equal(grid.nodes, x) else None
+    if grid is not None and (grid.nodes is x or np.array_equal(grid.nodes, x)):
+        return grid
+    return None
 
 
 def _grid(nodes) -> _Grid:

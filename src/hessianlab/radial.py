@@ -76,6 +76,10 @@ class RadialProfile:
     grid is refined toward r = 0.  kind optionally tags a canonical
     closed-form family so that downstream operations may use exact
     branches; params carries that family's parameters.
+
+    nodes is stored as the read-only node array of the grid's
+    quadrature cache entry, shared by every profile and measure on that
+    grid; it is never the caller's array, and writing into it raises.
     """
 
     dim: HessianDim
@@ -89,14 +93,14 @@ class RadialProfile:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
         values = np.asarray(self.values, dtype=float)
         slope = np.asarray(self.slope, dtype=float)
         if not math.isfinite(self.R) or self.R <= 0:
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
         if not math.isfinite(self.boundary):
             raise InvalidArgumentError(f"boundary value must be finite, got {self.boundary!r}")
-        quad._grid(nodes)  # validates the nodes
+        # validates the nodes and shares the grid's read-only array
+        nodes = quad._grid(self.nodes).nodes
         if values.shape != nodes.shape or slope.shape != nodes.shape:
             raise InvalidArgumentError("values and slope must match the grid shape")
         if abs(nodes[-1] - self.R) > 1e-12 * self.R:
@@ -127,7 +131,9 @@ class RadialProfile:
 class RadialMeasure:
     """Nonnegative radial measure: an atom at the origin plus the
     cumulative mass, cumulative[i] being the mass of the closed ball of
-    radius nodes[i], atom included.
+    radius nodes[i], atom included.  A measure built by from_parts (or
+    from_density) holds its grid's shared read-only nodes, like a
+    RadialProfile.
     """
 
     dim: HessianDim
@@ -200,7 +206,7 @@ class RadialMeasure:
         # mass[0] is the origin stub alone
         if not math.isfinite(mass[0]):
             raise InvalidMeasureError("density is not integrable near the origin")
-        return cls(dim, R, nodes, float(atom), float(atom) + mass)
+        return cls(dim, R, grid.nodes, float(atom), float(atom) + mass)
 
 
 class KindParams(NamedTuple):

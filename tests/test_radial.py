@@ -344,6 +344,55 @@ class TestGridMemo:
             quad.radial_grid(*args)
 
 
+class TestSharedNodes:
+    """Profiles and measures hold their grid's read-only node array, so
+    a grid's nodes live once."""
+
+    def test_profiles_from_two_copies_share_one_array(self):
+        first, second = quad.radial_grid(2.0, 300), quad.radial_grid(2.0, 300)
+        u = profile_from_slope(D21, 2.0, first, first, 0.0)
+        w = RadialProfile(D21, 2.0, second, second**2 - 4.0, 2.0 * second, 0.0)
+        assert u.nodes is w.nodes is quad._known_grid(first).nodes
+        assert u.nodes is not first and u.nodes is not second
+        assert not u.nodes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u.nodes[5] = 1.0
+
+    def test_measures_share_the_array(self):
+        nodes = quad.radial_grid(2.0, 300)
+        mu = RadialMeasure.from_parts(D42, 2.0, nodes, 1.5, np.exp(-nodes))
+        assert mu.nodes is quad._known_grid(nodes).nodes
+        assert solve_dirichlet(mu, 0.0).nodes is mu.nodes
+        assert s_k_radial(solve_dirichlet(mu, 0.0)).nodes is mu.nodes
+
+    def test_shared_array_skips_the_compare(self, monkeypatch):
+        nodes = quad.radial_grid(2.0, 300)
+        u = profile_from_slope(D21, 2.0, nodes, nodes, 0.0)
+        want = quad.cumulative_from_left(nodes, u.values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("element-wise compare on a shared array")
+
+        monkeypatch.setattr(quad.np, "array_equal", refuse)
+        assert quad._known_grid(u.nodes).nodes is u.nodes
+        assert quad.cumulative_from_left(u.nodes, u.values).tobytes() == want.tobytes()
+        assert profile_from_slope(D21, 2.0, u.nodes, u.slope, 0.0).nodes is u.nodes
+
+    def test_evicted_array_still_looks_up_bit_equal(self):
+        nodes = quad.radial_grid(2.0, 300)
+        u = profile_from_slope(D42, 2.0, nodes, nodes, 0.0)
+        g = np.exp(-u.nodes) + 1.0
+        first = (volume_integral(D42, u.nodes, g), lp_norm(u, 2.0), quad.cumulative_from_left(u.nodes, g))
+        for i in range(quad._CACHE_SIZE):
+            quad.cumulative_from_left(quad.radial_grid(3.0 + i, 64), np.ones(64))
+        assert quad._known_grid(u.nodes) is None
+        again = (volume_integral(D42, u.nodes, g), lp_norm(u, 2.0), quad.cumulative_from_left(u.nodes, g))
+        assert again[:2] == first[:2] and again[2].tobytes() == first[2].tobytes()
+        entry = quad._known_grid(u.nodes)
+        assert entry is not None and entry.nodes is not u.nodes
+        assert profile_from_slope(D42, 2.0, u.nodes, u.slope, 0.0).nodes is entry.nodes
+
+
 _FORMULA_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]) | st.floats(-1e6, 1e6)
 
 

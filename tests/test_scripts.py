@@ -120,6 +120,7 @@ class TestReportDiff:
             bm + ("3", "--k", "1", "--p", "5"),
             bm + ("3", "--k", "1", "--p", "0.5"),
             ("--suite", "all", "--n", "171", "--k", "1"),
+            ("--suite", "all", "--grid-n", "100000000000"),
             ("--suite", "bm", "--family", "mollified-log"),
             bm + ("3", "--k", "1", "--family", "newtonian"),
             bm + ("5", "--k", "1", "--family", "newtonian"),

@@ -11,13 +11,15 @@ pairs (n, k) = (3, 2), (5, 1), (6, 3) and (8, 4), four bm configs
 whose --lambda, --beta or --p is out of range, `all` at n = 171,
 past the last dimension with a ball volume, and `all` at a grid size
 far above the accepted range (all exit 2, compared by their stderr
-line), and the --family and --tol paths: bm with the
-mollified-log, newtonian (at (3, 1), and at (5, 1) where it falls back
-to power) and constant (exit 2) families, degiorgi with the constant
-fixture (exit 1), and `all` at --tol 1e-7.  Identical bytes on both
-print one `same` line.  Otherwise every differing cell is printed,
-numeric cells (lhs, rhs, margin, ms) with their absolute and relative
-drift, and so is every differing stderr line.  Rows are matched by
+line), a bm --beta and a bm --p just inside the library's 1e-12 slack
+past the exponent ceiling and the L^p endpoint, and the --family and
+--tol paths: bm with the mollified-log, newtonian (at (3, 1), and at
+(5, 1) where it falls back to power) and constant (exit 2) families,
+degiorgi with the constant fixture (exit 1), and `all` at --tol 1e-7.
+Identical bytes on both print one `same` line.  Otherwise every
+differing cell is printed, numeric cells (lhs, rhs, margin, ms) with
+their absolute and relative drift, and so is every differing stderr
+line.  Rows are matched by
 suite, check and occurrence: a check name that a report repeats is
 told apart by its order there, and its later copies print as `#2`,
 `#3`, ...  A config that exits 3 has an empty report on both sides, so
@@ -78,6 +80,13 @@ BAD_PARAMETER_CONFIGS = (
     ("--suite", "all", "--grid-n", "100000000000"),
 )
 
+# Then a --beta and a --p within 1e-12 (relative) past the exponent
+# ceiling and the L^p endpoint, which the library's one rule accepts.
+EDGE_PARAMETER_CONFIGS = (
+    ("--suite", "bm", "--n", "2", "--k", "1", "--beta", "2.0000000000005"),
+    ("--suite", "bm", "--n", "5", "--k", "1", "--p", "1.6666666666675"),
+)
+
 # Then the --family and --tol paths at the default grid.
 FAMILY_TOL_CONFIGS = (
     ("--suite", "bm", "--family", "mollified-log"),
@@ -110,7 +119,8 @@ with tempfile.TemporaryDirectory() as tmp:
 def run_list(suites: list[str], grids: list[int]) -> list[tuple[str, ...]]:
     """The CLI arguments of every config compared, format excluded."""
     product = [("--suite", s, "--grid-n", str(g)) for s in suites for g in grids]
-    return product + list(RADIUS_CONFIGS) + list(PAIR_CONFIGS) + list(BAD_PARAMETER_CONFIGS) + list(FAMILY_TOL_CONFIGS)
+    extras = RADIUS_CONFIGS + PAIR_CONFIGS + BAD_PARAMETER_CONFIGS + EDGE_PARAMETER_CONFIGS + FAMILY_TOL_CONFIGS
+    return product + list(extras)
 
 
 def run_python(checkout: Path, args: list[str]) -> tuple[int, str, str]:

@@ -27,7 +27,7 @@ the vanishing prediction against the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,7 +67,7 @@ __all__ = [
     "abp_degiorgi_check",
 ]
 
-WEIGHT_KINDS = ("exp", "power", "tabulated")
+WEIGHT_KINDS = ("exp", "power")
 
 # Level-set masses at or below this count as "vanished" for the decay
 # lemma's conclusion.
@@ -78,19 +78,17 @@ PHI_ZERO_TOL = 1e-12
 class OrliczWeight:
     """Positive nondecreasing weight t -> Phi(t) with its k-th-root tail.
 
-    kind "exp" is Phi(t) = exp(rate t); "power" is (1 + max(t, 0))^exponent;
-    "tabulated" interpolates given samples and continues the tail with a
-    log-linear fit of the last two.  `lam` is int_0^inf Phi^(-1/k) dt and
-    may be infinite (e.g. a constant weight); operations that need the
-    barrier reject such weights.
+    kind "exp" is Phi(t) = exp(rate t) and "power" is
+    (1 + max(t, 0))^exponent, each with its tail and h'' in closed form.
+    `lam` is int_0^inf Phi^(-1/k) dt and may be infinite (e.g. a
+    constant weight); operations that need the barrier reject such
+    weights.
     """
 
     kind: str
     k: int
     rate: float | None = None
     exponent: float | None = None
-    nodes: np.ndarray | None = field(default=None, repr=False)
-    values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in WEIGHT_KINDS:
@@ -100,45 +98,14 @@ class OrliczWeight:
         if self.kind == "exp":
             if self.rate is None or not np.isfinite(self.rate) or self.rate < 0:
                 raise InvalidWeightError(f"exp weight needs rate >= 0, got {self.rate!r}")
-        elif self.kind == "power":
-            if self.exponent is None or not np.isfinite(self.exponent) or self.exponent < 0:
-                raise InvalidWeightError(f"power weight needs exponent >= 0, got {self.exponent!r}")
-        else:
-            if self.nodes is None or self.values is None:
-                raise InvalidWeightError("tabulated weight needs nodes and values")
-            t = np.asarray(self.nodes, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
-                raise InvalidWeightError("tabulated weight needs matching 1-d nodes and values, length >= 2")
-            if not np.all(np.diff(t) > 0):
-                raise InvalidWeightError("tabulated nodes must be strictly increasing")
-            if not (np.all(np.isfinite(v)) and np.all(v > 0)):
-                raise InvalidWeightError("tabulated values must be positive and finite")
-            if np.any(np.diff(v) < 0):
-                raise InvalidWeightError("weight must be nondecreasing")
-            object.__setattr__(self, "nodes", t)
-            object.__setattr__(self, "values", v)
+        elif self.exponent is None or not np.isfinite(self.exponent) or self.exponent < 0:
+            raise InvalidWeightError(f"power weight needs exponent >= 0, got {self.exponent!r}")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "exp":
             return np.exp(self.rate * t)
-        if self.kind == "power":
-            return (1.0 + np.maximum(t, 0.0)) ** self.exponent
-        return np.interp(t, self.nodes, self.values)
-
-    @cached_property
-    def _tab_tail_parts(self):
-        # Right-cumulative of Phi^(-1/k) on the samples, plus a
-        # log-linear continuation past the last node.
-        w = self.values ** (-1.0 / self.k)
-        segs = 0.5 * (w[1:] + w[:-1]) * np.diff(self.nodes)
-        right = np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
-        b = (math.log(self.values[-1]) - math.log(self.values[-2])) / (
-            self.nodes[-1] - self.nodes[-2]
-        )
-        cont = (self.k / b) * self.values[-1] ** (-1.0 / self.k) if b > 0 else math.inf
-        return w, right, cont, b
+        return (1.0 + np.maximum(t, 0.0)) ** self.exponent
 
     def tail(self, s):
         """int_s^inf Phi(t)^(-1/k) dt, elementwise."""
@@ -148,25 +115,11 @@ class OrliczWeight:
             if self.rate == 0:
                 return np.full_like(s, math.inf)
             return (k / self.rate) * np.exp(-self.rate * s / k)
-        if self.kind == "power":
-            m = self.exponent
-            if m <= k:
-                return np.full_like(s, math.inf)
-            head = (k / (m - k)) * (1.0 + np.maximum(s, 0.0)) ** (-(m - k) / k)
-            return head + np.maximum(-s, 0.0)
-        w, right, cont, b = self._tab_tail_parts
-        if not np.isfinite(cont):
+        m = self.exponent
+        if m <= k:
             return np.full_like(s, math.inf)
-        t0, t1 = self.nodes[0], self.nodes[-1]
-        out = np.empty_like(s)
-        low = s < t0
-        high = s > t1
-        mid = ~(low | high)
-        at_t0 = right[0] + cont
-        out[low] = (t0 - s[low]) * w[0] + at_t0
-        out[mid] = np.interp(s[mid], self.nodes, right) + cont
-        out[high] = cont * np.exp(-b * (s[high] - t1) / k)
-        return out
+        head = (k / (m - k)) * (1.0 + np.maximum(s, 0.0)) ** (-(m - k) / k)
+        return head + np.maximum(-s, 0.0)
 
     @cached_property
     def lam(self) -> float:
@@ -198,16 +151,11 @@ class OrliczBarrier:
         k = float(w.k)
         if w.kind == "exp":
             return -self.scale * (w.rate / k) * np.exp(-w.rate * s / k)
-        if w.kind == "power":
-            m = w.exponent
-            out = np.zeros_like(s)
-            pos = s > 0
-            out[pos] = -self.scale * (m / k) * (1.0 + s[pos]) ** (-m / k - 1.0)
-            return out
-        # Tabulated weights get a centered difference of h'; the step is
-        # relative so large s stay well conditioned.
-        eps = 1e-6 * (1.0 + np.abs(s))
-        return (self.h_prime(s + eps) - self.h_prime(s - eps)) / (2.0 * eps)
+        m = w.exponent
+        out = np.zeros_like(s)
+        pos = s > 0
+        out[pos] = -self.scale * (m / k) * (1.0 + s[pos]) ** (-m / k - 1.0)
+        return out
 
 
 def orlicz_h(weight: OrliczWeight, budget: float, q: float, alpha: float) -> OrliczBarrier:

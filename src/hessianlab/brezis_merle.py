@@ -96,11 +96,8 @@ def bm_lp_check(q: BMQuery) -> list[CheckRecord]:
     if q.branch != "lp":
         raise InvalidArgumentError("query has the exponential branch; use bm_exp_check")
     dim = q.dim
+    dim.check_p(q.p)
     endpoint = dim.lp_endpoint()
-    if q.p > endpoint * (1.0 + 1e-12):
-        raise InvalidArgumentError(
-            f"p = {q.p:g} exceeds the endpoint {endpoint:g}; no bound is claimed there"
-        )
     at_endpoint = abs(q.p - endpoint) <= 1e-12 * endpoint
     route = "weak" if at_endpoint else "strong"
     ratios = []

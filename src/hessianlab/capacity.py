@@ -102,7 +102,6 @@ def extremal_profile(cfg: CapacityConfig, grid_n: int = quad.DEFAULT_GRID_N) -> 
         0.0,
         values=values,
         kind="cap-extremal",
-        params={"inner": rho, "outer": R},
         unbounded_origin=False,
     )
 

@@ -144,6 +144,14 @@ class HessianDim:
         self.require_subcritical("the strong integrability endpoint")
         return self.k * self.n / (self.n - 2.0 * self.k)
 
+    def check_p(self, p: float) -> None:
+        """The one rule on an integrability exponent: finite, and
+        1 <= p <= lp_endpoint (1 + 1e-12); nothing is claimed past the
+        endpoint."""
+        endpoint = self.lp_endpoint()
+        if not np.isfinite(p) or not 1.0 <= p <= endpoint * (1.0 + 1e-12):
+            raise InvalidArgumentError(f"p must lie in [1, endpoint {endpoint}], got {p!r}")
+
 
 def _as_spectrum(eigs) -> np.ndarray:
     arr = np.asarray(eigs, dtype=float)

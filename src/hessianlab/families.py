@@ -18,7 +18,7 @@ import numpy as np
 from . import quadrature as quad
 from .core import HessianDim
 from .errors import InvalidArgumentError
-from .radial import CLOSED_FORMS, RadialProfile, kind_params, profile_from_slope
+from .radial import CLOSED_FORMS, KindParams, RadialProfile, profile_from_slope
 
 KINDS = tuple(CLOSED_FORMS)
 
@@ -52,17 +52,15 @@ def make_profile(
     grid_n: int = quad.DEFAULT_GRID_N,
 ) -> RadialProfile:
     """Build one canonical profile on the standard graded grid from its
-    closed-form record."""
+    closed-form record; the profile keeps the KindParams it was sampled
+    with, for the exact branches."""
     r = quad.radial_grid(R, grid_n)
     form = CLOSED_FORMS[spec.kind]
     form.check_dim(dim)
-    params = {"amplitude": spec.amplitude}
-    if spec.mollification:
-        params["mollification"] = spec.mollification
-    p = kind_params(dim, R, params)
+    p = KindParams(c=spec.amplitude, R=float(R), m=dim.power_exponent, eps=spec.mollification)
     return profile_from_slope(
         dim, R, r, form.slope(r, p), 0.0, values=form.value(r, p),
-        kind=spec.kind, params=params, unbounded_origin=form.unbounded,
+        kind=spec.kind, closed=p, unbounded_origin=form.unbounded,
     )
 
 

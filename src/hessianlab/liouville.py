@@ -203,7 +203,7 @@ def _anderson(prob: LiouvilleProblem, initial: RadialProfile | None, max_iter: i
     when it overflowed), the iteration count, the last step and the
     stop reason."""
     # the grid's read-only nodes, which every image shares
-    nodes = quad._geometric(prob.R, prob.grid_n).nodes
+    nodes = quad.radial_grid(prob.R, prob.grid_n)
     v = prob.density_on(nodes)
     if initial is None:
         x = np.full_like(nodes, float(prob.boundary))
@@ -563,7 +563,7 @@ def bubble_profile(lam: float, R: float = 1.0, grid_n: int = quad.DEFAULT_GRID_N
     slope = 4.0 * lam * lam * nodes / (1.0 + t)
     return RadialProfile(
         dim=_BUBBLE_DIM, R=R, nodes=nodes, values=values, slope=slope,
-        boundary=float(values[-1]), kind="bubble", params={"lam": float(lam)},
+        boundary=float(values[-1]), kind="bubble",
     )
 
 

@@ -18,19 +18,19 @@ and what other modules derive from the nodes alone (the powers r^(n-1)
 of the volume element, a saved profile's node text), built on first
 use by _per_grid.  An entry is keyed on (size, first node, last node)
 and holds a read-only copy of its nodes, and that array is the one
-every profile and measure on the grid holds: RadialProfile and
-RadialMeasure.from_parts store the array of the entry they look up,
-so a grid's nodes live once.  A lookup handed the entry's own array
-hits at once; any other array hits only when it equals the entry's
-element by element, so an array that shares the key, or one mutated
-in place since, is never served stale values.  Valid nodes are
-positive, so equal nodes are the same bits.  A miss validates the
-nodes in full (positive, strictly increasing, >= 3 points, no NaN)
-before building; a hit has passed those checks already.  An evicted
-entry's array stays valid where it is held: its next lookup misses
-and builds a new entry from a copy, which it then equals.  Threads
-racing on a derived value may build it twice; no cached array is
-written to.
+every profile and measure on the grid holds: radial_grid returns it,
+and RadialProfile and RadialMeasure.from_atom and from_parts store the
+array of the entry they look up, so a grid's nodes live once.  A
+lookup handed the entry's own array hits at once; any other array hits
+only when it equals the entry's element by element, so an array that
+shares the key, or one mutated in place since, is never served stale
+values.  Valid nodes are positive, so equal nodes are the same bits.
+A miss validates the nodes in full (positive, strictly increasing,
+>= 3 points, no NaN) before building; a hit has passed those checks
+already.  An evicted entry's array stays valid where it is held: its
+next lookup misses and builds a new entry from a copy, which it then
+equals.  Threads racing on a derived value may build it twice; no
+cached array is written to.
 
 The kernel evaluates each parabola piece a (b f0 + c f1 - d f2) with the
 operations of that expression in their order, written through two
@@ -38,13 +38,6 @@ scratch arrays allocated per call rather than one temporary per
 operation, so its floats are those of the plain expression.  Scratch
 is never shared between calls, since library callers may run checks on
 threads.
-
-radial_grid is served from the same cache: np.geomspace puts
-DEFAULT_RMIN_FACTOR * R and R exactly at the ends, so they key the
-entry.  It serves only an entry it built and marked in derived, never a
-caller's grid under that key, and returns a fresh writable copy of its
-nodes; _geometric returns the entry itself, for callers that keep its
-read-only nodes.
 """
 
 from __future__ import annotations
@@ -76,13 +69,15 @@ _GEOMETRIC = "geometric"
 
 def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
     """Geometric grid on [1e-8 R, R] (DEFAULT_RMIN_FACTOR) with grid_n
-    nodes."""
-    return _geometric(R, grid_n).nodes.copy()
+    nodes, bit-equal to np.geomspace.
 
-
-def _geometric(R: float, grid_n: int) -> _Grid:
-    """The cache entry of radial_grid(R, grid_n), whose read-only nodes
-    callers may hold without a copy."""
+    The result is the read-only node array of the grid's cache entry,
+    the same object on every call while the entry is cached; writing
+    into it raises ValueError, so copy it for a grid of your own.
+    np.geomspace puts the two ends exactly, so they key the entry, and
+    only an entry this function built is served, never a caller's grid
+    under that key.
+    """
     if not np.isfinite(R) or R <= 0:
         raise InvalidArgumentError(f"radius must be positive and finite, got {R!r}")
     if not isinstance(grid_n, (int, np.integer)) or grid_n < 16:
@@ -92,7 +87,7 @@ def _geometric(R: float, grid_n: int) -> _Grid:
     if grid is None or _GEOMETRIC not in grid.derived:
         grid = _grid(np.geomspace(start, R, grid_n))
         grid.derived[_GEOMETRIC] = True
-    return grid
+    return grid.nodes
 
 
 def _stencil(h1, h2) -> tuple:
@@ -220,11 +215,7 @@ def cumulative_from_origin(nodes, samples) -> np.ndarray:
     +inf when the fitted tail fails to integrate (p <= -1), which
     makes every C_i +inf.
     """
-    return _from_origin(_grid(nodes), samples)
-
-
-def _from_origin(grid: _Grid, samples) -> np.ndarray:
-    """cumulative_from_origin on a grid already looked up."""
+    grid = _grid(nodes)
     y = _samples(grid, samples)
     x, y0, y1 = grid.nodes, y[0], y[1]
     if y0 < 0 or not np.isfinite(y0):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "CLOSED_FORMS",
     "ClosedForm",
     "KindParams",
-    "kind_params",
     "RadialProfile",
     "RadialMeasure",
     "profile_from_slope",
@@ -73,13 +72,14 @@ class RadialProfile:
     values and slope hold u and u' at the nodes; slope must be
     nonnegative (nondecreasing profiles are the admissible ones here).
     unbounded_origin marks profiles whose values diverge to -inf as the
-    grid is refined toward r = 0.  kind optionally tags a canonical
-    closed-form family so that downstream operations may use exact
-    branches; params carries that family's parameters.
+    grid is refined toward r = 0.  kind optionally tags a family
+    ("log", "bubble", ...); closed holds the KindParams of a kind in
+    CLOSED_FORMS, and then value_at, level sets and norms use that
+    kind's exact branches instead of the grid.
 
     nodes is stored as the read-only node array of the grid's
-    quadrature cache entry, shared by every profile and measure on that
-    grid; it is never the caller's array, and writing into it raises.
+    quadrature cache entry (the array radial_grid returns), shared by
+    every profile and measure on that grid; writing into it raises.
     """
 
     dim: HessianDim
@@ -90,7 +90,7 @@ class RadialProfile:
     boundary: float
     unbounded_origin: bool = False
     kind: str | None = None
-    params: dict = field(default_factory=dict)
+    closed: KindParams | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -118,22 +118,14 @@ class RadialProfile:
         object.__setattr__(self, "slope", np.maximum(slope, 0.0))
         object.__setattr__(self, "boundary", float(self.boundary))
 
-    @property
-    def grid_n(self) -> int:
-        return int(self.nodes.size)
-
-    def min_value(self) -> float:
-        """u at the innermost node; -inf is approached but never stored."""
-        return float(self.values[0])
-
 
 @dataclass(frozen=True, eq=False)
 class RadialMeasure:
     """Nonnegative radial measure: an atom at the origin plus the
     cumulative mass, cumulative[i] being the mass of the closed ball of
-    radius nodes[i], atom included.  A measure built by from_parts (or
-    from_density) holds its grid's shared read-only nodes, like a
-    RadialProfile.
+    radius nodes[i], atom included.  A measure built by from_atom,
+    from_parts or from_density holds its grid's shared read-only nodes,
+    like a RadialProfile.
     """
 
     dim: HessianDim
@@ -185,7 +177,7 @@ class RadialMeasure:
 
     @classmethod
     def from_atom(cls, dim: HessianDim, R: float, nodes, atom: float) -> "RadialMeasure":
-        nodes = np.asarray(nodes, dtype=float)
+        nodes = quad._grid(nodes).nodes
         return cls(dim, R, nodes, atom, np.full_like(nodes, float(atom)))
 
     @classmethod
@@ -197,16 +189,16 @@ class RadialMeasure:
         f = np.broadcast_to(np.asarray(f, dtype=float), nodes.shape)
         if (f < 0).any() or not np.isfinite(f).all():
             raise InvalidMeasureError("density must be finite and nonnegative")
-        grid, shell = _shell(dim, nodes, f)
+        nodes, shell = _shell(dim, nodes, f)
         # a finite density whose first shell overflows is too large to
         # integrate, like a divergent stub
         if not math.isfinite(shell[0]):
             raise InvalidMeasureError("density overflows at the innermost node")
-        mass = quad._from_origin(grid, shell)
+        mass = quad.cumulative_from_origin(nodes, shell)
         # mass[0] is the origin stub alone
         if not math.isfinite(mass[0]):
             raise InvalidMeasureError("density is not integrable near the origin")
-        return cls(dim, R, grid.nodes, float(atom), float(atom) + mass)
+        return cls(dim, R, nodes, float(atom), float(atom) + mass)
 
 
 class KindParams(NamedTuple):
@@ -294,23 +286,11 @@ CLOSED_FORMS: dict[str, ClosedForm] = {
 }
 
 
-def kind_params(dim: HessianDim, R: float, params: dict) -> KindParams:
-    """The closed-form parameters of a canonical profile's params dict."""
-    return KindParams(
-        c=params["amplitude"],
-        R=R,
-        m=dim.power_exponent,
-        eps=params.get("mollification", 0.0),
-    )
-
-
 def _closed_form(u: RadialProfile) -> tuple[ClosedForm, KindParams] | None:
     form = CLOSED_FORMS.get(u.kind)
-    params = u.params or {}
-    c = params.get("amplitude")
-    if form is None or c is None or c <= 0:
+    if form is None or u.closed is None or u.closed.c <= 0:
         return None
-    return form, kind_params(u.dim, u.R, params)
+    return form, u.closed
 
 
 def _slope_origin_exponent(nodes: np.ndarray, slope: np.ndarray) -> float | None:
@@ -333,7 +313,7 @@ def profile_from_slope(
     boundary: float,
     values: np.ndarray | None = None,
     kind: str | None = None,
-    params: dict | None = None,
+    closed: KindParams | None = None,
     unbounded_origin: bool | None = None,
 ) -> RadialProfile:
     """Assemble a profile from slope data, integrating for the values
@@ -353,7 +333,7 @@ def profile_from_slope(
         boundary=float(boundary),
         unbounded_origin=bool(unbounded_origin),
         kind=kind,
-        params=dict(params or {}),
+        closed=closed,
     )
 
 
@@ -522,19 +502,19 @@ def _sampled(fn: Callable, nodes: np.ndarray, what: str = "density", positive: b
 
 
 def _shell(dim: HessianDim, nodes, f):
-    """The grid of nodes and the shell ((n omega_n) f) r^(n-1) of the
-    radial volume element, whose integral from the origin is the mass
-    n omega_n int_0^r f s^(n-1) ds; r^(n-1) is kept beside the grid's
-    stencils, so it is taken once per grid."""
+    """The grid's read-only nodes and the shell ((n omega_n) f) r^(n-1)
+    of the radial volume element, whose integral from the origin is the
+    mass n omega_n int_0^r f s^(n-1) ds; r^(n-1) is kept beside the
+    grid's stencils, so it is taken once per grid."""
     grid = quad._grid(nodes)
     power = quad._per_grid(grid, ("power", dim.n), lambda x: x ** (dim.n - 1))
-    return grid, dim.n * dim.ball_volume * np.asarray(f, dtype=float) * power
+    return grid.nodes, dim.n * dim.ball_volume * np.asarray(f, dtype=float) * power
 
 
 def volume_integral(dim: HessianDim, nodes: np.ndarray, g: np.ndarray) -> float:
     """Integral of a radial function g over the ball, n omega_n
     int g r^(n-1) dr, origin stub included."""
-    return float(quad._from_origin(*_shell(dim, nodes, g))[-1])
+    return float(quad.cumulative_from_origin(*_shell(dim, nodes, g))[-1])
 
 
 def _power_singularity(u: RadialProfile) -> float | None:

@@ -31,7 +31,7 @@ from . import capacity as cap_mod
 from . import liouville as liu_mod
 from . import quadrature as quad
 from .core import HessianDim, principal_minor_sums, s_k_all_of_matrix
-from .errors import ConfigError, HessianLabError
+from .errors import ConfigError, HessianLabError, InvalidArgumentError
 from .families import KINDS, FamilySpec, make_profile
 from .radial import (
     RadialMeasure,
@@ -467,10 +467,13 @@ def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
                 lams = [cfg.lam]
             else:
                 lams = [alpha0 / 4, alpha0 / 2, 3 * alpha0 / 4]
-            if cfg.beta is not None and not 1.0 <= cfg.beta <= dim.beta_max:
-                raise ConfigError(
-                    f"beta must lie in [1, {dim.beta_max:g}] for (n, k) = ({dim.n}, {dim.k})"
-                )
+            if cfg.beta is not None:
+                try:
+                    dim.check_beta(cfg.beta)
+                except InvalidArgumentError:
+                    raise ConfigError(
+                        f"beta must lie in [1, {dim.beta_max:g}] for (n, k) = ({dim.n}, {dim.k})"
+                    ) from None
             exp_kind = family if family in _EXP_KINDS else "log"
             exp_runs = [(lam, exp_kind) for lam in lams]
             if exp_kind == "log":
@@ -483,10 +486,12 @@ def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
             endpoint = dim.lp_endpoint()
             strong = _strong_ps(dim)
             if cfg.p is not None:
-                if not 1.0 <= cfg.p <= endpoint:
+                try:
+                    dim.check_p(cfg.p)
+                except InvalidArgumentError:
                     raise ConfigError(
                         f"p must lie in [1, {endpoint:g}] for (n, k) = ({dim.n}, {dim.k})"
-                    )
+                    ) from None
                 ps = [cfg.p]
             else:
                 ps = [*strong, endpoint]

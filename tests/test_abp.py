@@ -212,23 +212,6 @@ class TestOrliczWeight:
         assert w.lam == pytest.approx(1.0, rel=1e-15)
         assert OrliczWeight("power", k=2, exponent=2.0).lam == math.inf
 
-    def test_tabulated_tracks_the_exponential(self):
-        t = np.linspace(0.0, 8.0, 400)
-        w = OrliczWeight("tabulated", k=1, nodes=t, values=np.exp(t))
-        assert w.lam == pytest.approx(1.0, rel=1e-4)
-        assert w.tail(2.0) == pytest.approx(math.exp(-2.0), rel=1e-4)
-
-    def test_tabulated_validation(self):
-        t = np.array([0.0, 1.0, 2.0])
-        with pytest.raises(InvalidWeightError, match="nondecreasing"):
-            OrliczWeight("tabulated", k=1, nodes=t, values=np.array([2.0, 1.0, 0.5]))
-        with pytest.raises(InvalidWeightError, match="positive"):
-            OrliczWeight("tabulated", k=1, nodes=t, values=np.array([0.0, 1.0, 2.0]))
-        with pytest.raises(InvalidWeightError, match="increasing"):
-            OrliczWeight("tabulated", k=1, nodes=t[::-1], values=np.ones(3))
-        with pytest.raises(InvalidWeightError, match="length >= 2"):
-            OrliczWeight("tabulated", k=1, nodes=t[:1], values=np.ones(1))
-
     def test_kind_and_parameter_validation(self):
         with pytest.raises(InvalidWeightError, match="kind"):
             OrliczWeight("gaussian", k=1)
@@ -255,13 +238,8 @@ class TestBarrier:
         [
             exp_weight(1),
             OrliczWeight("power", k=1, exponent=3.0),
-            OrliczWeight(
-                "tabulated", k=1,
-                nodes=np.linspace(0.0, 8.0, 200),
-                values=np.exp(np.linspace(0.0, 8.0, 200)),
-            ),
         ],
-        ids=["exp", "power", "tabulated"],
+        ids=["exp", "power"],
     )
     def test_h_is_concave_increasing_negative(self, weight):
         barrier = orlicz_h(weight, budget=2.0, q=1.5, alpha=1.0)
@@ -446,9 +424,6 @@ def budget_before_hoisting(dim, nodes, g, weight) -> float:
 BUDGET_WEIGHTS = {
     "exp": lambda k: OrliczWeight("exp", k, rate=1.0),
     "power": lambda k: OrliczWeight("power", k, exponent=3.0),
-    "tabulated": lambda k: OrliczWeight(
-        "tabulated", k, nodes=np.linspace(-2.0, 8.0, 64), values=np.exp(np.linspace(-2.0, 8.0, 64)),
-    ),
 }
 
 # Heights 1 + A(eps) at r = 0 of the six members of the suite's families

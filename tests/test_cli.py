@@ -119,6 +119,11 @@ _BAD_PARAMETERS = [
     (("--suite", "bm", "--n", "2", "--k", "1", "--beta", "3"), "beta must lie in [1, 2] for (n, k) = (2, 1)"),
     (("--suite", "bm", "--n", "3", "--k", "1", "--p", "5"), "p must lie in [1, 3] for (n, k) = (3, 1)"),
     (("--suite", "bm", "--n", "3", "--k", "1", "--p", "0.5"), "p must lie in [1, 3] for (n, k) = (3, 1)"),
+    # just past the 1e-12 slack of HessianDim.check_beta and check_p
+    (("--suite", "bm", "--n", "2", "--k", "1", "--beta", "2.00000000001"),
+     "beta must lie in [1, 2] for (n, k) = (2, 1)"),
+    (("--suite", "bm", "--n", "5", "--k", "1", "--p", "1.6666666667"),
+     "p must lie in [1, 1.66667] for (n, k) = (5, 1)"),
     (("--suite", "all", "--n", "171", "--k", "1"), "dimension n must be at most 170, got 171"),
     (("--suite", "all", "--grid-n", "262145"), "grid-n must be an integer in [16, 262144], got 262145"),
 ]
@@ -126,11 +131,24 @@ _BAD_PARAMETERS = [
 
 class TestParameterRanges:
     @pytest.mark.parametrize(
-        "argv, message", _BAD_PARAMETERS, ids=["lambda", "beta", "p-above", "p-below", "n-above", "grid-above"],
+        "argv, message", _BAD_PARAMETERS,
+        ids=["lambda", "beta", "p-above", "p-below", "beta-past-slack", "p-past-slack", "n-above", "grid-above"],
     )
     def test_out_of_range_exits_two_with_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"hessianlab: {message}\n")
+
+    @pytest.mark.parametrize("argv, marker", [
+        (("--n", "2", "--k", "1", "--beta", "2.0000000000005"), "beta=2,"),
+        (("--n", "5", "--k", "1", "--p", "1.6666666666675"), "p=1.66667,weak,"),
+    ], ids=["beta", "p"])
+    def test_values_within_the_library_slack_run(self, capsys, argv, marker):
+        # within 1e-12 of the ceiling (2, 1) or the endpoint 5/3 (5, 1):
+        # HessianDim.check_beta and check_p accept them, and so does the suite
+        code, out, err = run_cli(capsys, "--suite", "bm", *argv)
+        assert (code, err) == (0, "")
+        checks = [r["check"] for r in csv.DictReader(io.StringIO(out))]
+        assert checks and all(marker in c for c in checks if not c.startswith("sharpness"))
 
     def test_all_builds_every_catalog_before_running_a_check(self, capsys):
         # At grid 16 a solve check raises NotAdmissibleError (exit 3), but

@@ -321,6 +321,20 @@ class TestRegimeRules:
             _D21.check_beta(beta)
         assert str(exc.value) == f"beta must lie in [1, 2.0], got {beta!r}"
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 3.0 * (1.0 + 1e-12)])
+    def test_check_p_accepts(self, p):
+        assert _D31.check_p(p) is None
+
+    @pytest.mark.parametrize("p", [0.999, 3.0 * (1.0 + 2e-12), 5.0, math.inf, math.nan])
+    def test_check_p_rejects(self, p):
+        with pytest.raises(InvalidArgumentError) as exc:
+            _D31.check_p(p)
+        assert str(exc.value) == f"p must lie in [1, endpoint 3.0], got {p!r}"
+
+    def test_check_p_needs_the_subcritical_regime(self):
+        with pytest.raises(UnsupportedDimensionError, match="integrability endpoint"):
+            _D21.check_p(1.0)
+
     def test_check_beta_needs_the_intermediate_regime(self):
         with pytest.raises(UnsupportedDimensionError, match="exponent ceiling"):
             _D31.check_beta(1.0)

@@ -22,6 +22,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.integrate import quad as sciquad
 
 from hessianlab import quadrature as quad
+from hessianlab.capacity import CapacityConfig, extremal_profile
 from hessianlab.core import HessianDim
 from hessianlab.errors import (
     DegenerateProfileError,
@@ -31,7 +32,7 @@ from hessianlab.errors import (
     UnsupportedDimensionError,
 )
 from hessianlab.families import KINDS, FamilySpec, make_profile
-from hessianlab.liouville import local_mass
+from hessianlab.liouville import LiouvilleProblem, bubble_profile, local_mass, solve_liouville
 from hessianlab.profile_io import save_profile
 from hessianlab.radial import (
     RadialMeasure,
@@ -52,6 +53,7 @@ from hessianlab.radial import (
     volume_integral,
     weak_lp_quasinorm,
 )
+from hessianlab.suites import config_from_sources, run_suite
 
 D21 = HessianDim(2, 1)
 D42 = HessianDim(4, 2)
@@ -152,7 +154,8 @@ class TestGridCache:
         assert np.array_equal(got, _scipy_cumulative(moved, samples))
 
     def test_nodes_mutated_in_place_are_fresh(self):
-        nodes = quad.radial_grid(5.0, 64)
+        # a caller-owned copy of the grid, written after its first use
+        nodes = quad.radial_grid(5.0, 64).copy()
         samples = nodes**2 + 1.0
         quad.cumulative_from_left(nodes, samples)
         nodes[20] = 0.5 * (nodes[19] + nodes[21])
@@ -185,7 +188,7 @@ class TestGridCache:
         assert quad._known_grid(nodes).derived[("power", 4)].tobytes() == power.tobytes()
 
     def test_nodes_mutated_in_place_get_fresh_powers(self):
-        nodes = quad.radial_grid(5.0, 64)
+        nodes = quad.radial_grid(5.0, 64).copy()
         g = nodes**2 + 1.0
         volume_integral(D42, nodes, g)
         RadialMeasure.from_density(D42, 5.0, nodes, g)
@@ -244,7 +247,7 @@ class TestGridCache:
 
 class TestGridMemo:
     """radial_grid serves each geometric grid from the per-grid cache,
-    as a fresh writable copy."""
+    as the entry's read-only node array."""
 
     # the fixed inner cutoff stays a parameter, so each case's id names it
     @pytest.mark.parametrize("R, grid_n, rmin", [
@@ -258,14 +261,17 @@ class TestGridMemo:
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
 
-    def test_each_call_is_a_fresh_writable_copy(self):
+    def test_each_call_is_the_shared_read_only_array(self):
         first = quad.radial_grid(3.0, 512)
-        assert first.flags.writeable
-        expected = first.copy()
-        first[:] = -1.0
-        second = quad.radial_grid(3.0, 512)
-        assert second is not first
-        assert np.array_equal(second, expected)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[:] = -1.0
+        assert quad.radial_grid(3.0, 512) is first is quad._known_grid(first).nodes
+        assert first.tobytes() == np.geomspace(quad.DEFAULT_RMIN_FACTOR * 3.0, 3.0, 512).tobytes()
+        # a copy is the caller's own, writable grid
+        own = first.copy()
+        own[:] = -1.0
+        assert quad.radial_grid(3.0, 512) is first
 
     def test_memo_is_bounded(self):
         for i in range(3 * quad._CACHE_SIZE):
@@ -287,8 +293,12 @@ class TestGridMemo:
             sys.setswitchinterval(interval)
         for (R, grid_n), got in zip(jobs, results):
             assert got.tobytes() == np.geomspace(quad.DEFAULT_RMIN_FACTOR * R, R, grid_n).tobytes()
-        assert len({id(got) for got in results}) == len(results)
+            assert not got.flags.writeable
         assert len(quad._grids) <= quad._CACHE_SIZE
+        # with no evictions in between, every thread gets the one array
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            same = list(pool.map(lambda _: quad.radial_grid(2.5, 300), range(200)))
+        assert all(got is same[0] for got in same)
 
     def test_threads_never_get_a_moved_grid(self):
         # grids with one interior node moved share each key, and are
@@ -349,10 +359,11 @@ class TestSharedNodes:
     a grid's nodes live once."""
 
     def test_profiles_from_two_copies_share_one_array(self):
-        first, second = quad.radial_grid(2.0, 300), quad.radial_grid(2.0, 300)
+        # two caller-owned copies of one grid
+        first, second = quad.radial_grid(2.0, 300).copy(), quad.radial_grid(2.0, 300).copy()
         u = profile_from_slope(D21, 2.0, first, first, 0.0)
         w = RadialProfile(D21, 2.0, second, second**2 - 4.0, 2.0 * second, 0.0)
-        assert u.nodes is w.nodes is quad._known_grid(first).nodes
+        assert u.nodes is w.nodes is quad._known_grid(first).nodes is quad.radial_grid(2.0, 300)
         assert u.nodes is not first and u.nodes is not second
         assert not u.nodes.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -391,6 +402,55 @@ class TestSharedNodes:
         entry = quad._known_grid(u.nodes)
         assert entry is not None and entry.nodes is not u.nodes
         assert profile_from_slope(D42, 2.0, u.nodes, u.slope, 0.0).nodes is entry.nodes
+
+    def test_lab_profiles_and_measures_hold_the_grid_array(self):
+        nodes = quad.radial_grid(1.0, 256)
+        own = nodes.copy()
+        log = make_profile(FamilySpec("log"), D21, 1.0, 256)
+        atom = RadialMeasure.from_atom(D21, 1.0, own, 3.0)
+        built = [
+            log,
+            s_k_radial(log),
+            extremal_profile(CapacityConfig(D21, 0.25, 1.0), 256),
+            bubble_profile(2.0, grid_n=256),
+            solve_liouville(LiouvilleProblem(D21, np.ones_like, grid_n=256)),
+            atom,
+            solve_dirichlet(atom, 0.0),
+            RadialMeasure.from_density(D21, 1.0, own, np.ones(256)),
+        ]
+        for x in built:
+            assert x.nodes is nodes
+        assert atom.cumulative.flags.writeable
+
+    @pytest.mark.parametrize("integrate", [
+        lambda x: volume_integral(D42, x, np.exp(-x)),
+        lambda x: RadialMeasure.from_parts(D42, 2.0, x, 0.5, np.exp(-x)),
+    ], ids=["volume_integral", "from_parts"])
+    def test_origin_integrals_go_through_the_public_function(self, monkeypatch, integrate):
+        calls = []
+        public = quad.cumulative_from_origin
+
+        def counting(nodes, samples):
+            calls.append(nodes)
+            return public(nodes, samples)
+
+        monkeypatch.setattr(quad, "cumulative_from_origin", counting)
+        nodes = quad.radial_grid(2.0, 300)
+        integrate(nodes)
+        assert len(calls) == 1 and calls[0] is nodes
+
+    def test_a_cold_suite_run_makes_no_node_compare(self, monkeypatch):
+        compares = []
+        array_equal = np.array_equal
+
+        def counting(*args, **kwargs):
+            compares.append(args)
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(quad, "_grids", {})
+        monkeypatch.setattr(quad.np, "array_equal", counting)
+        rows, _ = run_suite(config_from_sources(None, {"suite": "all", "grid_n": 256}))
+        assert rows and compares == []
 
 
 _FORMULA_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]) | st.floats(-1e6, 1e6)
@@ -663,7 +723,7 @@ class TestLevelSets:
     @pytest.mark.parametrize("kind", KINDS)
     def test_value_inverts_level_set(self, kind, R):
         u = canonical(kind, R)
-        for t in np.linspace(0.1, 0.9, 5) * min(-u.min_value(), 20.0):
+        for t in np.linspace(0.1, 0.9, 5) * min(-u.values[0], 20.0):
             rho = level_set_radius(u, float(t))
             # u(rho) moves by rho u'(rho) per unit relative change of rho
             cond = 1.0 + rho * float(np.interp(rho, u.nodes, u.slope))
@@ -877,7 +937,7 @@ def test_roundtrip_property(c, boundary):
         slope=u.slope,
         boundary=boundary,
         kind=u.kind,
-        params=u.params,
+        closed=u.closed,
     )
     v = solve_dirichlet(s_k_radial(shifted), boundary)
     # solver error scales with the slope amplitude, not the sup of u

@@ -121,6 +121,8 @@ class TestReportDiff:
             bm + ("3", "--k", "1", "--p", "0.5"),
             ("--suite", "all", "--n", "171", "--k", "1"),
             ("--suite", "all", "--grid-n", "100000000000"),
+            bm + ("2", "--k", "1", "--beta", "2.0000000000005"),
+            bm + ("5", "--k", "1", "--p", "1.6666666666675"),
             ("--suite", "bm", "--family", "mollified-log"),
             bm + ("3", "--k", "1", "--family", "newtonian"),
             bm + ("5", "--k", "1", "--family", "newtonian"),

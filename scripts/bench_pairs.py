@@ -12,7 +12,9 @@ after ten times `--seconds` is stopped; its pair is listed under
 listed under `failed_runs` (seed, side, exit code, last stderr line),
 and its pair is left out too.  Each kept run keeps its `correct`,
 `failed` and `attempted`; `failed_ops` gives each side's share of
-failed ops and flags a head share above the base share.
+failed ops and flags a head share above the base share.  The machine
+block records whether the runs could cache bytecode
+(PYTHONDONTWRITEBYTECODE, as `dont_write_bytecode`).
 
 Every end-to-end metric is lower-is-better.  The verdict applies the
 bound that BENCHMARK.json fixes for the metric:
@@ -154,8 +156,10 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "workload": args.workload,
         "seconds": args.seconds,
+        # the runs inherit this environment, so this process's setting is theirs
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": importlib.metadata.version("numpy"), "platform": platform.platform()},
+                    "numpy": importlib.metadata.version("numpy"), "platform": platform.platform(),
+                    "dont_write_bytecode": sys.dont_write_bytecode},
         "summary": {name: summary(base, head, name, bounds.get(name)) for name in names},
         "failed_ops": failed_ops(base, head),
         "base": base,

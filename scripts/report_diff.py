@@ -16,6 +16,9 @@ past the exponent ceiling and the L^p endpoint, and the --family and
 --tol paths: bm with the mollified-log, newtonian (at (3, 1), and at
 (5, 1) where it falls back to power) and constant (exit 2) families,
 degiorgi with the constant fixture (exit 1), and `all` at --tol 1e-7.
+Last come the two outputs that read the option table and the family
+list without running a suite: `--help`, and bm with an unknown family
+(exit 2, one stderr line).
 Identical bytes on both print one `same` line.  Otherwise every
 differing cell is printed, numeric cells (lhs, rhs, margin, ms) with
 their absolute and relative drift, and so is every differing stderr
@@ -97,6 +100,12 @@ FAMILY_TOL_CONFIGS = (
     ("--suite", "all", "--tol", "1e-7"),
 )
 
+# Then the help text and an unknown family, which run no suite.
+CLI_CONFIGS = (
+    ("--help",),
+    ("--suite", "bm", "--family", "nope"),
+)
+
 
 # (n, k, c, grid) of each checkpoint compared, and the program that
 # writes one to stdout.
@@ -119,7 +128,8 @@ with tempfile.TemporaryDirectory() as tmp:
 def run_list(suites: list[str], grids: list[int]) -> list[tuple[str, ...]]:
     """The CLI arguments of every config compared, format excluded."""
     product = [("--suite", s, "--grid-n", str(g)) for s in suites for g in grids]
-    extras = RADIUS_CONFIGS + PAIR_CONFIGS + BAD_PARAMETER_CONFIGS + EDGE_PARAMETER_CONFIGS + FAMILY_TOL_CONFIGS
+    extras = (RADIUS_CONFIGS + PAIR_CONFIGS + BAD_PARAMETER_CONFIGS + EDGE_PARAMETER_CONFIGS
+              + FAMILY_TOL_CONFIGS + CLI_CONFIGS)
     return product + list(extras)
 
 

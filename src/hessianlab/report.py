@@ -24,13 +24,23 @@ lives in the perfbench harness).
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidArgumentError
+
+# sha256 from CPython's built-in module, so that the digest does not load
+# OpenSSL through hashlib (a few MB of RSS per process); the digest is
+# the same.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 CSV_HEADER = ["suite", "check", "anchor", "inputs", "lhs", "rhs", "margin", "pass", "ms"]
 
@@ -119,7 +129,7 @@ def _canonical(obj):
 def digest_inputs(inputs: dict) -> str:
     """Short stable digest of the check inputs."""
     blob = json.dumps(_canonical(inputs), separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return sha256(blob.encode()).hexdigest()[:12]
 
 
 def row_from_record(suite: str, rec: CheckRecord) -> ReportRow:

@@ -13,6 +13,9 @@ suite rejects a regime mismatch as a config error, while the combined
 "all" run simply skips the suites that cannot host that pair; genuine
 parameter errors (a lambda, beta or p outside its admissible range, an
 unknown family) are config errors in both modes.
+
+The check modules (and radial and families) are imported inside the
+functions that call them, so a run loads only what its suite uses.
 """
 
 from __future__ import annotations
@@ -25,22 +28,9 @@ from importlib import resources
 
 import numpy as np
 
-from . import abp as abp_mod
-from . import brezis_merle as bm_mod
-from . import capacity as cap_mod
-from . import liouville as liu_mod
 from . import quadrature as quad
 from .core import HessianDim, principal_minor_sums, s_k_all_of_matrix
 from .errors import ConfigError, HessianLabError, InvalidArgumentError
-from .families import KINDS, FamilySpec, make_profile
-from .radial import (
-    RadialMeasure,
-    domain_volume,
-    hessian_mass,
-    lp_norm,
-    s_k_radial,
-    solve_dirichlet,
-)
 from .report import ReportRow, lower_bound, row_from_record, upper_bound
 
 SUITES = ("sym", "solve", "capacity", "bm", "abp", "degiorgi", "liouville", "all")
@@ -110,11 +100,14 @@ class ExperimentConfig:
                 HessianDim(self.n, self.k)
             except HessianLabError as exc:
                 raise ConfigError(str(exc)) from exc
-        if self.family is not None and self.family not in KINDS + _FIXTURE_FAMILIES:
-            raise ConfigError(
-                f"unknown family {self.family!r}; expected one of "
-                f"{KINDS + _FIXTURE_FAMILIES}"
-            )
+        if self.family is not None:
+            from .families import KINDS
+
+            if self.family not in KINDS + _FIXTURE_FAMILIES:
+                raise ConfigError(
+                    f"unknown family {self.family!r}; expected one of "
+                    f"{KINDS + _FIXTURE_FAMILIES}"
+                )
         if self.tol is not None and not (np.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
         for name in ("lam", "beta", "p"):
@@ -236,6 +229,8 @@ def _constant(r, c=1.0):
 
 def _constant_problem(cfg, dim, c=1.0, boundary=0.0):
     """S_k[u] = c exp(-u) on the unit ball with u(1) = boundary."""
+    from . import liouville as liu_mod
+
     return liu_mod.LiouvilleProblem(dim=dim, V=partial(_constant, c=c), boundary=boundary, grid_n=cfg.grid_n)
 
 
@@ -293,6 +288,9 @@ _CANONICAL_2K_EQ_N = (HessianDim(2, 1), HessianDim(4, 2))
 
 
 def _roundtrip(cfg, dim):
+    from .families import FamilySpec, make_profile
+    from .radial import hessian_mass, s_k_radial, solve_dirichlet
+
     R = cfg.radius
     u = make_profile(FamilySpec("quadratic"), dim, R, cfg.grid_n)
     back = solve_dirichlet(s_k_radial(u), u.boundary)
@@ -305,6 +303,8 @@ def _roundtrip(cfg, dim):
 
 
 def _fundamental(cfg, dim):
+    from .radial import RadialMeasure, solve_dirichlet
+
     R = cfg.radius
     atom = dim.n_choose_k * dim.ball_volume
     nodes = quad.radial_grid(R, cfg.grid_n)
@@ -319,6 +319,9 @@ def _fundamental(cfg, dim):
 
 
 def _mass_constancy(cfg, dim):
+    from .families import FamilySpec, make_profile
+    from .radial import s_k_radial
+
     R = cfg.radius
     mu = s_k_radial(make_profile(FamilySpec("log"), dim, R, cfg.grid_n))
     expected = dim.n_choose_k * dim.ball_volume
@@ -330,6 +333,9 @@ def _mass_constancy(cfg, dim):
 
 
 def _newtonian(cfg, dim):
+    from .families import FamilySpec, make_profile
+    from .radial import hessian_mass
+
     R = cfg.radius
     mass = hessian_mass(make_profile(FamilySpec("newtonian"), dim, R, cfg.grid_n))
     expected = 4.0 * math.pi  # unit-amplitude point mass at (3, 1)
@@ -353,10 +359,15 @@ def _suite_solve(cfg: ExperimentConfig, soft: bool = False):
 
 
 def _condenser(cfg, dim, frac=0.3):
+    from . import capacity as cap_mod
+
     return cap_mod.CapacityConfig(dim, frac * cfg.radius, cfg.radius)
 
 
 def _extremal_mass(cfg, dim):
+    from . import capacity as cap_mod
+    from .radial import hessian_mass
+
     c = _condenser(cfg, dim)
     cap = cap_mod.cap_concentric(c)
     mass = hessian_mass(cap_mod.extremal_profile(c, cfg.grid_n))
@@ -369,12 +380,18 @@ def _extremal_mass(cfg, dim):
 
 
 def _levelset(cfg, dim, kind):
+    from . import capacity as cap_mod
+    from .families import FamilySpec, make_profile
+
     u = make_profile(FamilySpec(kind), dim, cfg.radius, cfg.grid_n)
     ts = np.linspace(0.1, 0.9, 5) * min(float(-u.values[0]), 20.0)
     return cap_mod.levelset_cap_check(u, ts, tol=_tol(cfg, 1e-8))
 
 
 def _comparisons(cfg, dim):
+    from . import capacity as cap_mod
+    from .families import FamilySpec, make_profile
+
     R, grid_n = cfg.radius, cfg.grid_n
     if not dim.is_intermediate:
         return [cap_mod.comparison_check(
@@ -393,6 +410,8 @@ def _comparisons(cfg, dim):
 
 
 def _suite_capacity(cfg: ExperimentConfig, soft: bool = False):
+    from . import capacity as cap_mod
+
     jobs = []
     for dim in _dims_for(cfg, _CANONICAL, lambda d: 2 * d.k <= d.n, "capacity (2k <= n)", soft):
         jobs.append(partial(_extremal_mass, cfg, dim))
@@ -415,6 +434,9 @@ _LP_KINDS = ("power", "newtonian")
 
 
 def _bm_query(cfg, dim, branch, kind, **params):
+    from . import brezis_merle as bm_mod
+    from .families import FamilySpec
+
     spec = FamilySpec(kind, mollification=0.05) if kind == "mollified-log" else FamilySpec(kind)
     return bm_mod.BMQuery(
         dim=dim, branch=branch, family=spec, R=cfg.radius, amplitudes=3, grid_n=cfg.grid_n, **params,
@@ -432,6 +454,9 @@ def _strong_ps(dim) -> tuple[float, ...]:
 
 
 def _lp_monotone(cfg, dim, kind):
+    from .families import FamilySpec, make_profile
+    from .radial import domain_volume, lp_norm
+
     R = cfg.radius
     u = make_profile(FamilySpec(kind), dim, R, cfg.grid_n)
     volume = domain_volume(dim, R)
@@ -446,6 +471,8 @@ def _lp_monotone(cfg, dim, kind):
 
 
 def _suite_bm(cfg: ExperimentConfig, soft: bool = False):
+    from . import brezis_merle as bm_mod
+
     dims = _dims_for(
         cfg, _CANONICAL, lambda d: d.is_intermediate or d.is_subcritical,
         "integrability", soft,
@@ -518,6 +545,8 @@ def _degiorgi_density(r):
 def _abp_bound(cfg, dim):
     """The sup-bound records of the mollified Dirac family and, at
     (4, 2), the fixed-budget record of the same family."""
+    from . import abp as abp_mod
+
     R, grid_n = cfg.radius, cfg.grid_n
     weight = abp_mod.OrliczWeight("exp", dim.k, rate=1.0)
     densities = abp_mod.mollified_dirac_family(dim, weight, R=R, grid_n=grid_n)
@@ -529,6 +558,8 @@ def _abp_bound(cfg, dim):
 
 
 def _suite_abp(cfg: ExperimentConfig, soft: bool = False):
+    from . import abp as abp_mod
+
     jobs = []
     grid = {"R": cfg.radius, "grid_n": cfg.grid_n}
     for dim in _dims_for(cfg, _CANONICAL_2K_EQ_N, lambda d: d.is_intermediate, "barrier (2k = n)", soft):
@@ -561,6 +592,8 @@ _DEGIORGI_THRESHOLDS = (
 
 
 def _threshold_row(label, args, expected):
+    from . import abp as abp_mod
+
     got = abp_mod.degiorgi_threshold(*args)
     rel = abs(got - expected) / max(1.0, abs(expected))
     return upper_bound(
@@ -570,6 +603,8 @@ def _threshold_row(label, args, expected):
 
 
 def _fit_row(i, phi0, m, a):
+    from . import abp as abp_mod
+
     s = np.linspace(0.0, 4.0 * a, 33)
     phi = phi0 * np.maximum(1.0 - s / a, 0.0) ** m
     data = abp_mod.degiorgi_fit_and_verify(s, phi)
@@ -581,6 +616,8 @@ def _fit_row(i, phi0, m, a):
 
 
 def _constant_row():
+    from . import abp as abp_mod
+
     s = np.linspace(0.0, 2.0, 12)
     data = abp_mod.degiorgi_fit_and_verify(s, np.full_like(s, 0.7))
     return data.record("degiorgi-fit[constant]", {"phi0": 0.7}, {"c0": data.c0})
@@ -609,11 +646,15 @@ _BUBBLE_GRID_N = 8192
 
 
 def _bubble_identity(cfg):
+    from . import liouville as liu_mod
+
     residual = liu_mod.bubble_residual_sup(4.0, R=1.0, grid_n=cfg.grid_n)
     return upper_bound("bubble-identity", "bubble-oracle", {"lam": 4.0}, residual, 1e-12)
 
 
 def _solver_vs_bubble(cfg, lam):
+    from . import liouville as liu_mod
+
     bg = max(cfg.grid_n, _BUBBLE_GRID_N)
     initial = liu_mod.bubble_profile(lam, grid_n=bg)
     u = liu_mod.solve_liouville(liu_mod.bubble_problem(lam, grid_n=bg), initial=initial)
@@ -622,6 +663,8 @@ def _solver_vs_bubble(cfg, lam):
 
 
 def _bubble_mass(cfg):
+    from . import liouville as liu_mod
+
     lam = 4.0
     u = liu_mod.bubble_profile(lam, grid_n=cfg.grid_n)
     worst = 0.0
@@ -633,6 +676,8 @@ def _bubble_mass(cfg):
 
 
 def _classify_concentration(cfg):
+    from . import liouville as liu_mod
+
     lams = [2.0**j for j in range(1, 9)]
     problems = tuple(liu_mod.bubble_problem(lam, grid_n=cfg.grid_n) for lam in lams)
     profiles = tuple(liu_mod.bubble_profile(lam, grid_n=cfg.grid_n) for lam in lams)
@@ -646,6 +691,8 @@ def _classify_concentration(cfg):
 
 
 def _classification(check, inputs, sequence, expected):
+    from . import liouville as liu_mod
+
     report = liu_mod.classify_alternative(sequence)
     # The indicator of the expected classification, at least 1.
     hit = 1.0 if report.classification == expected else 0.0
@@ -655,6 +702,8 @@ def _classification(check, inputs, sequence, expected):
 
 
 def _classify_divergence(cfg):
+    from . import liouville as liu_mod
+
     problems = tuple(_constant_problem(cfg, HessianDim(2, 1), math.exp(-j), float(j)) for j in (5, 10, 15, 20))
     return _classification(
         "classify-divergence", {"boundaries": [5, 10, 15, 20]},
@@ -663,6 +712,8 @@ def _classify_divergence(cfg):
 
 
 def _classify_bounded(cfg):
+    from . import liouville as liu_mod
+
     # The members pose one problem, so one cold solve stands for all four.
     prob = _constant_problem(cfg, HessianDim(2, 1))
     sequence = liu_mod.SolutionSequence(problems=(prob,) * 4, profiles=(liu_mod.solve_liouville(prob),) * 4)
@@ -670,11 +721,16 @@ def _classify_bounded(cfg):
 
 
 def _smallness(cfg, dim, levels):
+    from . import liouville as liu_mod
+
     problems = tuple(_constant_problem(cfg, dim, c) for c in levels)
     return liu_mod.smallness_check(liu_mod.solve_sequence(problems))
 
 
 def _harnack(cfg):
+    from . import liouville as liu_mod
+    from .families import FamilySpec, make_profile
+
     u = make_profile(FamilySpec("quadratic"), HessianDim(2, 1), 1.0, cfg.grid_n)
     ratios = [liu_mod.harnack_ratio(u, r, 10.0, 0.5).ratio for r in (0.4, 0.2, 0.1)]
     expected = 1.0 / (1.0 - 0.4**2)
@@ -686,6 +742,8 @@ def _harnack(cfg):
 
 
 def _residual_row(cfg, dim):
+    from . import liouville as liu_mod
+
     prob = _constant_problem(cfg, dim)
     residual = liu_mod.equation_residual(prob, liu_mod.solve_liouville(prob))
     return upper_bound(
@@ -695,6 +753,8 @@ def _residual_row(cfg, dim):
 
 
 def _suite_liouville(cfg: ExperimentConfig, soft: bool = False):
+    from . import liouville as liu_mod
+
     dims = _dims_for(
         cfg,
         _CANONICAL_2K_EQ_N,

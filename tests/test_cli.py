@@ -42,7 +42,9 @@ from hessianlab.families import FamilySpec
 from hessianlab.profile_io import FORMAT
 from hessianlab.radial import s_k_radial
 from hessianlab.report import CSV_HEADER
-from hessianlab.suites import CONFIG_KEYS, GRID_RANGE, OPTIONS, RADIUS_RANGE, ExperimentConfig, load_config_file
+from hessianlab.suites import (
+    CONFIG_KEYS, GRID_RANGE, OPTIONS, RADIUS_RANGE, SUITES, ExperimentConfig, load_config_file,
+)
 
 
 def run_python(*args):
@@ -556,6 +558,14 @@ class TestRecordInvariants:
         assert run_cli(capsys, *argv) == unset
 
 
+# A program that runs the CLI in process with the arguments it is given,
+# the report going to the null device; what it prints after is appended.
+_CLI_RUN = (
+    "import json, os, sys, hessianlab.cli\n"
+    "code = hessianlab.cli.main(sys.argv[1:] + ['--out', os.devnull])\n"
+)
+
+
 class TestProcess:
     def test_module_run_is_quiet_on_stderr(self):
         proc = run_python("-m", "hessianlab.cli", "--suite", "solve")
@@ -563,18 +573,96 @@ class TestProcess:
         assert proc.stderr == ""
         assert proc.stdout.startswith(",".join(CSV_HEADER))
 
+    # Importing the package loads no check module, so these two look
+    # after a `--suite all` run, which has loaded every one.
     def test_import_loads_no_thread_pool(self):
         # the suites run serially, so nothing imports a thread pool
-        code = "import sys, hessianlab.cli; print('concurrent.futures' in sys.modules)"
-        proc = run_python("-c", code)
+        proc = run_python("-c", _CLI_RUN + "print(code, 'concurrent.futures' in sys.modules)", "--suite", "all")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "0 False"
 
     def test_import_loads_no_scipy(self):
-        code = "import sys, hessianlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = _CLI_RUN + "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = run_python("-c", code, "--suite", "all")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+
+
+_BASE_MODULES = {"cli", "core", "errors", "quadrature", "report", "suites"}
+_SOLVE_MODULES = _BASE_MODULES | {"radial", "families"}
+# The hessianlab submodules a CLI run of each suite loads.
+_LOADED_BY_SUITE = {
+    "sym": _BASE_MODULES,
+    "solve": _SOLVE_MODULES,
+    "capacity": _SOLVE_MODULES | {"capacity"},
+    "bm": _SOLVE_MODULES | {"brezis_merle"},
+    "abp": _BASE_MODULES | {"abp", "radial"},
+    "degiorgi": _BASE_MODULES | {"abp", "radial"},
+    "liouville": _BASE_MODULES | {"liouville", "radial", "families"},
+    "all": _SOLVE_MODULES | {"capacity", "brezis_merle", "abp", "liouville"},
+}
+
+
+class TestColdStart:
+    """A process loads only the modules its run uses: the package import
+    none, a suite its own check modules, and no run OpenSSL's hashlib."""
+
+    def test_import_loads_no_submodule(self):
+        code = "import sys, hessianlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'hessianlab'))"
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "['hessianlab']"
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_run_loads_only_its_modules(self, suite):
+        code = _CLI_RUN + (
+            "loaded = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('hessianlab.'))\n"
+            "print(json.dumps([code, loaded, '_hashlib' in sys.modules]))\n"
+        )
+        proc = run_python("-c", code, "--suite", suite)
+        assert proc.returncode == 0, proc.stderr
+        status, loaded, hashlib_loaded = json.loads(proc.stdout)
+        assert status == 0
+        assert set(loaded) == _LOADED_BY_SUITE[suite]
+        assert not hashlib_loaded
+
+    def test_unknown_attribute_imports_nothing(self):
+        code = (
+            "import sys, hessianlab\n"
+            "try:\n"
+            "    hessianlab.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hessianlab'))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["module 'hessianlab' has no attribute 'no_such_name'", "['hessianlab']"]
+
+    def test_star_import_binds_the_eager_names(self):
+        # In a fresh process, `from hessianlab import *` binds each name
+        # to the object the eager package bound: the star-imports of the
+        # eleven modules, then PROFILE_FORMAT and __version__.
+        code = (
+            "import importlib\n"
+            "namespace = {}\n"
+            "exec('from hessianlab import *', namespace)\n"
+            "del namespace['__builtins__']\n"
+            "import hessianlab\n"
+            "eager = {}\n"
+            "for name in ('abp', 'brezis_merle', 'capacity', 'core', 'errors', 'families', 'liouville',\n"
+            "             'profile_io', 'radial', 'report', 'suites'):\n"
+            "    module = importlib.import_module('hessianlab.' + name)\n"
+            "    eager.update((attr, getattr(module, attr)) for attr in module.__all__)\n"
+            "eager['PROFILE_FORMAT'] = hessianlab.profile_io.FORMAT\n"
+            "eager['__version__'] = hessianlab.__version__\n"
+            "assert namespace.keys() == eager.keys(), namespace.keys() ^ eager.keys()\n"
+            "assert [name for name in eager if namespace[name] is not eager[name]] == []\n"
+            "print(len(namespace))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == len(hessianlab.__all__)
 
 
 class TestCheckErrors:
@@ -707,6 +795,7 @@ class TestPackageApi:
         assert hessianlab.__all__ == expected + ["PROFILE_FORMAT", "__version__"]
         assert len(set(hessianlab.__all__)) == len(hessianlab.__all__)
         assert all(hasattr(hessianlab, name) for name in hessianlab.__all__)
+        assert set(hessianlab.__all__) <= set(dir(hessianlab))
 
     def test_earlier_exports_stay(self):
         assert len(_EARLIER_API) == 88

@@ -129,6 +129,8 @@ class TestReportDiff:
             ("--suite", "bm", "--family", "constant"),
             ("--suite", "degiorgi", "--family", "constant"),
             ("--suite", "all", "--tol", "1e-7"),
+            ("--help",),
+            ("--suite", "bm", "--family", "nope"),
         ]
 
     def test_checkpoint_compare(self):
@@ -214,6 +216,10 @@ class TestBenchPairsRuns:
         assert doc["failed_ops"] == {"base_share": 0.1, "head_share": 0.2, "head_above_base": True}
         doc = self._pairs(tmp_path, _fake_checkout(tmp_path / "b2", 2), _fake_checkout(tmp_path / "h2", 1))
         assert doc["failed_ops"]["head_above_base"] is False
+
+    def test_machine_block_records_the_bytecode_setting(self, tmp_path):
+        doc = self._pairs(tmp_path, _fake_checkout(tmp_path / "base", 0), _fake_checkout(tmp_path / "head", 0))
+        assert doc["machine"]["dont_write_bytecode"] is sys.dont_write_bytecode
 
 
 def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:

@@ -30,7 +30,9 @@ its stderr line (the error it raised) is what tells the two apart.
 
 Then the checkpoint bytes: each checkout solves S_k[u] = c e^{-u},
 u(1) = 0 cold at (2,1) c = 1.9 and (4,2) c = 20 on grids 2048 and 8192
-and writes the solution with save_profile; identical files print one
+and prints the solution as a line `n k R boundary` and then one line
+per node with the repr of its node, value and slope, written by this
+script's own program with no library format; identical texts print one
 `same` line, and otherwise the first differing line is printed.
 
 Exits 0 when every pair of reports has the same rows and verdicts
@@ -111,17 +113,15 @@ CLI_CONFIGS = (
 # writes one to stdout.
 CHECKPOINTS = tuple((n, k, c, grid) for n, k, c in ((2, 1, 1.9), (4, 2, 20.0)) for grid in (2048, 8192))
 CHECKPOINT_PROGRAM = """
-import sys, tempfile
-from pathlib import Path
+import sys
 import numpy as np
 from hessianlab.core import HessianDim
 from hessianlab.liouville import LiouvilleProblem, solve_liouville
-from hessianlab.profile_io import save_profile
 n, k, c, grid = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
 u = solve_liouville(LiouvilleProblem(HessianDim(n, k), lambda r: np.full_like(r, c), grid_n=grid))
-with tempfile.TemporaryDirectory() as tmp:
-    save_profile(u, Path(tmp) / "u.json")
-    sys.stdout.write((Path(tmp) / "u.json").read_text(encoding="utf-8"))
+print(n, k, repr(u.R), repr(u.boundary))
+for row in zip(u.nodes.tolist(), u.values.tolist(), u.slope.tolist()):
+    print(*map(repr, row))
 """
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, HessianLabError, ProfileFormatError
+from .errors import ConfigError, HessianLabError
 from .report import emit_report
 from .suites import OPTIONS, ExperimentConfig, config_from_sources, load_config_file, run_suite
 
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         text = emit_report(rows, out_path=cfg.out, fmt=cfg.fmt)
         if cfg.out is None:
             sys.stdout.write(text)
-    except (ConfigError, ProfileFormatError) as exc:
+    except ConfigError as exc:
         print(f"hessianlab: {exc}", file=sys.stderr)
         return 2
     except HessianLabError as exc:

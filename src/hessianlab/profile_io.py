@@ -8,12 +8,12 @@ missing keys, stray keys, non-integer n or k, non-numeric scalars, and
 a boundary or atom that disagrees with the arrays are all rejected: the
 format is versioned precisely so readers never guess.
 
-Every profile on one grid writes the same node column, so its text is
-formatted once per grid and kept in the grid's quadrature cache entry,
-beside its stencils; a profile's nodes are that entry's read-only
-array, so they cannot be written in place, and other nodes under the
-same key miss the entry and get fresh text.  The values and slope
-columns are formatted per save.
+Every profile on one radial_grid grid writes the same node column, so
+its text is formatted once per grid and kept in the grid's quadrature
+cache entry, beside its stencils; such a profile's nodes are that
+entry's read-only array, so they cannot be written in place.  The
+node column of any other grid, and the values and slope columns, are
+formatted per save.
 """
 
 from __future__ import annotations

@@ -13,24 +13,21 @@ two samples (an exponent at or below -1 marks a divergent integral);
 a radial measure's mass is its origin atom plus that one call.
 
 Everything fixed per grid lives in one module-private cache of at most
-_CACHE_SIZE grids, oldest dropped first: the stencils, built on entry,
+_CACHE_SIZE grids, oldest dropped first, and it holds only the grids
+radial_grid builds, keyed on (size, R): the stencils, built on entry,
 and what other modules derive from the nodes alone (the powers r^(n-1)
 of the volume element, a saved profile's node text), built on first
-use by _per_grid.  An entry is keyed on (size, first node, last node)
-and holds a read-only copy of its nodes, and that array is the one
-every profile and measure on the grid holds: radial_grid returns it,
-and RadialProfile and RadialMeasure.from_atom and from_parts store the
-array of the entry they look up, so a grid's nodes live once.  A
-lookup handed the entry's own array hits at once; any other array hits
-only when it equals the entry's element by element, so an array that
-shares the key, or one mutated in place since, is never served stale
-values.  Valid nodes are positive, so equal nodes are the same bits.
-A miss validates the nodes in full (positive, strictly increasing,
->= 3 points, no NaN) before building; a hit has passed those checks
-already.  An evicted entry's array stays valid where it is held: its
-next lookup misses and builds a new entry from a copy, which it then
-equals.  Threads racing on a derived value may build it twice; no
-cached array is written to.
+use by _per_grid.  An entry holds its nodes as a read-only array, and
+that array is the one every profile and measure on the grid holds:
+radial_grid returns it, and RadialProfile and RadialMeasure.from_atom
+and from_parts store the array their lookup returns, so a grid's nodes
+live once.  A lookup hits only when handed an entry's own array, which
+cannot have been written since.  Any other array, a copy of a cached
+grid or an evicted entry's array included, is validated in full
+(positive, strictly increasing, >= 3 points, no NaN) and gets stencils
+built from a read-only copy of its own, which the lookup returns and
+the cache does not keep.  Threads racing on a derived value may build
+it twice; no cached array is written to.
 
 The kernel evaluates each parabola piece a (b f0 + c f1 - d f2) with the
 operations of that expression in their order, written through two
@@ -63,8 +60,6 @@ __all__ = [
 
 _CACHE_SIZE = 8
 _cache_lock = threading.Lock()
-# the derived key that marks an entry radial_grid built itself
-_GEOMETRIC = "geometric"
 
 
 def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
@@ -74,19 +69,20 @@ def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
     The result is the read-only node array of the grid's cache entry,
     the same object on every call while the entry is cached; writing
     into it raises ValueError, so copy it for a grid of your own.
-    np.geomspace puts the two ends exactly, so they key the entry, and
-    only an entry this function built is served, never a caller's grid
-    under that key.
+    np.geomspace puts the last node exactly at R.
     """
     if not np.isfinite(R) or R <= 0:
         raise InvalidArgumentError(f"radius must be positive and finite, got {R!r}")
     if not isinstance(grid_n, (int, np.integer)) or grid_n < 16:
         raise InvalidArgumentError(f"grid size must be an integer >= 16, got {grid_n!r}")
-    R, grid_n, start = float(R), int(grid_n), DEFAULT_RMIN_FACTOR * float(R)
-    grid = _grids.get((grid_n, start, R))
-    if grid is None or _GEOMETRIC not in grid.derived:
-        grid = _grid(np.geomspace(start, R, grid_n))
-        grid.derived[_GEOMETRIC] = True
+    R, grid_n = float(R), int(grid_n)
+    grid = _grids.get((grid_n, R))
+    if grid is None:
+        grid = _build(np.geomspace(DEFAULT_RMIN_FACTOR * R, R, grid_n))
+        with _cache_lock:
+            grid = _grids.setdefault((grid_n, R), grid)
+            while len(_grids) > _CACHE_SIZE:
+                del _grids[next(iter(_grids))]
     return grid.nodes
 
 
@@ -118,38 +114,27 @@ class _Grid(NamedTuple):
 _grids: dict[tuple, _Grid] = {}
 
 
-def _known_grid(x: np.ndarray) -> _Grid | None:
-    """The cached grid whose nodes equal the float array x, if any; an
-    entry's own array hits without the element-wise compare."""
-    if x.ndim != 1 or x.size < 3:
-        return None
-    grid = _grids.get((x.size, x[0], x[-1]))
-    if grid is not None and (grid.nodes is x or np.array_equal(grid.nodes, x)):
-        return grid
-    return None
-
-
-def _grid(nodes) -> _Grid:
-    """The grid of nodes with its stencils, validated and built on a
-    cache miss only."""
-    x = np.asarray(nodes, dtype=float)
-    grid = _known_grid(x)
-    if grid is not None:
-        return grid
-    if x.ndim != 1 or x.size < 3:
-        raise InvalidArgumentError("grid nodes must be a 1-d array with >= 3 points")
+def _build(x: np.ndarray) -> _Grid:
+    """The grid of the nodes x, an array no one else holds, validated
+    and made read-only."""
     # spelled so that a NaN node fails it
     if not (np.all(x > 0) and np.all(np.diff(x) > 0)):
         raise InvalidArgumentError("grid nodes must be positive and strictly increasing")
-    x = x.copy()
     x.flags.writeable = False
     h = np.diff(np.log(x))
-    grid = _Grid(x, _stencil(h[:-1:2], h[1::2]), _stencil(h[1::2], h[:-1:2]), _stencil(h[-1], h[-2]), {})
-    with _cache_lock:
-        _grids[x.size, x[0], x[-1]] = grid
-        while len(_grids) > _CACHE_SIZE:
-            del _grids[next(iter(_grids))]
-    return grid
+    return _Grid(x, _stencil(h[:-1:2], h[1::2]), _stencil(h[1::2], h[:-1:2]), _stencil(h[-1], h[-2]), {})
+
+
+def _grid(nodes) -> _Grid:
+    """The cache entry whose array nodes is, or else the grid of a
+    validated read-only copy of nodes, which the cache does not keep."""
+    x = np.asarray(nodes, dtype=float)
+    if x.ndim != 1 or x.size < 3:
+        raise InvalidArgumentError("grid nodes must be a 1-d array with >= 3 points")
+    grid = _grids.get((x.size, x[-1]))
+    if grid is not None and grid.nodes is x:
+        return grid
+    return _build(x.copy())
 
 
 def _per_grid(grid: _Grid, key, build):

@@ -77,9 +77,11 @@ class RadialProfile:
     CLOSED_FORMS, and then value_at, level sets and norms use that
     kind's exact branches instead of the grid.
 
-    nodes is stored as the read-only node array of the grid's
-    quadrature cache entry (the array radial_grid returns), shared by
-    every profile and measure on that grid; writing into it raises.
+    nodes given as the array radial_grid returns are stored as is while
+    the grid is cached: the read-only array of its quadrature cache
+    entry, shared by every profile and measure on that grid.  Any other
+    nodes are stored as a read-only copy of their own.  Writing into
+    nodes raises.
     """
 
     dim: HessianDim
@@ -99,7 +101,7 @@ class RadialProfile:
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
         if not math.isfinite(self.boundary):
             raise InvalidArgumentError(f"boundary value must be finite, got {self.boundary!r}")
-        # validates the nodes and shares the grid's read-only array
+        # validates the nodes: the grid's shared array, or a read-only copy
         nodes = quad._grid(self.nodes).nodes
         if values.shape != nodes.shape or slope.shape != nodes.shape:
             raise InvalidArgumentError("values and slope must match the grid shape")
@@ -124,8 +126,9 @@ class RadialMeasure:
     """Nonnegative radial measure: an atom at the origin plus the
     cumulative mass, cumulative[i] being the mass of the closed ball of
     radius nodes[i], atom included.  A measure built by from_atom,
-    from_parts or from_density holds its grid's shared read-only nodes,
-    like a RadialProfile.
+    from_parts or from_density holds read-only nodes like a
+    RadialProfile: the grid's shared array when given the array
+    radial_grid returns, and otherwise a copy of its own.
     """
 
     dim: HessianDim

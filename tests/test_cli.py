@@ -494,8 +494,9 @@ class TestProfileLayout:
 
 
 class TestNodeTextMemo:
-    """save_profile formats each grid's node column once, in the grid's
-    quadrature cache entry, and serves it only to nodes equal to it."""
+    """save_profile formats each cached grid's node column once, in the
+    grid's quadrature cache entry, and serves it only to the entry's own
+    array."""
 
     @staticmethod
     def profile(nodes, c=1.5):
@@ -528,11 +529,17 @@ class TestNodeTextMemo:
         self.assert_saves_exactly(u, tmp_path / "u.json")
 
     def test_more_grids_than_the_bound(self, tmp_path):
-        grids = [quad.radial_grid(1.0 + i, 32 + i) for i in range(quad._CACHE_SIZE + 3)]
-        for nodes in grids + grids[:2]:
+        grids = []
+        for i in range(quad._CACHE_SIZE + 3):
+            nodes = quad.radial_grid(1.0 + i, 32 + i)
+            grids.append(nodes)
             self.assert_saves_exactly(self.profile(nodes), tmp_path / "u.json")
-            assert "text" in quad._known_grid(nodes).derived
+            assert "text" in quad._grids[nodes.size, nodes[-1]].derived
             assert len(quad._grids) <= quad._CACHE_SIZE
+        # evicted grids save from text formatted per save, and stay out
+        for nodes in grids[:2]:
+            self.assert_saves_exactly(self.profile(nodes), tmp_path / "u.json")
+            assert (nodes.size, nodes[-1]) not in quad._grids
 
 
 class TestRecordInvariants:

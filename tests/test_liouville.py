@@ -153,15 +153,15 @@ class TestSolver:
 
     def test_solution_holds_the_grids_shared_nodes(self, monkeypatch):
         # the solve works on the grid entry's own array from the start, so
-        # no lookup in it compares nodes element by element
-        entry = quad._known_grid(quad.radial_grid(1.0, 512))
+        # every lookup in it hits and none builds a grid again
+        nodes = quad.radial_grid(1.0, 512)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("element-wise node compare inside the solve")
+        def refuse(x):
+            raise AssertionError("grid built inside the solve")
 
-        monkeypatch.setattr(quad.np, "array_equal", refuse)
+        monkeypatch.setattr(quad, "_build", refuse)
         u = solve_liouville(constant_problem(1.0, grid_n=512))
-        assert u.nodes is entry.nodes
+        assert u.nodes is nodes is quad._grids[512, 1.0].nodes
         assert not u.nodes.flags.writeable
 
     def test_continuation_sweep_tracks_the_branch(self):

@@ -126,6 +126,11 @@ def _scipy_cumulative(nodes, samples):
     return cumulative_simpson(samples * nodes, x=np.log(nodes), initial=0.0)
 
 
+def _entry(x):
+    """The grid cache entry whose own node array x is, or None."""
+    return next((grid for grid in quad._grids.values() if grid.nodes is x), None)
+
+
 def _fresh_volume_integral(dim, nodes, g):
     # volume_integral's formula with r^(n-1) taken from the nodes given
     shell = dim.n * dim.ball_volume * g * nodes ** (dim.n - 1)
@@ -133,15 +138,9 @@ def _fresh_volume_integral(dim, nodes, g):
 
 
 class TestGridCache:
-    """The per-grid cache serves a grid's stencils and derived values
-    only to nodes equal to it."""
-
-    def test_equal_copy_hits(self):
-        nodes = quad.radial_grid(3.0, 2048)
-        samples = np.exp(-nodes) + nodes**-0.5
-        first = quad.cumulative_from_left(nodes, samples)
-        assert quad._known_grid(nodes.copy()) is not None
-        assert np.array_equal(quad.cumulative_from_left(nodes.copy(), samples), first)
+    """The per-grid cache holds only the grids radial_grid builds, and
+    serves an entry's stencils and derived values only to its own
+    array."""
 
     def test_same_key_other_interior_is_fresh(self):
         nodes = quad.radial_grid(3.0, 2048)
@@ -172,20 +171,24 @@ class TestGridCache:
             nodes = quad.radial_grid(1.0 + i, 32 + i)
             volume_integral(D42, nodes, np.ones_like(nodes))
             save_profile(profile_from_slope(D21, float(nodes[-1]), nodes, nodes, 0.0), tmp_path / "u.json")
-            assert set(quad._known_grid(nodes).derived) == {quad._GEOMETRIC, ("power", 4), "text"}
+            assert set(_entry(nodes).derived) == {("power", 4), "text"}
             assert len(quad._grids) <= quad._CACHE_SIZE
 
     def test_evicted_grid_rebuilds_its_values_bit_equal(self):
         nodes = quad.radial_grid(2.0, 512)
         g = np.exp(-nodes) + 1.0
         first = volume_integral(D42, nodes, g)
-        power = quad._known_grid(nodes).derived[("power", 4)]
+        power = _entry(nodes).derived[("power", 4)]
         assert not power.flags.writeable
         for i in range(quad._CACHE_SIZE):
             quad.cumulative_from_left(quad.radial_grid(3.0 + i, 64), np.ones(64))
-        assert quad._known_grid(nodes) is None
+        assert _entry(nodes) is None
         assert volume_integral(D42, nodes, g) == first
-        assert quad._known_grid(nodes).derived[("power", 4)].tobytes() == power.tobytes()
+        # the evicted array is looked up like any other, and not cached again
+        assert _entry(nodes) is None
+        again = quad.radial_grid(2.0, 512)
+        assert again is not nodes and volume_integral(D42, again, g) == first
+        assert _entry(again).derived[("power", 4)].tobytes() == power.tobytes()
 
     def test_nodes_mutated_in_place_get_fresh_powers(self):
         nodes = quad.radial_grid(5.0, 64).copy()
@@ -222,7 +225,7 @@ class TestGridCache:
             quad.cumulative_from_left(wrong, np.ones(16))
         except InvalidArgumentError:
             pass
-        assert quad._known_grid(quad.radial_grid(1.0, 16)) is not None
+        assert quad.radial_grid(1.0, 16) is nodes is _entry(nodes).nodes
 
     def test_concurrent_lookups_stay_exact(self):
         # more threads than cores and more grids than the bound, with a
@@ -266,7 +269,7 @@ class TestGridMemo:
         assert not first.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             first[:] = -1.0
-        assert quad.radial_grid(3.0, 512) is first is quad._known_grid(first).nodes
+        assert quad.radial_grid(3.0, 512) is first is _entry(first).nodes
         assert first.tobytes() == np.geomspace(quad.DEFAULT_RMIN_FACTOR * 3.0, 3.0, 512).tobytes()
         # a copy is the caller's own, writable grid
         own = first.copy()
@@ -335,17 +338,17 @@ class TestGridMemo:
         if first == "geometric":
             quad.radial_grid(R, grid_n)
         quad.cumulative_from_left(moved, np.ones(grid_n))
-        assert quad._known_grid(moved) is not None
+        assert _entry(moved) is None
         for _ in range(2):
             assert quad.radial_grid(R, grid_n).tobytes() == want.tobytes()
-        assert quad._GEOMETRIC in quad._known_grid(want).derived
+        assert quad._grids[grid_n, R].nodes.tobytes() == want.tobytes()
 
     def test_grid_is_served_from_the_cache_entry(self):
         nodes = quad.radial_grid(6.5, 300)
-        entry = quad._known_grid(nodes)
-        assert entry.derived[quad._GEOMETRIC] is True
-        assert quad.radial_grid(6.5, 300).tobytes() == entry.nodes.tobytes()
-        assert quad._known_grid(nodes) is entry
+        entry = quad._grids[300, 6.5]
+        assert entry.nodes is nodes
+        assert quad._grid(nodes) is entry
+        assert quad.radial_grid(6.5, 300) is entry.nodes
 
     @pytest.mark.parametrize("args", [(0.0, 64), (math.inf, 64), (1.0, 8), (1.0, 64.0)])
     def test_bad_arguments_are_rejected_after_a_hit(self, args):
@@ -358,34 +361,24 @@ class TestSharedNodes:
     """Profiles and measures hold their grid's read-only node array, so
     a grid's nodes live once."""
 
-    def test_profiles_from_two_copies_share_one_array(self):
-        # two caller-owned copies of one grid
-        first, second = quad.radial_grid(2.0, 300).copy(), quad.radial_grid(2.0, 300).copy()
-        u = profile_from_slope(D21, 2.0, first, first, 0.0)
-        w = RadialProfile(D21, 2.0, second, second**2 - 4.0, 2.0 * second, 0.0)
-        assert u.nodes is w.nodes is quad._known_grid(first).nodes is quad.radial_grid(2.0, 300)
-        assert u.nodes is not first and u.nodes is not second
-        assert not u.nodes.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            u.nodes[5] = 1.0
-
     def test_measures_share_the_array(self):
         nodes = quad.radial_grid(2.0, 300)
         mu = RadialMeasure.from_parts(D42, 2.0, nodes, 1.5, np.exp(-nodes))
-        assert mu.nodes is quad._known_grid(nodes).nodes
+        assert mu.nodes is nodes is _entry(nodes).nodes
         assert solve_dirichlet(mu, 0.0).nodes is mu.nodes
         assert s_k_radial(solve_dirichlet(mu, 0.0)).nodes is mu.nodes
 
     def test_shared_array_skips_the_compare(self, monkeypatch):
+        # a lookup on the entry's own array is the identity test alone
         nodes = quad.radial_grid(2.0, 300)
         u = profile_from_slope(D21, 2.0, nodes, nodes, 0.0)
         want = quad.cumulative_from_left(nodes, u.values)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("element-wise compare on a shared array")
+        def refuse(x):
+            raise AssertionError("grid validated and built again for a shared array")
 
-        monkeypatch.setattr(quad.np, "array_equal", refuse)
-        assert quad._known_grid(u.nodes).nodes is u.nodes
+        monkeypatch.setattr(quad, "_build", refuse)
+        assert quad._grid(u.nodes) is _entry(u.nodes)
         assert quad.cumulative_from_left(u.nodes, u.values).tobytes() == want.tobytes()
         assert profile_from_slope(D21, 2.0, u.nodes, u.slope, 0.0).nodes is u.nodes
 
@@ -396,18 +389,19 @@ class TestSharedNodes:
         first = (volume_integral(D42, u.nodes, g), lp_norm(u, 2.0), quad.cumulative_from_left(u.nodes, g))
         for i in range(quad._CACHE_SIZE):
             quad.cumulative_from_left(quad.radial_grid(3.0 + i, 64), np.ones(64))
-        assert quad._known_grid(u.nodes) is None
+        assert _entry(u.nodes) is None
         again = (volume_integral(D42, u.nodes, g), lp_norm(u, 2.0), quad.cumulative_from_left(u.nodes, g))
         assert again[:2] == first[:2] and again[2].tobytes() == first[2].tobytes()
-        entry = quad._known_grid(u.nodes)
-        assert entry is not None and entry.nodes is not u.nodes
-        assert profile_from_slope(D42, 2.0, u.nodes, u.slope, 0.0).nodes is entry.nodes
+        # no lookup puts the evicted array back
+        assert _entry(u.nodes) is None and (300, 2.0) not in quad._grids
+        w = profile_from_slope(D42, 2.0, u.nodes, u.slope, 0.0)
+        assert w.nodes is not u.nodes and w.nodes.tobytes() == u.nodes.tobytes()
+        assert not w.nodes.flags.writeable
 
     def test_lab_profiles_and_measures_hold_the_grid_array(self):
         nodes = quad.radial_grid(1.0, 256)
-        own = nodes.copy()
         log = make_profile(FamilySpec("log"), D21, 1.0, 256)
-        atom = RadialMeasure.from_atom(D21, 1.0, own, 3.0)
+        atom = RadialMeasure.from_atom(D21, 1.0, nodes, 3.0)
         built = [
             log,
             s_k_radial(log),
@@ -416,7 +410,7 @@ class TestSharedNodes:
             solve_liouville(LiouvilleProblem(D21, np.ones_like, grid_n=256)),
             atom,
             solve_dirichlet(atom, 0.0),
-            RadialMeasure.from_density(D21, 1.0, own, np.ones(256)),
+            RadialMeasure.from_density(D21, 1.0, nodes, np.ones(256)),
         ]
         for x in built:
             assert x.nodes is nodes
@@ -439,18 +433,44 @@ class TestSharedNodes:
         integrate(nodes)
         assert len(calls) == 1 and calls[0] is nodes
 
-    def test_a_cold_suite_run_makes_no_node_compare(self, monkeypatch):
-        compares = []
-        array_equal = np.array_equal
+    def test_no_entry_point_caches_a_foreign_array(self):
+        # an equal copy of a cached grid, and a grid radial_grid never builds
+        nodes = quad.radial_grid(2.0, 300)
+        before = dict(quad._grids)
+        for x in (nodes.copy(), np.geomspace(1e-3, 2.0, 300)):
+            g = np.exp(-x)
+            for cumulative in (quad.cumulative_from_left, quad.cumulative_from_right, quad.cumulative_from_origin):
+                cumulative(x, g)
+            volume_integral(D42, x, g)
+            held = [
+                RadialProfile(D21, 2.0, x, x**2 - 4.0, 2.0 * x, 0.0),
+                RadialMeasure.from_atom(D21, 2.0, x, 1.0),
+                RadialMeasure.from_parts(D42, 2.0, x, 0.5, g),
+            ]
+            for y in held:
+                assert y.nodes is not x and y.nodes.tobytes() == x.tobytes()
+                assert not y.nodes.flags.writeable and _entry(y.nodes) is None
+        assert list(quad._grids) == list(before)
+        assert all(quad._grids[key] is grid for key, grid in before.items())
+        for (grid_n, R), grid in quad._grids.items():
+            assert grid.nodes.tobytes() == np.geomspace(quad.DEFAULT_RMIN_FACTOR * R, R, grid_n).tobytes()
 
-        def counting(*args, **kwargs):
-            compares.append(args)
-            return array_equal(*args, **kwargs)
+    def test_a_cold_suite_run_builds_each_grid_once(self, monkeypatch):
+        # every lookup in a suite run hits its grid's entry by identity, so
+        # the arrays built are the entries' arrays, each built once
+        builds = []
+        build = quad._build
 
-        monkeypatch.setattr(quad, "_grids", {})
-        monkeypatch.setattr(quad.np, "array_equal", counting)
-        rows, _ = run_suite(config_from_sources(None, {"suite": "all", "grid_n": 256}))
-        assert rows and compares == []
+        def counting(x):
+            builds.append(x.tobytes())
+            return build(x)
+
+        monkeypatch.setattr(quad, "_build", counting)
+        for grid_n in (256, 2048):
+            monkeypatch.setattr(quad, "_grids", {})
+            builds.clear()
+            rows, _ = run_suite(config_from_sources(None, {"suite": "all", "grid_n": grid_n}))
+            assert rows and sorted(builds) == sorted(grid.nodes.tobytes() for grid in quad._grids.values())
 
 
 _FORMULA_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]) | st.floats(-1e6, 1e6)

@@ -4,8 +4,9 @@ The two gate scripts are loaded by path and fed synthetic inputs:
 report_diff.compare decides whether two reports differ in rows or
 verdicts, and report_diff.compare_checkpoint whether two checkpoints
 differ; bench_pairs.verdict decides whether a metric got better,
-worse, stayed the same or cannot be told apart.  The other three are
-run once each in a subprocess on src/.
+worse, stayed the same or cannot be told apart.  report_diff's
+checkpoint program and the other two scripts are run once each in a
+subprocess on src/.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hessianlab.cli import main
+from hessianlab import quadrature as quad
 from hessianlab.suites import RADIUS_RANGE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,12 +135,22 @@ class TestReportDiff:
         ]
 
     def test_checkpoint_compare(self):
-        text = '{\n "format": "hessian-profile/1",\n "nodes": [\n  1e-08,\n  1.0\n ]\n}\n'
+        text = "2 1 1.0 0.0\n1e-08 -3.5 2.0\n1.0 0.0 2.0\n"
         assert report_diff.compare_checkpoint(text, text) == []
         moved = text.replace("1e-08", "1.0000000000000002e-08")
-        assert report_diff.compare_checkpoint(text, moved) == ["  line 4: '  1e-08,' -> '  1.0000000000000002e-08,'"]
+        assert report_diff.compare_checkpoint(text, moved) == ["  line 2: '1e-08 -3.5 2.0' -> '1.0000000000000002e-08 -3.5 2.0'"]
         assert report_diff.compare_checkpoint(text, text.rstrip("\n")) == ["  the bytes differ but every line matches"]
-        assert len(report_diff.compare_checkpoint(text, text + "}\n")) == 1
+        assert len(report_diff.compare_checkpoint(text, text + "1.5 0.0 2.0\n")) == 1
+
+    def test_checkpoint_program_writes_every_float_itself(self):
+        code, out, err = report_diff.run_checkpoint(ROOT, (2, 1, 1.9, 256))
+        assert code == 0 and err == ""
+        head, *rows = out.splitlines()
+        assert head.split()[:2] == ["2", "1"] and float(head.split()[2]) == 1.0
+        assert len(rows) == 256 and all(len(row.split()) == 3 for row in rows)
+        nodes = [float(row.split()[0]) for row in rows]
+        assert nodes == quad.radial_grid(1.0, 256).tolist()
+        assert "profile_io" not in report_diff.CHECKPOINT_PROGRAM
 
     def test_checkpoints_cover_both_dimensions_and_grids(self):
         assert {(n, k) for n, k, _, _ in report_diff.CHECKPOINTS} == {(2, 1), (4, 2)}
@@ -236,14 +247,6 @@ class TestScriptRuns:
         assert run.returncode == 0, run.stderr
         verdicts = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("verdict:")]
         assert verdicts == ["concentration", "uniform-divergence", "bounded"]
-
-    def test_run_all_suites_reports_every_row(self, tmp_path):
-        merged, combined = tmp_path / "merged.csv", tmp_path / "all.csv"
-        run = _run_script("run_all_suites", "--grid-n", "2048", "--out", str(merged))
-        assert run.returncode == 0, run.stderr
-        assert "total       187 rows across 7 suites" in run.stdout.splitlines()
-        assert main(["--suite", "all", "--grid-n", "2048", "--out", str(combined)]) == 0
-        assert merged.read_bytes() == combined.read_bytes()
 
     def test_gen_sym_fixtures_writes_fifty_matrices(self, tmp_path):
         # The entries depend on the platform's BLAS, so only the shape is checked.

@@ -23,14 +23,16 @@ import hessianlab.liouville as liu
 from hessianlab.core import HessianDim
 
 
-def show(title: str, seq: liu.SolutionSequence, atom_r: float) -> None:
-    report = liu.classify_alternative(seq)
+def show(title: str, pairs, atom_r: float) -> None:
+    # the per-member mass column needs every member, so keep them all
+    pairs = list(pairs)
+    report = liu.classify_alternative(pairs)
     near0 = report.diagnostics["near0"]
     ann = report.diagnostics["annulus_min"]
-    masses = seq.local_masses(atom_r)
+    masses = [liu.local_mass(u, prob.V, atom_r) for prob, u in pairs]
     print(f"\n== {title} ==")
     print(f"{'member':>8s} {'u(0+)':>12s} {'annulus min':>12s} {'mass(B_%.2f)' % atom_r:>14s}")
-    for i, prob in enumerate(seq.problems):
+    for i, (prob, _) in enumerate(pairs):
         print(f"{prob.label or i!s:>8s} {near0[i]:12.4f} {ann[i]:12.4f} {masses[i]:14.6f}")
     print(f"verdict: {report.classification}  (threshold {report.threshold:.6f})")
     if report.atom_masses:
@@ -45,10 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     gn = args.grid_n
 
     lams = [2.0**j for j in range(1, 9)]
-    conc = liu.SolutionSequence(
-        problems=tuple(liu.bubble_problem(lam, grid_n=gn) for lam in lams),
-        profiles=tuple(liu.bubble_profile(lam, grid_n=gn) for lam in lams),
-    )
+    conc = [(liu.bubble_problem(lam, grid_n=gn), liu.bubble_profile(lam, grid_n=gn)) for lam in lams]
     show("concentration (bubbles, lambda = 2..256)", conc, args.atom_radius)
 
     lifted = tuple(

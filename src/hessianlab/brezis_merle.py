@@ -28,7 +28,7 @@ import numpy as np
 from . import quadrature as quad
 from .core import HessianDim
 from .errors import DegenerateProfileError, InvalidArgumentError
-from .families import FamilySpec, make_family, make_profile
+from .families import FamilySpec, _require_count, make_family, make_profile
 from .radial import (
     domain_volume, exp_integral, exp_moment_bound, hessian_mass, lp_norm, weak_lp_quasinorm,
 )
@@ -63,8 +63,7 @@ class BMQuery:
             raise InvalidArgumentError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
         if not (np.isfinite(self.R) and self.R > 0):
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
-        if self.amplitudes < 1:
-            raise InvalidArgumentError(f"amplitude sweep size must be positive, got {self.amplitudes!r}")
+        _require_count(self.amplitudes, "amplitude sweep size")
         if self.branch == "lp":
             self.dim.require_subcritical("the L^p branch")
             if self.p is None or not np.isfinite(self.p) or self.p < 1:

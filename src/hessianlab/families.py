@@ -6,11 +6,13 @@ power family (point mass in the subcritical regime, Newtonian potential
 at n = 3, k = 1), the quadratic family (constant density), and the
 mollified log family (bounded regularization of the log profile).
 Their formulas live in radial.CLOSED_FORMS, one record per kind; this
-module samples them on the grid and sweeps families of them.
+module samples them on the grid and streams families of them:
+make_family builds each member only when its consumer asks for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,28 +66,31 @@ def make_profile(
     )
 
 
+def _require_count(count, what: str = "family count") -> int:
+    """The one rule for the size of a family sweep: a positive integer."""
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise InvalidArgumentError(f"{what} must be a positive integer, got {count!r}")
+    return int(count)
+
+
 def make_family(
     spec: FamilySpec,
     dim: HessianDim,
     R: float = 1.0,
     count: int = 8,
     grid_n: int = quad.DEFAULT_GRID_N,
-) -> list[RadialProfile]:
-    """Deterministic family sweep around the base spec.
+) -> Iterator[RadialProfile]:
+    """Deterministic family sweep around the base spec, as a stream.
 
     Amplitudes run over the dyadic ladder amplitude * 2^(i - count//2);
     for the mollified kind each amplitude is repeated at
-    mollification / 4^j for j = 0, 1, 2.
+    mollification / 4^j for j = 0, 1, 2.  `count` is checked at the
+    call; the members are then built one at a time as the consumer
+    asks for them, and the stream keeps none it has yielded.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise InvalidArgumentError(f"family count must be a positive integer, got {count!r}")
-    members = []
-    for i in range(int(count)):
-        c = spec.amplitude * 2.0 ** (i - count // 2)
-        if spec.kind == "mollified-log":
-            for j in range(3):
-                eps = spec.mollification / 4.0**j
-                members.append(make_profile(FamilySpec(spec.kind, c, eps), dim, R, grid_n))
-        else:
-            members.append(make_profile(FamilySpec(spec.kind, c), dim, R, grid_n))
-    return members
+    count = _require_count(count)
+    scales = [spec.mollification / 4.0**j for j in range(3)] if spec.kind == "mollified-log" else [0.0]
+    specs = [
+        FamilySpec(spec.kind, spec.amplitude * 2.0 ** (i - count // 2), eps) for i in range(count) for eps in scales
+    ]
+    return (make_profile(member, dim, R, grid_n) for member in specs)

@@ -9,7 +9,8 @@ regular/singular split of limit atoms against the quantum (a0/p')^k,
 the three-way limit classification of solution sweeps (bounded /
 uniform divergence / concentration at the center), the Harnack-type
 ratio probe, and the logarithmic comparison bound near a singular
-point.
+point.  Sweeps are streams of (problem, profile) pairs, solved as the
+sweep checks ask for them, so a check holds one solved member at a time.
 
 Dimensions are restricted to (n, k) = (2, 1) and (4, 2): the first has
 an exact closed-form oracle (the bubble below), the second is the first
@@ -47,7 +48,6 @@ from .report import CheckRecord, lower_bound, upper_bound
 __all__ = [
     "SUPPORTED_DIMS",
     "LiouvilleProblem",
-    "SolutionSequence",
     "solve_liouville",
     "equation_residual",
     "solve_sequence",
@@ -257,44 +257,19 @@ def _anderson(prob: LiouvilleProblem, initial: RadialProfile | None, max_iter: i
     return image, it, step, reason
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionSequence:
-    """Solved members of a problem sweep, in sweep order."""
-
-    problems: tuple[LiouvilleProblem, ...]
-    profiles: tuple[RadialProfile, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.problems) != len(self.profiles) or not self.problems:
-            raise InvalidArgumentError("need matching, nonempty problem and profile tuples")
-
-    def __len__(self) -> int:
-        return len(self.problems)
-
-    def min_values(self) -> np.ndarray:
-        # Profiles are nondecreasing in r, so the minimum sits at the
-        # innermost node.
-        return np.array([p.values[0] for p in self.profiles])
-
-    def local_masses(self, r: float) -> np.ndarray:
-        return np.array(
-            [local_mass(u, prob.V, r) for prob, u in zip(self.problems, self.profiles)]
-        )
-
-    def total_masses(self) -> np.ndarray:
-        """Each member's mass over its own ball."""
-        return np.array([local_mass(u, prob.V, u.R) for prob, u in zip(self.problems, self.profiles)])
-
-
-def solve_sequence(problems, continuation: bool = False, **kwargs) -> SolutionSequence:
-    """Solve a sweep in order; with continuation each solve starts from
-    the previous solution, otherwise each starts cold."""
-    problems = tuple(problems)
-    profiles = []
+def solve_sequence(problems, continuation: bool = False, **kwargs):
+    """Solve a sweep in order, lazily: yields (problem, profile) pairs,
+    solving each member when the consumer asks for it.  With
+    continuation each solve starts from the previous solution, the only
+    profile the stream keeps; otherwise each starts cold and the stream
+    keeps none."""
+    previous = None
     for prob in problems:
-        initial = profiles[-1] if continuation and profiles else None
-        profiles.append(solve_liouville(prob, initial=initial, **kwargs))
-    return SolutionSequence(problems=problems, profiles=tuple(profiles))
+        u = solve_liouville(prob, initial=previous, **kwargs)
+        if continuation:
+            previous = u
+        yield prob, u
+        del u  # hold no member while the next one solves
 
 
 def local_mass(u: RadialProfile, V, r: float) -> float:
@@ -304,32 +279,45 @@ def local_mass(u: RadialProfile, V, r: float) -> float:
     return _exp_measure(u.dim, u.R, u.nodes, v, u.values).cumulative_at(r)
 
 
-def smallness_check(seq: SolutionSequence) -> CheckRecord:
+def smallness_check(pairs) -> CheckRecord:
     """Uniform lower bound on min u across a sub-threshold sweep.
 
-    Every member's total mass must stay at or below the budget
+    `pairs` is any iterable of (problem, profile) pairs, such as
+    solve_sequence(...); each member is reduced to its total mass over
+    its own ball and its minimum before the next one is asked for.
+    Every member's mass must stay at or below the budget
     0.9 (a0/p')^k, strictly below the quantum; under that smallness
     the minima admit a uniform bound, which is what gets reported.
     """
-    dims = {(p.dim.n, p.dim.k) for p in seq.problems}
-    primes = {p.p_prime for p in seq.problems}
-    if len(dims) != 1 or len(primes) != 1:
-        raise InvalidArgumentError("sweep members must share (n, k) and p'")
-    threshold = seq.problems[0].threshold
+    first = None
+    masses = []
+    minima = []
+    for prob, u in pairs:
+        first = first or prob
+        if (prob.dim, prob.p_prime) != (first.dim, first.p_prime):
+            raise InvalidArgumentError("sweep members must share (n, k) and p'")
+        masses.append(local_mass(u, prob.V, u.R))
+        # Profiles are nondecreasing in r, so the minimum sits at the
+        # innermost node.
+        minima.append(u.values[0])
+        del u  # hold no member while the next one solves
+    if first is None:
+        raise InvalidArgumentError("need a nonempty sweep")
+    threshold = first.threshold
     budget = 0.9 * threshold
-    masses = seq.total_masses()
+    masses = np.array(masses)
     worst = float(np.max(masses))
     if worst > budget * (1.0 + 1e-12):
         raise PreconditionError(
             f"a member's mass {worst:.6g} exceeds the budget {budget:.6g}"
         )
-    floor = float(np.min(np.minimum(seq.min_values(), 0.0)))
+    floor = float(np.min(np.minimum(np.array(minima), 0.0)))
     return lower_bound(
-        f"smallness[n={seq.problems[0].dim.n},members={len(seq)}]",
+        f"smallness[n={first.dim.n},members={len(masses)}]",
         "smallness-uniform-bound",
         {
-            "n": seq.problems[0].dim.n, "k": seq.problems[0].dim.k,
-            "p_prime": seq.problems[0].p_prime, "budget": budget, "members": len(seq),
+            "n": first.dim.n, "k": first.dim.k,
+            "p_prime": first.p_prime, "budget": budget, "members": len(masses),
         },
         floor, -math.inf,
         {"uniform_bound": -floor, "masses": [float(m) for m in masses], "threshold": threshold},
@@ -386,10 +374,13 @@ def _trend(series: np.ndarray, sign: float) -> bool:
     return bool(np.all(diffs >= -1e-9 * scale) and sign * (series[-1] - series[0]) >= 5.0)
 
 
-def classify_alternative(seq: SolutionSequence) -> BlowupReport:
+def classify_alternative(pairs) -> BlowupReport:
     """Sort a solution sweep into bounded / uniform-divergence /
     concentration, from grid diagnostics alone.
 
+    `pairs` is any iterable of at least 4 (problem, profile) pairs,
+    such as solve_sequence(...); each member is reduced to its probes
+    before the next one is asked for, and only the last pair is kept.
     The probes: the central value u_i(0+) and the minimum over the
     compact annulus 0.25 R <= r <= 0.75 R.  A trend is a monotone
     second half of the sweep and an overall move of at least 5.
@@ -399,24 +390,24 @@ def classify_alternative(seq: SolutionSequence) -> BlowupReport:
     spread of sup |u| over the annulus of at most 1.  Anything that
     fits no case is reported as inconclusive rather than guessed.
     """
-    if len(seq) < 4:
-        raise InvalidArgumentError(f"need at least 4 sweep members, got {len(seq)}")
-    dims = {(p.dim.n, p.dim.k) for p in seq.problems}
-    primes = {p.p_prime for p in seq.problems}
-    radii = {p.R for p in seq.problems}
-    if len(dims) != 1 or len(primes) != 1 or len(radii) != 1:
-        raise InvalidArgumentError("sweep members must share (n, k), p', and R")
-    R = seq.problems[0].R
-    threshold = seq.problems[0].threshold
-
-    near0 = seq.min_values()
+    first = None
+    near0 = []
     annulus_min = []
     annulus_sup = []
-    for u in seq.profiles:
-        mask = (u.nodes >= 0.25 * R) & (u.nodes <= 0.75 * R)
+    for prob, u in pairs:
+        first = first or prob
+        if (prob.dim, prob.p_prime, prob.R) != (first.dim, first.p_prime, first.R):
+            raise InvalidArgumentError("sweep members must share (n, k), p', and R")
+        near0.append(u.values[0])
+        mask = (u.nodes >= 0.25 * first.R) & (u.nodes <= 0.75 * first.R)
         vals = u.values[mask]
         annulus_min.append(float(np.min(vals)))
         annulus_sup.append(float(np.max(np.abs(vals))))
+    if len(near0) < 4:
+        raise InvalidArgumentError(f"need at least 4 sweep members, got {len(near0)}")
+    R = first.R
+    threshold = first.threshold
+    near0 = np.array(near0)
     annulus_min = np.array(annulus_min)
     annulus_sup = np.array(annulus_sup)
 
@@ -432,7 +423,8 @@ def classify_alternative(seq: SolutionSequence) -> BlowupReport:
     blowup_radii: tuple[float, ...] = ()
     atom_masses: tuple[float, ...] = ()
     if sinking_center and rising_annulus:
-        atom = local_mass(seq.profiles[-1], seq.problems[-1].V, 0.05 * R)
+        # prob and u still hold the last pair
+        atom = local_mass(u, prob.V, 0.05 * R)
         atom_masses = (atom,)
         margins = {"atom_minus_threshold": atom - threshold}
         if atom >= threshold * (1.0 - 1e-3):

@@ -679,9 +679,10 @@ def _classify_concentration(cfg):
     from . import liouville as liu_mod
 
     lams = [2.0**j for j in range(1, 9)]
-    problems = tuple(liu_mod.bubble_problem(lam, grid_n=cfg.grid_n) for lam in lams)
-    profiles = tuple(liu_mod.bubble_profile(lam, grid_n=cfg.grid_n) for lam in lams)
-    report = liu_mod.classify_alternative(liu_mod.SolutionSequence(problems=problems, profiles=profiles))
+    report = liu_mod.classify_alternative(
+        (liu_mod.bubble_problem(lam, grid_n=cfg.grid_n), liu_mod.bubble_profile(lam, grid_n=cfg.grid_n))
+        for lam in lams
+    )
     atom = report.atom_masses[0] if report.atom_masses else 0.0
     return lower_bound(
         "classify-concentration", "blowup-trichotomy", {"lams": lams}, atom, report.threshold,
@@ -690,10 +691,10 @@ def _classify_concentration(cfg):
     )
 
 
-def _classification(check, inputs, sequence, expected):
+def _classification(check, inputs, pairs, expected):
     from . import liouville as liu_mod
 
-    report = liu_mod.classify_alternative(sequence)
+    report = liu_mod.classify_alternative(pairs)
     # The indicator of the expected classification, at least 1.
     hit = 1.0 if report.classification == expected else 0.0
     return lower_bound(
@@ -716,8 +717,8 @@ def _classify_bounded(cfg):
 
     # The members pose one problem, so one cold solve stands for all four.
     prob = _constant_problem(cfg, HessianDim(2, 1))
-    sequence = liu_mod.SolutionSequence(problems=(prob,) * 4, profiles=(liu_mod.solve_liouville(prob),) * 4)
-    return _classification("classify-bounded", {"members": 4}, sequence, "bounded")
+    pairs = [(prob, liu_mod.solve_liouville(prob))] * 4
+    return _classification("classify-bounded", {"members": 4}, pairs, "bounded")
 
 
 def _smallness(cfg, dim, levels):

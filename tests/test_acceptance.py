@@ -51,7 +51,6 @@ from hessianlab import (
     weak_lp_quasinorm,
 )
 from hessianlab import quadrature as quad
-from hessianlab.liouville import SolutionSequence
 
 INTERMEDIATE = (HessianDim(2, 1), HessianDim(4, 2))
 
@@ -179,14 +178,10 @@ def test_criterion_06_scale_family_and_concentration():
         target = 8.0 * math.pi * lam * lam / (1.0 + lam * lam)
         worst_mass = max(worst_mass, abs(mass - target) / target)
     lams = [2.0**j for j in range(1, 9)]
-    seq = SolutionSequence(
-        problems=tuple(
-            LiouvilleProblem(HessianDim(2, 1), lambda r: np.ones_like(r), label=f"lam={lam:g}")
-            for lam in lams
-        ),
-        profiles=tuple(bubble_profile(lam) for lam in lams),
+    report = classify_alternative(
+        (LiouvilleProblem(HessianDim(2, 1), lambda r: np.ones_like(r), label=f"lam={lam:g}"), bubble_profile(lam))
+        for lam in lams
     )
-    report = classify_alternative(seq)
     atom = report.atom_masses[0] if report.atom_masses else 0.0
     concentrated = report.classification == "concentration" and atom >= 4.0 * math.pi
     passed = worst_sup <= 1e-4 and worst_mass <= 1e-6 and concentrated
@@ -204,8 +199,7 @@ def test_criterion_07_smallness_uniform_bound():
     problems = [
         LiouvilleProblem(HessianDim(2, 1), lambda r, c=c: np.full_like(r, c)) for c in weights
     ]
-    seq = solve_sequence(problems)
-    rec = smallness_check(seq)
+    rec = smallness_check(solve_sequence(problems))
     budget_ok = max(rec.details["masses"]) <= 0.9 * 4.0 * math.pi
     passed = rec.passed and budget_ok
     verdict(

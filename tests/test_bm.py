@@ -2,6 +2,7 @@
 quasinorm ratio, and the divergence probe."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from hessianlab import (
     UnsupportedDimensionError,
     bm_exp_check,
     bm_lp_check,
+    make_family,
     sharpness_probe,
     unit_ball_volume,
 )
+from hessianlab import families
 
 SUBCRITICAL = HessianDim(3, 1)
 
@@ -179,6 +182,17 @@ class TestQueryValidation:
         with pytest.raises(InvalidArgumentError, match="sweep"):
             BMQuery(HessianDim(2, 1), "exp", FamilySpec("log"), lam=1.0, amplitudes=0)
 
+    @pytest.mark.parametrize(
+        "amplitudes", [2.5, math.nan, "3", 0, -1], ids=["fraction", "nan", "string", "zero", "negative"]
+    )
+    def test_amplitudes_follow_the_family_count_rule(self, amplitudes):
+        # refused when the query is made, not inside the sweep
+        message = "^" + re.escape(f"amplitude sweep size must be a positive integer, got {amplitudes!r}") + "$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            BMQuery(HessianDim(2, 1), "exp", FamilySpec("log"), lam=1.0, amplitudes=amplitudes)
+        with pytest.raises(InvalidArgumentError, match="^family count must be a positive integer"):
+            make_family(FamilySpec("log"), HessianDim(2, 1), count=amplitudes)
+
     def test_beta_rule_is_the_moment_rule(self):
         # a query accepts exactly the betas exp_integral accepts
         dim = HessianDim(2, 1)
@@ -186,3 +200,25 @@ class TestQueryValidation:
             BMQuery(dim, "exp", FamilySpec("log"), lam=1.0, beta=2.0 + 1.5e-12)
         q = BMQuery(dim, "exp", FamilySpec("log"), lam=1.0, beta=2.0 + 1e-12, amplitudes=1, grid_n=256)
         assert len(bm_exp_check(q)) == 1
+
+
+class TestFamilyStream:
+    def test_count_is_checked_at_the_call(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(families, "make_profile", lambda *args: built.append(args))
+        with pytest.raises(InvalidArgumentError, match="^family count must be a positive integer, got 0$"):
+            make_family(FamilySpec("log"), HessianDim(2, 1), count=0)
+        assert built == []
+
+    def test_members_are_built_as_the_consumer_advances(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(families, "make_profile", lambda spec, *args: built.append(spec) or spec)
+        members = make_family(FamilySpec("mollified-log", 1.0, 0.5), HessianDim(2, 1), count=2)
+        assert built == []
+        assert next(members) == FamilySpec("mollified-log", 0.5, 0.5)
+        assert len(built) == 1
+        assert list(members) == built[1:] == [
+            FamilySpec("mollified-log", 0.5, 0.125), FamilySpec("mollified-log", 0.5, 0.03125),
+            FamilySpec("mollified-log", 1.0, 0.5), FamilySpec("mollified-log", 1.0, 0.125),
+            FamilySpec("mollified-log", 1.0, 0.03125),
+        ]

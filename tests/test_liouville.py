@@ -3,6 +3,7 @@ on the exact n = 2 scale family."""
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from hessianlab import (
 from hessianlab import liouville as liouville_mod
 from hessianlab import quadrature as quad
 from hessianlab.families import FamilySpec
-from hessianlab.liouville import SolutionSequence
 
 DIM2 = HessianDim(2, 1)
 
@@ -166,8 +166,8 @@ class TestSolver:
 
     def test_continuation_sweep_tracks_the_branch(self):
         cs = (0.5, 1.0, 1.5, 1.9)
-        seq = solve_sequence([constant_problem(c) for c in cs], continuation=True)
-        masses = seq.total_masses()
+        pairs = solve_sequence([constant_problem(c) for c in cs], continuation=True)
+        masses = np.array([local_mass(u, prob.V, u.R) for prob, u in pairs])
         assert np.all(np.diff(masses) > 0)
         for c, mass in zip(cs, masses):
             b = minimal_branch_scale(c)
@@ -322,29 +322,28 @@ class TestSmallness:
 
     def test_budget_violation_is_a_precondition_error(self):
         # the minimal branch at c = 1.99 carries 11.678 > 0.9 * 4 pi = 11.310
-        seq = solve_sequence([constant_problem(c) for c in (0.5, 1.0, 1.5, 1.99)])
-        assert seq.total_masses()[-1] > 0.9 * 4.0 * math.pi
+        pairs = list(solve_sequence([constant_problem(c) for c in (0.5, 1.0, 1.5, 1.99)]))
+        prob, u = pairs[-1]
+        assert local_mass(u, prob.V, 1.0) > 0.9 * 4.0 * math.pi
         with pytest.raises(PreconditionError, match="exceeds"):
-            smallness_check(seq)
+            smallness_check(pairs)
 
     def test_each_member_is_measured_over_its_own_ball(self):
         # the last member's mass over R = 1.411 is above 0.9 * 4 pi; over
         # the first member's R = 0.5 it would pass
-        seq = solve_sequence([LiouvilleProblem(DIM2, lambda r: np.ones_like(r), R=R) for R in (0.5, 1.0, 1.2, 1.411)])
-        masses = seq.total_masses()
-        for prob, u, mass in zip(seq.problems, seq.profiles, masses):
-            assert mass == local_mass(u, prob.V, prob.R)
-        assert masses[-1] > 0.9 * 4.0 * math.pi
+        pairs = list(solve_sequence([LiouvilleProblem(DIM2, lambda r: np.ones_like(r), R=R) for R in (0.5, 1.0, 1.2, 1.411)]))
+        prob, u = pairs[-1]
+        assert local_mass(u, prob.V, 0.5) <= 0.9 * 4.0 * math.pi < local_mass(u, prob.V, prob.R)
         with pytest.raises(PreconditionError, match="exceeds"):
-            smallness_check(seq)
+            smallness_check(pairs)
+        rec = smallness_check(pairs[:3])
+        assert rec.details["masses"] == [local_mass(u, prob.V, prob.R) for prob, u in pairs[:3]]
 
     def test_mixed_sweeps_rejected(self):
-        seq = SolutionSequence(
-            problems=(constant_problem(0.5), constant_problem(0.5, p=2.0)),
-            profiles=tuple(solve_liouville(constant_problem(0.5)) for _ in range(2)),
-        )
+        u = solve_liouville(constant_problem(0.5))
+        pairs = [(constant_problem(0.5), u), (constant_problem(0.5, p=2.0), u)]
         with pytest.raises(InvalidArgumentError, match="share"):
-            smallness_check(seq)
+            smallness_check(pairs)
 
 
 class TestClassification:
@@ -354,8 +353,7 @@ class TestClassification:
             LiouvilleProblem(DIM2, lambda r, w=weight: np.full_like(r, w), label=f"lam={lam:g}")
             for lam in lams
         )
-        profiles = tuple(bubble_profile(lam) for lam in lams)
-        return SolutionSequence(problems=problems, profiles=profiles)
+        return [(prob, bubble_profile(lam)) for prob, lam in zip(problems, lams)]
 
     def test_concentration_at_the_center(self):
         report = classify_alternative(self.bubble_sweep())
@@ -367,9 +365,10 @@ class TestClassification:
         assert report.atom_masses[0] >= report.threshold
 
     def test_atom_mass_is_the_last_members_local_mass(self):
-        seq = self.bubble_sweep()
-        report = classify_alternative(seq)
-        assert report.atom_masses == (float(seq.local_masses(0.05)[-1]),)
+        pairs = self.bubble_sweep()
+        report = classify_alternative(iter(pairs))
+        prob, u = pairs[-1]
+        assert report.atom_masses == (local_mass(u, prob.V, 0.05),)
 
     def test_sub_quantum_atom_is_inconclusive(self):
         # Same profiles under a weight a tenth as large: the center
@@ -397,10 +396,92 @@ class TestClassification:
         assert report.margins["annulus_spread"] <= 1e-9
 
     def test_validation(self):
-        seq = self.bubble_sweep()
-        short = SolutionSequence(problems=seq.problems[:3], profiles=seq.profiles[:3])
-        with pytest.raises(InvalidArgumentError, match="at least 4"):
+        short = self.bubble_sweep()[:3]
+        with pytest.raises(InvalidArgumentError, match="^need at least 4 sweep members, got 3$"):
             classify_alternative(short)
+        pairs = self.bubble_sweep()
+        pairs[2] = (constant_problem(1.0, R=2.0), pairs[2][1])
+        with pytest.raises(InvalidArgumentError, match="^sweep members must share \\(n, k\\), p', and R$"):
+            classify_alternative(pairs)
+
+
+class TestSweepStreams:
+    """solve_sequence and the two sweep checks hold one member at a time."""
+
+    def tracked_solves(self, monkeypatch):
+        # for each solve, in call order: which earlier profiles are still
+        # alive when it starts, and the index of the one it starts from
+        log = []
+        refs = []
+        inner = liouville_mod.solve_liouville
+
+        def tracked(prob, initial=None, **kwargs):
+            start = None if initial is None else next(i for i, ref in enumerate(refs) if ref() is initial)
+            log.append(([ref() is not None for ref in refs], start))
+            u = inner(prob, initial=initial, **kwargs)
+            refs.append(weakref.ref(u))
+            return u
+
+        monkeypatch.setattr(liouville_mod, "solve_liouville", tracked)
+        return log, refs
+
+    def problems(self, *cs):
+        return [constant_problem(c, grid_n=256) for c in cs]
+
+    def test_members_are_solved_as_the_consumer_advances(self, monkeypatch):
+        log, _ = self.tracked_solves(monkeypatch)
+        pairs = solve_sequence(self.problems(0.5, 1.0, 1.5))
+        assert len(log) == 0
+        first = next(pairs)
+        assert len(log) == 1
+        second = next(pairs)
+        assert len(log) == 2
+        assert [prob.V(np.ones(1))[0] for prob, _ in (first, second)] == [0.5, 1.0]
+        assert len(list(pairs)) == 1 and len(log) == 3
+
+    def test_a_dropped_member_is_freed_before_the_next_solve(self, monkeypatch):
+        log, refs = self.tracked_solves(monkeypatch)
+        for _prob, u in solve_sequence(self.problems(0.5, 1.0, 1.5)):
+            del u
+        assert [alive for alive, _ in log] == [[], [False], [False, False]]
+        assert [start for _, start in log] == [None, None, None]
+        assert all(ref() is None for ref in refs)
+
+    def test_continuation_holds_only_the_previous_profile(self, monkeypatch):
+        log, refs = self.tracked_solves(monkeypatch)
+        for _prob, u in solve_sequence(self.problems(0.5, 1.0, 1.5), continuation=True):
+            del u
+        assert log == [([], None), ([True], 0), ([False, True], 1)]
+
+    def test_smallness_holds_no_earlier_member_while_the_next_solves(self, monkeypatch):
+        log, _ = self.tracked_solves(monkeypatch)
+        smallness_check(solve_sequence(self.problems(0.5, 1.0, 1.5)))
+        assert [alive for alive, _ in log] == [[], [False], [False, False]]
+
+    def test_classify_holds_only_the_last_member_while_the_next_solves(self, monkeypatch):
+        # the last pair is kept for the atom mass
+        log, _ = self.tracked_solves(monkeypatch)
+        probs = [
+            LiouvilleProblem(DIM2, lambda r, j=j: np.full_like(r, math.exp(-j)), boundary=float(j), grid_n=256)
+            for j in (5.0, 10.0, 15.0, 20.0)
+        ]
+        assert classify_alternative(solve_sequence(probs)).classification == "uniform-divergence"
+        assert [alive for alive, _ in log] == [[], [True], [False, True], [False, False, True]]
+
+    def test_an_empty_sweep_is_an_invalid_argument(self):
+        with pytest.raises(InvalidArgumentError, match="^need a nonempty sweep$"):
+            smallness_check(solve_sequence([]))
+        with pytest.raises(InvalidArgumentError, match="^need at least 4 sweep members, got 0$"):
+            classify_alternative(iter(()))
+
+    @pytest.mark.parametrize("check", [smallness_check, classify_alternative])
+    def test_a_members_no_solution_reaches_the_caller(self, monkeypatch, check):
+        # c = 3 is past the fold at c = 2: member 2 has no solution, and
+        # the member after it is never solved
+        log, _ = self.tracked_solves(monkeypatch)
+        with pytest.raises(NoSolutionError, match="^no fixed point"):
+            check(solve_sequence(self.problems(0.5, 1.0, 3.0, 1.5)))
+        assert len(log) == 3
 
 
 class TestHarnack:

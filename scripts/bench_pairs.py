@@ -12,7 +12,11 @@ after ten times `--seconds` is stopped; its pair is listed under
 listed under `failed_runs` (seed, side, exit code, last stderr line),
 and its pair is left out too.  Each kept run keeps its `correct`,
 `failed` and `attempted`; `failed_ops` gives each side's share of
-failed ops and flags a head share above the base share.  The machine
+failed ops and flags a head share above the base share.  Each kept run
+also keeps the per-kind op medians of its stamp line (`op_s.median`),
+and `kinds` summarizes them per op kind: the base and head medians and
+the number of pairs in which head is lower, with no verdict, so a file
+shows which kind of op moved.  The machine
 block records whether the runs could cache bytecode
 (PYTHONDONTWRITEBYTECODE, as `dont_write_bytecode`).
 
@@ -48,8 +52,9 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 TIMEOUT_FACTOR = 10
 
 
-# the fields of a run that are counts and flags, not metrics
-RUN_FIELDS = ("seed", "correct", "failed", "attempted")
+# the fields of a run that are counts, flags and per-kind times, not metrics
+RUN_FIELDS = ("seed", "correct", "failed", "attempted", "op_s.median")
+STAMP = "perfbench: stamp "
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict | None:
@@ -66,10 +71,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict | N
     if proc.returncode != 0:
         last = proc.stderr.strip().splitlines()[-1:] or [""]
         return {"seed": seed, "exit_code": proc.returncode, "stderr": last[0]}
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    stamp = next((json.loads(line[len(STAMP):]) for line in lines if line.startswith(STAMP)), {})
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return {"seed": seed, "correct": result["correct"], "failed": result["failed"],
-            "attempted": result["attempted"], **metrics}
+            "attempted": result["attempted"], "op_s.median": stamp.get("op_s.median", {}), **metrics}
 
 
 def seed_range(text: str) -> list[int]:
@@ -108,6 +115,21 @@ def summary(base: list[dict], head: list[dict], name: str, bound: float | None) 
         "pairs": len(b),
         "bound": bound,
         "verdict": None if bound is None else verdict(b, h, bound),
+    }
+
+
+def kind_summary(base: list[dict], head: list[dict]) -> dict:
+    """Per op kind, over the pairs whose runs both timed it: the base and
+    head medians of the runs' kind medians and the pairs head is lower."""
+    kinds = {}
+    for b, h in zip(base, head):
+        for kind in b["op_s.median"].keys() & h["op_s.median"].keys():
+            kinds.setdefault(kind, []).append((b["op_s.median"][kind], h["op_s.median"][kind]))
+    return {
+        kind: {"base_median": statistics.median(x for x, _ in pairs),
+               "head_median": statistics.median(y for _, y in pairs),
+               "head_lower_pairs": sum(y < x for x, y in pairs), "pairs": len(pairs)}
+        for kind, pairs in sorted(kinds.items())
     }
 
 
@@ -161,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
                     "numpy": importlib.metadata.version("numpy"), "platform": platform.platform(),
                     "dont_write_bytecode": sys.dont_write_bytecode},
         "summary": {name: summary(base, head, name, bounds.get(name)) for name in names},
+        "kinds": kind_summary(base, head),
         "failed_ops": failed_ops(base, head),
         "base": base,
         "head": head,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .core import HessianDim
+from .core import HessianDim, _finite_real
 from .errors import DegenerateProfileError, InvalidArgumentError
 from .families import FamilySpec, _require_count, make_family, make_profile
 from .radial import (
@@ -61,16 +61,17 @@ class BMQuery:
     def __post_init__(self) -> None:
         if self.branch not in BRANCHES:
             raise InvalidArgumentError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
-        if not (np.isfinite(self.R) and self.R > 0):
+        if not (_finite_real(self.R) and self.R > 0):
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
         _require_count(self.amplitudes, "amplitude sweep size")
+        quad._require_grid_n(self.grid_n)
         if self.branch == "lp":
             self.dim.require_subcritical("the L^p branch")
-            if self.p is None or not np.isfinite(self.p) or self.p < 1:
+            if not _finite_real(self.p) or self.p < 1:
                 raise InvalidArgumentError(f"the L^p branch needs p >= 1, got {self.p!r}")
         else:
             self.dim.require_intermediate("the exponential branch")
-            if self.lam is None or not np.isfinite(self.lam) or self.lam <= 0:
+            if not _finite_real(self.lam) or self.lam <= 0:
                 raise InvalidArgumentError(f"the exponential branch needs lam > 0, got {self.lam!r}")
             if self.beta is not None:
                 self.dim.check_beta(self.beta)

@@ -14,6 +14,7 @@ separating regular from singular points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -30,6 +31,13 @@ __all__ = [
     "principal_minor_sums",
     "maclaurin_means",
 ]
+
+
+def _finite_real(x) -> bool:
+    """The one test for a finite real scalar argument: an int or a float,
+    numpy's included, finite, and neither a bool nor a string (which
+    would otherwise fail a range check with a bare TypeError)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +127,7 @@ class HessianDim:
         """The one rule on an inner exponent: finite, and
         1 <= beta <= beta_max + 1e-12."""
         beta_max = self.beta_max
-        if not np.isfinite(beta) or not 1.0 <= beta <= beta_max + 1e-12:
+        if not _finite_real(beta) or not 1.0 <= beta <= beta_max + 1e-12:
             raise InvalidArgumentError(f"beta must lie in [1, {beta_max}], got {beta!r}")
 
     def at_ceiling(self, beta: float) -> bool:
@@ -149,7 +157,7 @@ class HessianDim:
         1 <= p <= lp_endpoint (1 + 1e-12); nothing is claimed past the
         endpoint."""
         endpoint = self.lp_endpoint()
-        if not np.isfinite(p) or not 1.0 <= p <= endpoint * (1.0 + 1e-12):
+        if not _finite_real(p) or not 1.0 <= p <= endpoint * (1.0 + 1e-12):
             raise InvalidArgumentError(f"p must lie in [1, endpoint {endpoint}], got {p!r}")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .core import HessianDim
+from .core import HessianDim, _finite_real
 from .errors import InvalidArgumentError
 from .radial import CLOSED_FORMS, KindParams, RadialProfile, profile_from_slope
 
@@ -38,10 +38,10 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidArgumentError(f"unknown family kind {self.kind!r}, expected one of {KINDS}")
-        if not np.isfinite(self.amplitude) or self.amplitude <= 0:
+        if not _finite_real(self.amplitude) or self.amplitude <= 0:
             raise InvalidArgumentError(f"amplitude must be positive, got {self.amplitude!r}")
         if self.kind == "mollified-log":
-            if not np.isfinite(self.mollification) or self.mollification <= 0:
+            if not _finite_real(self.mollification) or self.mollification <= 0:
                 raise InvalidArgumentError("mollified-log needs a positive mollification scale")
         elif self.mollification:
             raise InvalidArgumentError(f"kind {self.kind!r} takes no mollification scale")
@@ -67,8 +67,9 @@ def make_profile(
 
 
 def _require_count(count, what: str = "family count") -> int:
-    """The one rule for the size of a family sweep: a positive integer."""
-    if not isinstance(count, (int, np.integer)) or count < 1:
+    """The one rule for the size of a family sweep: a positive integer,
+    not a bool."""
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
         raise InvalidArgumentError(f"{what} must be a positive integer, got {count!r}")
     return int(count)
 

@@ -2,7 +2,19 @@
 2k = n.
 
 An Anderson-accelerated fixed-point iteration drives u toward the
-fixed point of u <- dirichlet_solve(V exp(-u) dx, b).  On top of the
+fixed point of u <- dirichlet_solve(V exp(-u) dx, b).  Before it runs,
+a closed-form precheck refuses weights past the fold: for constant V
+the radial solutions on B_R with u(R) = b form one bubble family, which
+folds at c* = k^(k-1) C(n-1,k-1) n 2^k/(k+1) R^(-n) e^b (fold_value),
+where the Hessian mass is exactly the quantum a0^k.  The map above
+preserves order and decreases as V grows, so a solution for a weight
+with min V > c* would be a subsolution of the constant problem at
+min V, under the supersolution u = b, and monotone iteration would
+give that problem a solution; so no weight with min V > c* has one.
+The solve raises NoSolutionError when min V over the grid nodes
+exceeds c* (1 + 1e-12), the slack covering rounding in c* only.  For
+every other weight, one with no solution is still found by the loop,
+as a stall, an iteration cap or a clip/overflow.  On top of the
 solver sit the diagnostics: local masses of V exp(-u), the
 uniform-boundedness check under a sub-threshold mass budget, the
 regular/singular split of limit atoms against the quantum (a0/p')^k,
@@ -25,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature as quad
-from .core import HessianDim
+from .core import HessianDim, _finite_real
 from .errors import (
     InvalidArgumentError,
     InvalidMeasureError,
@@ -48,6 +60,7 @@ from .report import CheckRecord, lower_bound, upper_bound
 __all__ = [
     "SUPPORTED_DIMS",
     "LiouvilleProblem",
+    "fold_value",
     "solve_liouville",
     "equation_residual",
     "solve_sequence",
@@ -92,12 +105,13 @@ class LiouvilleProblem:
             raise UnsupportedDimensionError(
                 f"supported dimensions are {SUPPORTED_DIMS}, got ({self.dim.n}, {self.dim.k})"
             )
-        if not (np.isfinite(self.R) and self.R > 0):
+        if not (_finite_real(self.R) and self.R > 0):
             raise InvalidArgumentError(f"radius must be positive, got {self.R!r}")
-        if not (self.p == math.inf or (np.isfinite(self.p) and self.p > 1)):
+        if not (self.p == math.inf or (_finite_real(self.p) and self.p > 1)):
             raise InvalidArgumentError(f"integrability exponent must lie in (1, inf], got {self.p!r}")
-        if not np.isfinite(self.boundary):
+        if not _finite_real(self.boundary):
             raise InvalidArgumentError(f"boundary value must be finite, got {self.boundary!r}")
+        quad._require_grid_n(self.grid_n)
         if not callable(self.V):
             raise InvalidArgumentError("V must be callable on a radius array")
 
@@ -121,6 +135,35 @@ _DEPTH = 5
 _STALL = 20
 # exp(-u) is clipped at exp(700) inside the loop, below overflow.
 _EXP_CLIP = 700.0
+# The fold precheck refuses min V > fold_value (1 + _FOLD_SLACK).  The
+# slack absorbs rounding in fold_value only, a few ulps (V = 1 sits exactly
+# on the fold of the lam = 1 bubble problem, whose c* computes to
+# 1 + 2^-52); it allows no discrete solution past the continuum fold.
+_FOLD_SLACK = 1e-12
+
+
+def fold_value(dim: HessianDim, R: float = 1.0, boundary: float = 0.0) -> float:
+    """The fold c* of S_k[u] = c exp(-u) on B_R, u(R) = boundary, for
+    2k = n: the largest constant c with a radial solution,
+    k^(k-1) C(n-1,k-1) n 2^k/(k+1) R^(-n) e^boundary.
+
+    The bubbles u = (k+1) log(1 + x r^2/R^2) - (k+1) log(1 + x) + b,
+    x > 0, solve it with c(x) = x^k (1+x)^(-k-1) e^b / (beta^k R^n),
+    beta^k = k / (C(n-1,k-1) n (2(k+1))^k); c(x) peaks at x = k, where
+    the Hessian mass equals dim.concentration_quantum().  On the unit
+    ball with b = 0: 2, 32, 1080 and 57344 for (n, k) = (2,1), (4,2),
+    (6,3) and (8,4).  The product is taken in floats, a few ulps from
+    exact; out of their range it overflows or underflows quietly.
+    """
+    dim.require_intermediate("the fold value")
+    if not (_finite_real(R) and R > 0):
+        raise InvalidArgumentError(f"radius must be positive, got {R!r}")
+    if not _finite_real(boundary):
+        raise InvalidArgumentError(f"boundary value must be finite, got {boundary!r}")
+    n, k = dim.n, dim.k
+    unit = k ** (k - 1) * math.comb(n - 1, k - 1) * n * 2**k / (k + 1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return float(unit * np.power(float(R), -n) * np.exp(float(boundary)))
 
 
 def _exp_measure(dim: HessianDim, R: float, nodes: np.ndarray, v: np.ndarray, u: np.ndarray) -> RadialMeasure:
@@ -149,9 +192,13 @@ def equation_residual(prob: LiouvilleProblem, u: RadialProfile) -> float:
     """Sup mismatch of cumulative masses, S_k[u] against the unclipped
     V exp(-u) dx, over the total mass; inf where exp(-u) passes the
     solver's clip."""
+    return _residual(prob, prob.density_on(u.nodes), u)
+
+
+def _residual(prob: LiouvilleProblem, v: np.ndarray, u: RadialProfile) -> float:
+    """equation_residual with V already sampled on u's nodes."""
     if np.max(-u.values) > _EXP_CLIP:
         return math.inf
-    v = prob.density_on(u.nodes)
     try:
         # below the clip, so the measure is the unclipped one
         target = _exp_measure(prob.dim, prob.R, u.nodes, v, u.values)
@@ -170,23 +217,40 @@ def solve_liouville(
     """Anderson-accelerated fixed-point solve of S_k[u] = V exp(-u),
     u(R) = boundary.
 
-    Iterates G: u -> dirichlet_solve(V exp(-u) dx, b) with one Dirichlet
+    V is sampled once on the grid nodes.  When min V exceeds
+    fold_value(dim, R, boundary) (1 + 1e-12), NoSolutionError is raised
+    before any Dirichlet solve: by comparison no weight above the fold
+    has a solution (module docstring), and the slack covers rounding in
+    the closed form only.  Otherwise the solve iterates
+    G: u -> dirichlet_solve(V exp(-u) dx, b) with one Dirichlet
     solve per iteration; the next iterate mixes the last five images by
     the weights that minimize the mixed residual G(u) - u (Anderson
     acceleration; Walker & Ni, SINUM 2011).  Stops when the sup-norm
     step |G(u) - u| falls below 1e-10 (relative to max(1, sup |G(u)|)),
     when 20 steps in a row fail to halve the best step (a stall: how the
-    iteration behaves past the fold), or at `max_iter`.  The last image
-    is returned when its cumulative-mass residual against the unclipped
-    V exp(-u) is below 1e-6 times the total mass, else no-solution.
+    iteration behaves past the fold of a weight the precheck passes), or
+    at `max_iter`.  The last image is returned when its cumulative-mass
+    residual against the unclipped V exp(-u) is below 1e-6 times the
+    total mass, else no-solution.
     """
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise InvalidArgumentError(f"max_iter must be a positive integer, got {max_iter!r}")
+    if initial is not None and initial.dim != prob.dim:
+        raise InvalidArgumentError("initial guess has a different (n, k)")
+    # the grid's read-only nodes, which every image shares
+    nodes = quad.radial_grid(prob.R, prob.grid_n)
+    v = prob.density_on(nodes)
+    fold = fold_value(prob.dim, prob.R, prob.boundary)
+    if v.min() > fold * (1.0 + _FOLD_SLACK):
+        raise NoSolutionError(
+            f"no fixed point: min V = {v.min():.9g} is past the fold c* = {fold:.9g} of "
+            f"(n, k) = ({prob.dim.n}, {prob.dim.k}) with R = {prob.R:g} and boundary {prob.boundary:g}"
+        )
     # the loop's iterates and history are freed before the residual
-    image, it, step, reason = _anderson(prob, initial, max_iter)
+    image, it, step, reason = _anderson(prob, nodes, v, initial, max_iter)
     # Acceptance is decided by the equation residual of the last image
     # against its own density, not by why the loop stopped.
-    res = math.inf if image is None else equation_residual(prob, image)
+    res = math.inf if image is None else _residual(prob, v, image)
     if res < 1e-6:
         return image
     if math.isinf(res):
@@ -198,24 +262,23 @@ def solve_liouville(
     )
 
 
-def _anderson(prob: LiouvilleProblem, initial: RadialProfile | None, max_iter: int):
-    """The fixed-point loop of solve_liouville: the last image (None
-    when it overflowed), the iteration count, the last step and the
-    stop reason."""
-    # the grid's read-only nodes, which every image shares
-    nodes = quad.radial_grid(prob.R, prob.grid_n)
-    v = prob.density_on(nodes)
+def _anderson(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, initial: RadialProfile | None,
+              max_iter: int):
+    """The fixed-point loop of solve_liouville on the grid nodes and the
+    samples v of V there: the last image (None when it overflowed), the
+    iteration count, the last step and the stop reason."""
     if initial is None:
         x = np.full_like(nodes, float(prob.boundary))
     else:
-        if initial.dim != prob.dim:
-            raise InvalidArgumentError("initial guess has a different (n, k)")
         x = np.interp(np.log(nodes), np.log(initial.nodes), initial.values)
         x += prob.boundary - x[-1]
     # Rows hold differences of successive residuals G(x) - x and of
-    # successive images G(x); the oldest row is overwritten first.
-    d_f = np.empty((_DEPTH, nodes.size))
-    d_g = np.empty((_DEPTH, nodes.size))
+    # successive images G(x); the oldest row is overwritten first.  Both
+    # are one block: glibc raises its heap trim threshold to twice the
+    # largest mmap'd block freed, and one block (640 KiB at grid 8192, not
+    # two of 320 KiB) lifts it above what a suite frees, so later solves
+    # and checks do not fault the same pages back in.
+    d_f, d_g = np.empty((2, _DEPTH, nodes.size))
     f_prev = g_prev = image = None
     step = best = math.inf
     since_best = 0

@@ -73,8 +73,7 @@ def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
     """
     if not np.isfinite(R) or R <= 0:
         raise InvalidArgumentError(f"radius must be positive and finite, got {R!r}")
-    if not isinstance(grid_n, (int, np.integer)) or grid_n < 16:
-        raise InvalidArgumentError(f"grid size must be an integer >= 16, got {grid_n!r}")
+    _require_grid_n(grid_n)
     R, grid_n = float(R), int(grid_n)
     grid = _grids.get((grid_n, R))
     if grid is None:
@@ -84,6 +83,12 @@ def radial_grid(R: float, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
             while len(_grids) > _CACHE_SIZE:
                 del _grids[next(iter(_grids))]
     return grid.nodes
+
+
+def _require_grid_n(grid_n) -> None:
+    """The one rule on a grid size: an integer >= 16, not a bool."""
+    if not isinstance(grid_n, (int, np.integer)) or isinstance(grid_n, bool) or grid_n < 16:
+        raise InvalidArgumentError(f"grid size must be an integer >= 16, got {grid_n!r}")
 
 
 def _stencil(h1, h2) -> tuple:

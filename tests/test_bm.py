@@ -183,7 +183,8 @@ class TestQueryValidation:
             BMQuery(HessianDim(2, 1), "exp", FamilySpec("log"), lam=1.0, amplitudes=0)
 
     @pytest.mark.parametrize(
-        "amplitudes", [2.5, math.nan, "3", 0, -1], ids=["fraction", "nan", "string", "zero", "negative"]
+        "amplitudes", [2.5, math.nan, "3", 0, -1, True],
+        ids=["fraction", "nan", "string", "zero", "negative", "bool"],
     )
     def test_amplitudes_follow_the_family_count_rule(self, amplitudes):
         # refused when the query is made, not inside the sweep
@@ -192,6 +193,31 @@ class TestQueryValidation:
             BMQuery(HessianDim(2, 1), "exp", FamilySpec("log"), lam=1.0, amplitudes=amplitudes)
         with pytest.raises(InvalidArgumentError, match="^family count must be a positive integer"):
             make_family(FamilySpec("log"), HessianDim(2, 1), count=amplitudes)
+
+    @pytest.mark.parametrize("branch, kwargs, message", [
+        ("exp", {"lam": "1"}, "lam > 0"),
+        ("exp", {"lam": True}, "lam > 0"),
+        ("exp", {"R": "1"}, "radius"),
+        ("exp", {"beta": "2"}, "beta"),
+        ("exp", {"grid_n": 2048.0}, "grid size"),
+        ("exp", {"grid_n": True}, "grid size"),
+        ("lp", {"p": "2"}, "p >= 1"),
+    ], ids=["lam-string", "lam-bool", "R-string", "beta-string", "grid-float", "grid-bool", "p-string"])
+    def test_non_real_scalars_are_refused_at_construction(self, branch, kwargs, message):
+        # each once raised a bare TypeError, or failed only inside the sweep
+        dim, family = (HessianDim(2, 1), FamilySpec("log")) if branch == "exp" else (SUBCRITICAL, FamilySpec("newtonian"))
+        base = {"lam": 1.0} if branch == "exp" else {"p": 2.0}
+        with pytest.raises(InvalidArgumentError, match=message):
+            BMQuery(dim, branch, family, **{**base, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "log", "amplitude": "3"}, "amplitude"),
+        ({"kind": "log", "amplitude": False}, "amplitude"),
+        ({"kind": "mollified-log", "mollification": "0.1"}, "mollification"),
+    ], ids=["amplitude-string", "amplitude-bool", "mollification-string"])
+    def test_family_spec_refuses_non_real_scalars(self, kwargs, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            FamilySpec(**kwargs)
 
     def test_beta_rule_is_the_moment_rule(self):
         # a query accepts exactly the betas exp_integral accepts

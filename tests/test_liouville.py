@@ -21,6 +21,7 @@ from hessianlab import (
     bubble_residual_sup,
     classify_alternative,
     config_from_sources,
+    fold_value,
     harnack_ratio,
     local_mass,
     make_profile,
@@ -36,6 +37,7 @@ from hessianlab import quadrature as quad
 from hessianlab.families import FamilySpec
 
 DIM2 = HessianDim(2, 1)
+DIM4 = HessianDim(4, 2)
 
 
 def minimal_branch_scale(c: float) -> float:
@@ -48,6 +50,28 @@ def minimal_branch_scale(c: float) -> float:
 
 def constant_problem(c: float, **kwargs) -> LiouvilleProblem:
     return LiouvilleProblem(DIM2, lambda r, c=c: np.full_like(r, c), **kwargs)
+
+
+def rising_problem(c: float, **kwargs) -> LiouvilleProblem:
+    # V = c (1 + r^2): min V = c, so for c <= 2 the fold precheck lets it
+    # through, yet at grid 2048 a continuation sweep in steps of 0.05
+    # solves c = 1.6 and fails at 1.65: from about 1.65 on it has no
+    # solution, and the loop must find that out itself.
+    return LiouvilleProblem(DIM2, lambda r, c=c: c * (1.0 + r * r), **kwargs)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    # the boundary value of each Dirichlet solve the Liouville solver makes
+    calls = []
+    inner = liouville_mod.solve_dirichlet
+
+    def counted(mu, boundary):
+        calls.append(boundary)
+        return inner(mu, boundary)
+
+    monkeypatch.setattr(liouville_mod, "solve_dirichlet", counted)
+    return calls
 
 
 class TestBubbleOracle:
@@ -124,19 +148,22 @@ class TestSolver:
 
     @pytest.mark.parametrize("c", [1e2, 1e3, 1e4, 1e5])
     def test_large_weight_has_no_solution(self, c):
-        # at c = 1e4 the first image's shell overflows at the innermost
-        # node, which must end the solve like the others
+        # V = c r^2 vanishes at the origin, so the fold precheck lets it
+        # through.  The first image sinks to about -0.0625 c at the center;
+        # from c = 1e3 on the second image's density exp(-u) can no longer
+        # be integrated (at 1e5 it overflows at the clip), at c = 1e2 the
+        # 16th can not, and either must end the solve with no solution.
         with np.errstate(over="ignore"):
-            with pytest.raises(NoSolutionError):
-                solve_liouville(constant_problem(c, grid_n=256))
+            with pytest.raises(NoSolutionError, match="clip/overflow"):
+                solve_liouville(LiouvilleProblem(DIM2, lambda r: c * r * r, grid_n=256))
 
     @pytest.mark.parametrize("c", [1e4, 1e5])
     def test_large_weight_fails_without_a_warning(self, c):
         # the overflow at the clip is what ends the solve, not news
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
-            with pytest.raises(NoSolutionError):
-                solve_liouville(constant_problem(c, grid_n=256))
+            with pytest.raises(NoSolutionError, match="clip/overflow"):
+                solve_liouville(LiouvilleProblem(DIM2, lambda r: c * r * r, grid_n=256))
 
     def test_initial_guess_dimension_mismatch(self):
         prob = constant_problem(1.0)
@@ -196,18 +223,6 @@ class TestIterationBudget:
     """Anderson acceleration bounds the Dirichlet solves per Liouville
     solve; each iteration makes exactly one."""
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        inner = liouville_mod.solve_dirichlet
-
-        def counted(mu, boundary):
-            calls.append(boundary)
-            return inner(mu, boundary)
-
-        monkeypatch.setattr(liouville_mod, "solve_dirichlet", counted)
-        return calls
-
     def test_near_the_fold(self, solves):
         # damped Picard needed 178 solves here
         solve_liouville(constant_problem(1.99, grid_n=2048))
@@ -220,18 +235,19 @@ class TestIterationBudget:
         assert len(solves) <= 20
 
     def test_past_the_fold_stalls_early(self, solves):
-        # damped Picard needed about 492 solves to give up here
+        # damped Picard needed about 492 solves to give up on constant
+        # V = 2.05; this weight passes the fold precheck and stalls after 21
         with pytest.raises(NoSolutionError, match="stalled"):
-            solve_liouville(constant_problem(2.05, grid_n=2048))
+            solve_liouville(rising_problem(1.8, grid_n=2048))
         assert len(solves) <= 60
 
     def test_overflowing_iterate_stops(self, solves):
-        # Past the fold the extrapolated iterate diverges and the 8th image
-        # reaches |u| ~ 5e303, so the least-squares system overflows;
+        # Past its fold the extrapolated iterate diverges and the 5th image
+        # reaches |u| ~ 1e304, so the least-squares system overflows;
         # lstsq never returned on it.
-        with pytest.raises(NoSolutionError, match="clip/overflow after 8 iterations"):
-            solve_liouville(constant_problem(2.032350814902463, grid_n=2048))
-        assert len(solves) == 8
+        with pytest.raises(NoSolutionError, match="clip/overflow after 5 iterations"):
+            solve_liouville(LiouvilleProblem(DIM2, lambda r: 20.0 * r * r, grid_n=2048))
+        assert len(solves) == 5
 
     @pytest.mark.parametrize(
         "c, seed_error",
@@ -244,20 +260,100 @@ class TestIterationBudget:
         exact = 2.0 * np.log1p(b * u.nodes**2) - math.log(8.0 * b / c)
         assert np.max(np.abs(u.values - exact)) / np.max(np.abs(exact)) <= seed_error
 
-    def test_clipped_fixed_point_is_rejected(self):
-        # Past the (4,2) fold the iteration settles on a fixed point of the
-        # exp-clipped map with min u near -1e152; the unclipped residual
-        # exposes it.
-        prob = LiouvilleProblem(HessianDim(4, 2), lambda r: np.full_like(r, 48.0), grid_n=2048)
-        with pytest.raises(NoSolutionError, match="clip/overflow"):
+    def test_clipped_fixed_point_is_rejected(self, solves):
+        # V = 48 with V = 32 = c* on r < 1e-3 passes the (4,2) fold
+        # precheck; like constant 48 the iteration then converges after 12
+        # solves on a fixed point of the exp-clipped map with min u near
+        # -1e152, and the unclipped residual exposes it.
+        prob = LiouvilleProblem(HessianDim(4, 2), lambda r: np.where(r < 1e-3, 32.0, 48.0), grid_n=2048)
+        with pytest.raises(NoSolutionError, match="clip/overflow after 12 iterations"):
             solve_liouville(prob)
+        assert len(solves) == 12
 
     def test_failure_message_explains_the_stop(self):
         with pytest.raises(NoSolutionError) as exc:
-            solve_liouville(constant_problem(2.2), max_iter=3)
+            solve_liouville(rising_problem(1.8), max_iter=3)
         message = str(exc.value)
         assert "iteration cap after 3 iterations" in message
         assert "last step" in message and "last residual" in message
+
+
+class TestFoldPrecheck:
+    """fold_value's closed form, and the solve refusing weights past it."""
+
+    @pytest.mark.parametrize("n, k, value", [(2, 1, 2.0), (4, 2, 32.0), (6, 3, 1080.0), (8, 4, 57344.0)])
+    def test_unit_ball_values(self, n, k, value):
+        assert fold_value(HessianDim(n, k)) == value
+
+    @pytest.mark.parametrize("dim", [DIM2, DIM4, HessianDim(6, 3)], ids=lambda d: f"n{d.n}k{d.k}")
+    @pytest.mark.parametrize("R, b", [(0.5, 0.0), (2.0, -0.7), (1e-3, 1.5), (10.0, 3.0)])
+    def test_scales_as_the_radius_and_the_boundary_value(self, dim, R, b):
+        assert fold_value(dim, R, b) == pytest.approx(fold_value(dim) * R ** -dim.n * math.exp(b), rel=1e-15)
+
+    def test_agrees_with_the_minimal_branch_discriminant(self):
+        # c b^2 + (2c - 8) b + c = 0 has a real root exactly when c <= 2
+        fold = fold_value(DIM2)
+        disc = lambda c: (2.0 * c - 8.0) ** 2 - 4.0 * c * c
+        assert disc(fold) == 0.0
+        assert disc(math.nextafter(fold, 0.0)) > 0.0 > disc(math.nextafter(fold, 3.0))
+        assert minimal_branch_scale(fold) == 1.0
+        with pytest.raises(ValueError):
+            minimal_branch_scale(math.nextafter(fold, 3.0))
+
+    def test_validation(self):
+        with pytest.raises(UnsupportedDimensionError, match="2k = n"):
+            fold_value(HessianDim(3, 1))
+        for kwargs in ({"R": 0.0}, {"R": "1"}, {"R": math.inf}, {"boundary": math.nan}, {"boundary": "0"}):
+            with pytest.raises(InvalidArgumentError):
+                fold_value(DIM2, **kwargs)
+
+    @pytest.mark.parametrize("prob", [
+        constant_problem(1.01 * 2.0, grid_n=2048),
+        constant_problem(2.0 * (1.0 + 1e-11), grid_n=2048),
+        rising_problem(2.1, grid_n=2048),
+        LiouvilleProblem(DIM4, lambda r: np.full_like(r, 1.01 * 32.0), grid_n=2048),
+        LiouvilleProblem(DIM4, lambda r: 33.0 * (1.0 + r * r), grid_n=2048),
+        constant_problem(1.01 * 16.0, R=0.5, boundary=math.log(2.0)),
+        constant_problem(1e4, grid_n=256),
+    ], ids=["const-1.01", "const-1e-11", "rising-2.1", "n4-const-1.01", "n4-rising-33", "R-and-b", "const-1e4"])
+    def test_past_the_fold_makes_no_dirichlet_solve(self, prob, solves):
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(NoSolutionError, match="past the fold"):
+                solve_liouville(prob)
+        assert solves == []
+
+    def test_message_names_the_weight_the_fold_and_the_problem(self):
+        with pytest.raises(NoSolutionError) as exc:
+            solve_liouville(LiouvilleProblem(DIM4, lambda r: 30.0 + r, R=0.5, boundary=-3.0))
+        assert str(exc.value) == (
+            "no fixed point: min V = 30 is past the fold c* = 25.490979 of "
+            "(n, k) = (4, 2) with R = 0.5 and boundary -3"
+        )
+
+    @pytest.mark.parametrize("prob", [
+        constant_problem(2.0, grid_n=256),
+        constant_problem(2.0 * (1.0 + 1e-13), grid_n=256),
+        rising_problem(2.0, grid_n=256),
+        LiouvilleProblem(DIM4, lambda r: np.full_like(r, 32.0), grid_n=256),
+        LiouvilleProblem(DIM2, lambda r: 1e3 * r * r, grid_n=256),
+    ], ids=["const-fold", "const-1e-13", "rising-2", "n4-const-fold", "vanishing"])
+    def test_never_fires_at_or_below_the_fold(self, prob, solves):
+        # min V <= c* (1 + 1e-12): the loop runs and decides
+        try:
+            solve_liouville(prob)
+        except NoSolutionError as exc:
+            assert "past the fold" not in str(exc)
+        assert len(solves) >= 1
+
+    def test_the_bubble_on_the_fold_still_solves(self):
+        # V = 1 sits exactly on the fold of the lam = 1 bubble problem, whose
+        # c* computes to 1 + 2^-52; the solver-bubble[lam=1] row solves it
+        prob = bubble_problem(1.0, grid_n=8192)
+        assert fold_value(DIM2, prob.R, prob.boundary) == 1.0000000000000002
+        exact = bubble_profile(1.0, grid_n=8192)
+        u = solve_liouville(prob, initial=exact)
+        assert float(np.max(np.abs(u.values - exact.values))) <= 1e-9
 
 
 class TestProblemValidation:
@@ -276,6 +372,19 @@ class TestProblemValidation:
             constant_problem(1.0, boundary=math.inf)
         with pytest.raises(InvalidArgumentError, match="callable"):
             LiouvilleProblem(DIM2, 5.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"R": "1"}, "^radius must be positive, got '1'$"),
+        ({"R": True}, "^radius must be positive, got True$"),
+        ({"boundary": "0"}, "^boundary value must be finite, got '0'$"),
+        ({"p": "2"}, "^integrability exponent must lie in \\(1, inf\\], got '2'$"),
+        ({"grid_n": 2048.0}, "^grid size must be an integer >= 16, got 2048.0$"),
+        ({"grid_n": True}, "^grid size must be an integer >= 16, got True$"),
+    ], ids=["R-string", "R-bool", "boundary-string", "p-string", "grid-float", "grid-bool"])
+    def test_non_real_scalars_are_refused_at_construction(self, kwargs, message):
+        # each once raised a bare TypeError, or failed only at solve time
+        with pytest.raises(InvalidArgumentError, match=message):
+            constant_problem(1.0, **kwargs)
 
     def test_conjugate_exponent_and_threshold(self):
         assert constant_problem(1.0).p_prime == 1.0
@@ -476,11 +585,13 @@ class TestSweepStreams:
 
     @pytest.mark.parametrize("check", [smallness_check, classify_alternative])
     def test_a_members_no_solution_reaches_the_caller(self, monkeypatch, check):
-        # c = 3 is past the fold at c = 2: member 2 has no solution, and
-        # the member after it is never solved
+        # member 2 is past its own fold and stalls in the loop: it has no
+        # solution, and the member after it is never solved
         log, _ = self.tracked_solves(monkeypatch)
-        with pytest.raises(NoSolutionError, match="^no fixed point"):
-            check(solve_sequence(self.problems(0.5, 1.0, 3.0, 1.5)))
+        problems = self.problems(0.5, 1.0, 1.5)
+        problems.insert(2, rising_problem(1.8, grid_n=256))
+        with pytest.raises(NoSolutionError, match="^no fixed point: stalled"):
+            check(solve_sequence(problems))
         assert len(log) == 3
 
 

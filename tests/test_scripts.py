@@ -181,19 +181,22 @@ class TestBenchVerdict:
 
 
 # perfbench/run.py of a fake checkout: it reports `failed` of 10 ops
-# failed and pass_s = seed, or exits 1 on seed `crash`
+# failed and pass_s = seed, or exits 1 on seed `crash`; its stamp line
+# gives op kind `a` the median `a` * seed and kind `b` 1 / seed
 _FAKE_RUN = """import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 if seed == {crash}:
     sys.exit("perfbench: op raised")
+print("perfbench: stamp " + json.dumps({{"seed": seed, "op_s.median": {{"a": {a} * seed, "b": 1 / seed}}}}))
+print("perfbench: pass_s = " + repr(float(seed)) + " s")
 print(json.dumps({{"correct": {failed} == 0, "attempted": 10, "failed": {failed},
                   "metrics": {{"pass_s": {{"value": float(seed)}}}}}}))
 """
 
 
-def _fake_checkout(root: Path, failed: int, crash: int = -1) -> Path:
+def _fake_checkout(root: Path, failed: int, crash: int = -1, a: float = 1.0) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(_FAKE_RUN.format(failed=failed, crash=crash), encoding="utf-8")
+    (root / "perfbench" / "run.py").write_text(_FAKE_RUN.format(failed=failed, crash=crash, a=a), encoding="utf-8")
     return root
 
 
@@ -227,6 +230,18 @@ class TestBenchPairsRuns:
         assert doc["failed_ops"] == {"base_share": 0.1, "head_share": 0.2, "head_above_base": True}
         doc = self._pairs(tmp_path, _fake_checkout(tmp_path / "b2", 2), _fake_checkout(tmp_path / "h2", 1))
         assert doc["failed_ops"]["head_above_base"] is False
+
+    def test_op_kind_medians_are_kept_and_summarized(self, tmp_path):
+        doc = self._pairs(tmp_path, _fake_checkout(tmp_path / "base", 0, crash=2),
+                          _fake_checkout(tmp_path / "head", 0, a=0.01))
+        # the crashed pair is left out here too
+        assert [run["op_s.median"] for run in doc["base"]] == [{"a": 1.0, "b": 1.0}, {"a": 3.0, "b": 1 / 3}]
+        assert [run["op_s.median"] for run in doc["head"]] == [{"a": 0.01, "b": 1.0}, {"a": 0.03, "b": 1 / 3}]
+        assert doc["kinds"] == {
+            "a": {"base_median": 2.0, "head_median": 0.02, "head_lower_pairs": 2, "pairs": 2},
+            "b": {"base_median": 2 / 3, "head_median": 2 / 3, "head_lower_pairs": 0, "pairs": 2},
+        }
+        assert set(doc["summary"]) == {"pass_s"}
 
     def test_machine_block_records_the_bytecode_setting(self, tmp_path):
         doc = self._pairs(tmp_path, _fake_checkout(tmp_path / "base", 0), _fake_checkout(tmp_path / "head", 0))

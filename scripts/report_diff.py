@@ -12,7 +12,9 @@ whose --lambda, --beta or --p is out of range, `all` at n = 171,
 past the last dimension with a ball volume, and `all` at a grid size
 far above the accepted range (all exit 2, compared by their stderr
 line), a bm --beta and a bm --p just inside the library's 1e-12 slack
-past the exponent ceiling and the L^p endpoint, and the --family and
+past the exponent ceiling and the L^p endpoint, abp at (n, k) = (18, 9),
+whose bump amplitude search fails to bracket its budget (exit 3,
+compared by its stderr line), and the --family and
 --tol paths: bm with the mollified-log, newtonian (at (3, 1), and at
 (5, 1) where it falls back to power) and constant (exit 2) families,
 degiorgi with the constant fixture (exit 1), and `all` at --tol 1e-7.
@@ -92,6 +94,12 @@ EDGE_PARAMETER_CONFIGS = (
     ("--suite", "bm", "--n", "5", "--k", "1", "--p", "1.6666666666675"),
 )
 
+# Then a config that passes validation and fails inside the library:
+# the fixed-budget family's amplitude search at (18, 9), past its cap.
+FAILURE_CONFIGS = (
+    ("--suite", "abp", "--n", "18", "--k", "9"),
+)
+
 # Then the --family and --tol paths at the default grid.
 FAMILY_TOL_CONFIGS = (
     ("--suite", "bm", "--family", "mollified-log"),
@@ -129,7 +137,7 @@ def run_list(suites: list[str], grids: list[int]) -> list[tuple[str, ...]]:
     """The CLI arguments of every config compared, format excluded."""
     product = [("--suite", s, "--grid-n", str(g)) for s in suites for g in grids]
     extras = (RADIUS_CONFIGS + PAIR_CONFIGS + BAD_PARAMETER_CONFIGS + EDGE_PARAMETER_CONFIGS
-              + FAMILY_TOL_CONFIGS + CLI_CONFIGS)
+              + FAILURE_CONFIGS + FAMILY_TOL_CONFIGS + CLI_CONFIGS)
     return product + list(extras)
 
 

@@ -26,6 +26,7 @@ the vanishing prediction against the data.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature as quad
-from .core import HessianDim
+from .core import HessianDim, _finite_real
 from .errors import InvalidArgumentError, InvalidWeightError
 from .radial import (
     RadialMeasure,
@@ -96,9 +97,9 @@ class OrliczWeight:
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise InvalidWeightError(f"k must be a positive integer, got {self.k!r}")
         if self.kind == "exp":
-            if self.rate is None or not np.isfinite(self.rate) or self.rate < 0:
+            if not _finite_real(self.rate) or self.rate < 0:
                 raise InvalidWeightError(f"exp weight needs rate >= 0, got {self.rate!r}")
-        elif self.exponent is None or not np.isfinite(self.exponent) or self.exponent < 0:
+        elif not _finite_real(self.exponent) or self.exponent < 0:
             raise InvalidWeightError(f"power weight needs exponent >= 0, got {self.exponent!r}")
 
     def value(self, t):
@@ -353,28 +354,53 @@ def abp_bound_check(family: SampledFamily) -> list[CheckRecord]:
     return records
 
 
-def _increasing_root(f, lo: float, hi: float) -> float:
-    """Root of an increasing f with f(lo) < 0 <= f(hi), by regula falsi
-    with the Illinois fix: when one end moves twice in a row, the other
-    end's value is halved, so both ends close in.  Stops at an exact
-    zero or once the bracket is narrower than 1e-15 (1 + hi), a few
-    ulps of the root, where f is rounding noise."""
-    f_lo, f_hi = f(lo), f(hi)
-    x, fx, moved = hi, f_hi, None
-    while fx != 0 and hi - lo > 1e-15 * (1.0 + hi):
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
+def _amplitude_root(gap, short: float, guess: float, slope: float = 1.0) -> tuple[float, float]:
+    """Root of an increasing gap(A) = E(A) - short, where E(A) is the
+    budget a bump of amplitude A adds, E(0) = 0 < short, and the last
+    slope of log E against log A, to seed the next search.
+
+    E is close to a power of A, so each trial after `guess` is a secant
+    step on log E against log A: the first takes `slope` (1 is the chord
+    from A = 0), later ones the slope through the last two trials,
+    unless their values of log E differ by less than 1e-9, where
+    rounding noise would set it.  A step shorter than half the stopping
+    width is lengthened to it, toward the root's other side.
+
+    Every step must land inside the tightest bracket seen, lo with
+    gap < 0 and hi with gap >= 0; one that leaves it, and every step
+    after the 32nd trial, bisects the bracket, or, while no hi is known
+    yet, takes max(4 lo, 1).  Trials are capped at 1e18, and a gap still
+    negative there fails to bracket.  Stops at an exact zero or once the
+    bracket is narrower than 1e-15 (1 + hi), a few ulps of the root,
+    where gap is rounding noise, and returns the last trial.
+    """
+    lo, hi = 0.0, math.inf
+    last = None
+    x = min(guess, 1e18)
+    for trial in itertools.count(1):
+        fx = gap(x)
         if fx < 0:
-            if moved == "lo":
-                f_hi /= 2
-            lo, f_lo, moved = x, fx, "lo"
+            if x >= 1e18:
+                raise InvalidArgumentError("bump amplitude search failed to bracket the budget")
+            lo = x
         else:
-            if moved == "hi":
-                f_lo /= 2
-            hi, f_hi, moved = x, fx, "hi"
-    return x
+            hi = x
+        if fx == 0 or (hi < math.inf and hi - lo <= 1e-15 * (1.0 + hi)):
+            return x, slope
+        step = math.nan
+        if fx + short > 0:
+            v = math.log1p(fx / short)
+            # values closer than 1e-9 differ by rounding noise: keep the slope
+            if last is not None and abs(v - last[1]) > 1e-9:
+                slope = (v - last[1]) / math.log1p((x - last[0]) / last[0])
+            last = (x, v)
+            step = x + x * math.expm1(-v / slope)
+            tol = 0.5e-15 * (1.0 + x)
+            if abs(step - x) < tol:
+                step = x + tol if fx < 0 else x - tol
+        if trial > 32 or not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < math.inf else max(4.0 * lo, 1.0)
+        x = min(step, 1e18)
 
 
 def mollified_dirac_family(
@@ -392,8 +418,14 @@ def mollified_dirac_family(
     widest bump a modest share of the budget; pushing it far past 1
     would let that member's extra mass show up in sup u.
 
-    Each trial density is at least 1, so each budget takes the
-    unmasked path of _orlicz_budget.
+    The amplitude search (_amplitude_root, secant steps on log budget
+    excess against log amplitude) starts the first member at 1 with
+    slope 1.  Each later member starts from the previous amplitude and
+    slope p: halving eps shrinks the bump's volume by 2^n, so the
+    predicted amplitude ratio is 2^(n/p).  At (2, 1) and (4, 2) that
+    takes at most eight budget integrals per member, about six on
+    average.  Each trial density is at least 1, so each budget takes
+    the unmasked path of _orlicz_budget.
     """
     dim.require_intermediate("the fixed-budget family")
     nodes = quad.radial_grid(R, grid_n)
@@ -401,6 +433,7 @@ def mollified_dirac_family(
     target = 1.05 * flat
 
     members = []
+    amp, slope = 0.0, 1.0
     for frac in (2**-3, 2**-4, 2**-5, 2**-6, 2**-7, 2**-8):
         eps = R * frac
         bump = np.exp(-(nodes**2) / (2.0 * eps * eps))
@@ -408,12 +441,8 @@ def mollified_dirac_family(
         def gap(amp, bump=bump):
             return _orlicz_budget(dim, nodes, 1.0 + amp * bump, weight) - target
 
-        hi = 1.0
-        while gap(hi) < 0:
-            hi *= 4.0
-            if hi > 1e18:
-                raise InvalidArgumentError("bump amplitude search failed to bracket the budget")
-        amp = _increasing_root(gap, 0.0, hi)
+        guess = amp * 2.0 ** (dim.n / slope) if amp else 1.0
+        amp, slope = _amplitude_root(gap, target - flat, guess, slope)
 
         def density(r, amp=amp, eps=eps):
             return 1.0 + amp * np.exp(-(r**2) / (2.0 * eps * eps))
@@ -448,15 +477,20 @@ def fixed_budget_variation_check(family: SampledFamily) -> CheckRecord:
 
 def degiorgi_threshold(c0: float, delta: float, phi0: float, s0: float = 0.0) -> float:
     """Level past which the decay lemma forces phi to vanish."""
-    if not np.isfinite(s0):
+    if not _finite_real(s0):
         raise InvalidArgumentError(f"s0 must be finite, got {s0!r}")
-    if not (np.isfinite(delta) and delta > 0):
+    if not (_finite_real(delta) and delta > 0):
         raise InvalidArgumentError(f"delta must be positive, got {delta!r}")
-    if not (np.isfinite(phi0) and phi0 >= 0):
+    if not (_finite_real(phi0) and phi0 >= 0):
         raise InvalidArgumentError(f"phi0 must be nonnegative, got {phi0!r}")
     # a finite c0 is sign-checked only when phi0 > 0, where it matters
-    if not np.isfinite(c0) or (phi0 > 0 and c0 <= 0):
+    if not _finite_real(c0) or (phi0 > 0 and c0 <= 0):
         raise InvalidArgumentError(f"c0 must be finite, and positive when phi0 > 0, got {c0!r}")
+    return _vanishing_threshold(c0, delta, phi0, s0)
+
+
+def _vanishing_threshold(c0, delta, phi0, s0):
+    # s_inf = 2 C0 phi0^delta / (1 - 2^-delta) + s0, on checked arguments
     return 2.0 * c0 * phi0**delta / (1.0 - 2.0**-delta) + s0
 
 
@@ -516,23 +550,31 @@ def degiorgi_fit_and_verify(s, phi, s0: float | None = None) -> DeGiorgiData:
     if not live[-1]:
         vanish_level = float(s[int(np.argmin(live))])
 
-    # max_j (s_j - s_i) phi_j does not depend on delta: one per live i.
-    pairs = [
-        (float(np.max((s[i + 1 :] - s[i]) * phi[i + 1 :])), phi[i])
-        for i in range(s.size - 1)
-        if not s[i] < s0_val and live[i]
-    ]
-    best: tuple[float, float, float] | None = None
+    # max_{j > i} (s_j - s_i) phi_j does not depend on delta: one row
+    # per live i at or past s0, all rows in one array.
+    rows = np.flatnonzero(live[:-1] & (s[:-1] >= s0_val))
+    ahead = np.arange(s.size) > rows[:, None]
+    tops = np.where(ahead, (s - s[rows, None]) * phi, -math.inf).max(axis=1)
+    pairs = list(zip(tops.tolist(), phi[rows]))
+    tiny = np.finfo(float).tiny
+    fits = []
     for delta in np.round(np.arange(1, 21) * 0.1, 10):
-        c0 = 0.0
         exponent = 1.0 + delta
-        for top, base in pairs:
-            c0 = max(c0, top / base**exponent)
-        s_inf = degiorgi_threshold(max(c0, np.finfo(float).tiny), delta, phi0, s0_val)
-        beyond = s >= s_inf
-        if np.any(beyond) and np.all(phi[beyond] <= PHI_ZERO_TOL):
-            if best is None or s_inf < best[2]:
-                best = (c0, float(delta), s_inf)
+        c0 = max([0.0] + [top / base**exponent for top, base in pairs])
+        floor = max(c0, tiny)
+        # the samples are checked; only an overflowing c0 is left for
+        # degiorgi_threshold to refuse
+        if not math.isfinite(floor):
+            degiorgi_threshold(floor, delta, phi0, s0_val)
+        fits.append((c0, float(delta), _vanishing_threshold(floor, delta, phi0, s0_val)))
+    # phi is nonincreasing, so it is zero from its first zero sample on:
+    # a fit is valid when the first sample at or past its s_inf is zero.
+    zero_from = np.append(~live, False)
+    valid = zero_from[np.searchsorted(s, [s_inf for _, _, s_inf in fits])]
+    best: tuple[float, float, float] | None = None
+    for fit, ok in zip(fits, valid):
+        if ok and (best is None or fit[2] < best[2]):
+            best = fit
     if best is None:
         return DeGiorgiData(
             s=s, phi=phi, c0=math.inf, delta=math.nan, s0=s0_val,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .core import HessianDim
+from .core import HessianDim, _finite_real
 from .errors import InvalidArgumentError, PreconditionError, UnsupportedDimensionError
 from .radial import (
     RadialMeasure, RadialProfile, domain_volume, hessian_mass, level_set_log_ratio, profile_from_slope, s_k_radial,
@@ -53,7 +53,7 @@ class CapacityConfig:
             raise UnsupportedDimensionError(
                 f"capacity needs 2k <= n, got (n, k) = ({self.dim.n}, {self.dim.k})"
             )
-        if not (np.isfinite(self.inner) and np.isfinite(self.outer)) or not 0 < self.inner < self.outer:
+        if not (_finite_real(self.inner) and _finite_real(self.outer)) or not 0 < self.inner < self.outer:
             raise InvalidArgumentError(
                 f"need 0 < inner < outer, got inner={self.inner!r}, outer={self.outer!r}"
             )

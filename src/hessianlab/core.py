@@ -3,12 +3,12 @@
 The k-Hessian operator of a C^2 function is the k-th elementary
 symmetric function of the Hessian eigenvalues.  This module holds the
 spectral kernels (stable elementary symmetric evaluation, Maclaurin
-means); S_1 .. S_n of a symmetric matrix by two independent routes,
-its spectrum and its principal minors, each symmetrizing the matrix
-once; and the dimensional constants every other module needs: the
-unit ball volume, the sharp exponential coefficient, its exponent
-ceiling in the intermediate case 2k = n, and the mass quantum
-separating regular from singular points.
+means); S_1 .. S_n of a symmetric matrix, or of each matrix in a
+stack, by two independent routes, its spectrum and its principal
+minors, each symmetrizing the matrix once; and the dimensional
+constants every other module needs: the unit ball volume, the sharp
+exponential coefficient, its exponent ceiling in the intermediate case
+2k = n, and the mass quantum separating regular from singular points.
 """
 
 from __future__ import annotations
@@ -163,72 +163,82 @@ class HessianDim:
 
 def _as_spectrum(eigs) -> np.ndarray:
     arr = np.asarray(eigs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidArgumentError("spectrum must be a nonempty 1-d array of eigenvalues")
+    if arr.ndim == 0 or arr.size == 0:
+        raise InvalidArgumentError("spectrum must be a nonempty array (..., n) of eigenvalues")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("spectrum entries must be finite")
     return arr
 
 
 def elem_sym_all(eigs) -> np.ndarray:
-    """All elementary symmetric functions e_0 .. e_n of the spectrum.
+    """All elementary symmetric functions e_0 .. e_n of a spectrum, or
+    of each spectrum in a stack (..., n); the result is (..., n + 1).
 
     Builds the coefficients of prod_i (t + lambda_i) by the standard
     one-eigenvalue-at-a-time recurrence, which is numerically stable
-    for the moderate n used here.
+    for the moderate n used here.  A stack runs the same recurrence
+    elementwise, so each spectrum gets the floats it would get alone.
     """
     lam = _as_spectrum(eigs)
-    e = np.zeros(lam.size + 1)
-    e[0] = 1.0
-    for x in lam:
+    e = np.zeros(lam.shape[:-1] + (lam.shape[-1] + 1,))
+    e[..., 0] = 1.0
+    for x in np.moveaxis(lam, -1, 0):
         # the RHS snapshots the previous coefficients before the update
-        e[1:] += x * e[:-1].copy()
+        e[..., 1:] += x[..., None] * e[..., :-1].copy()
     return e
 
 
-def _check_symmetric(mat: np.ndarray) -> np.ndarray:
-    """mat symmetrized, after checking in turn its shape and its
-    entries: finite, then symmetric."""
+def _check_symmetric(mat) -> np.ndarray:
+    """mat, an n x n matrix or a stack (..., n, n) of them, symmetrized
+    after checking in turn its shape and its entries: finite, then
+    each matrix symmetric against its own largest entry."""
     m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise InvalidArgumentError("matrix must be square and nonempty")
     # before the symmetry test, which inf - inf = NaN would pass
     if not np.isfinite(m).all():
         raise InvalidArgumentError("matrix entries must be finite")
-    scale = np.max(np.abs(m)) or 1.0
-    if np.max(np.abs(m - m.T)) > 1e-12 * scale:
+    m_t = np.swapaxes(m, -1, -2)
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    if np.any(np.max(np.abs(m - m_t), axis=(-2, -1)) > 1e-12 * scale):
         raise InvalidArgumentError("matrix is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m_t)
 
 
 def s_k_all_of_matrix(mat) -> np.ndarray:
-    """S_1 .. S_n of a symmetric n x n matrix via its eigenvalue spectrum.
+    """S_1 .. S_n of a symmetric n x n matrix via its eigenvalue spectrum,
+    or of each matrix in a stack (..., n, n), giving (..., n).
 
     One symmetrization, one eigvalsh and one elem_sym_all serve every
     order; entry k - 1 is S_k.
     """
-    return elem_sym_all(np.linalg.eigvalsh(_check_symmetric(mat)))[1:]
+    return elem_sym_all(np.linalg.eigvalsh(_check_symmetric(mat)))[..., 1:]
 
 
-def _minor_sum(m: np.ndarray, k: int) -> float:
-    # the k x k principal minors of a symmetrized m, summed in order
-    idx = np.array(list(combinations(range(m.shape[0]), k)))
-    total = 0.0
-    for det in np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).tolist():
+def _minor_sum(m: np.ndarray, k: int) -> np.ndarray:
+    # the k x k principal minors of each symmetrized matrix in m, summed
+    # in combination order, one matrix per entry of the result
+    idx = np.array(list(combinations(range(m.shape[-1]), k)))
+    total = np.zeros(m.shape[:-2])
+    for det in np.moveaxis(np.linalg.det(m[..., idx[:, :, None], idx[:, None, :]]), -1, 0):
         total += det
     return total
 
 
 def principal_minor_sums(mat) -> np.ndarray:
-    """S_1 .. S_n of a symmetric n x n matrix as sums of principal minors.
+    """S_1 .. S_n of a symmetric n x n matrix as sums of principal minors,
+    or of each matrix in a stack (..., n, n), giving (..., n).
 
     One symmetrization serves every order; entry k - 1 is the sum of
-    the k x k principal minors.  Independent of the eigenvalue route;
-    the sym suite runs both and compares.  Cost grows as 2^n, fine for
-    n <= 8.
+    the k x k principal minors, added one at a time in the order of
+    itertools.combinations, so a matrix in a stack gets the floats it
+    would get alone.  Independent of the eigenvalue route; the sym
+    suite runs both and compares, one stack per matrix size.  Cost
+    grows as 2^n, fine for n <= 8.
     """
     m = _check_symmetric(mat)
-    return np.array([_minor_sum(m, k) for k in range(1, m.shape[0] + 1)])
+    return np.stack([_minor_sum(m, k) for k in range(1, m.shape[-1] + 1)], axis=-1)
 
 
 def maclaurin_means(eigs, k: int) -> np.ndarray:
@@ -238,6 +248,8 @@ def maclaurin_means(eigs, k: int) -> np.ndarray:
     no suite calls this, the tests check that chain.
     """
     lam = _as_spectrum(eigs)
+    if lam.ndim != 1:
+        raise InvalidArgumentError("Maclaurin means take one spectrum, a 1-d array")
     n = lam.size
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise InvalidArgumentError(f"order k must satisfy 1 <= k <= {n}, got {k!r}")

@@ -398,9 +398,9 @@ def regular_point_classify(dim: HessianDim, atoms, p_prime: float = 1.0) -> list
     threshold = dim.concentration_quantum(p_prime)
     labels = []
     for location, mass in atoms:
-        if not (np.isfinite(mass) and mass >= 0):
+        if not (_finite_real(mass) and mass >= 0):
             raise InvalidArgumentError(f"atom mass must be nonnegative, got {mass!r}")
-        if not (np.isfinite(location) and location >= 0):
+        if not (_finite_real(location) and location >= 0):
             raise InvalidArgumentError(f"atom location must be a radius >= 0, got {location!r}")
         singular = mass >= threshold * (1.0 - 1e-12)
         labels.append(
@@ -530,11 +530,11 @@ def harnack_ratio(u: RadialProfile, r: float, density_bound: float, eps: float) 
     rejected.  Diagnostic only: the caller watches the ratio across a
     refinement sweep, nothing is asserted about its value here.
     """
-    if not (np.isfinite(r) and 0 < r <= u.R * (1.0 + 1e-12)):
+    if not (_finite_real(r) and 0 < r <= u.R * (1.0 + 1e-12)):
         raise InvalidArgumentError(f"need 0 < r <= {u.R:g}, got {r!r}")
-    if not (np.isfinite(density_bound) and density_bound > 0):
+    if not (_finite_real(density_bound) and density_bound > 0):
         raise InvalidArgumentError(f"density bound must be positive, got {density_bound!r}")
-    if not (np.isfinite(eps) and eps > 0):
+    if not (_finite_real(eps) and eps > 0):
         raise InvalidArgumentError(f"eps must be positive, got {eps!r}")
     vscale = max(1.0, float(np.max(np.abs(u.values))))
     if np.any(u.values > 1e-12 * vscale):
@@ -575,11 +575,11 @@ def singular_comparison_check(
     z stays below (n/p') log r plus its boundary offset everywhere.
     """
     dim.require_intermediate("the comparison")
-    if not (np.isfinite(atom_factor) and atom_factor >= 1.0):
+    if not (_finite_real(atom_factor) and atom_factor >= 1.0):
         raise InvalidArgumentError(
             f"the bound needs a finite atom at or above the quantum, got factor {atom_factor!r}"
         )
-    if not (np.isfinite(background) and background >= 0):
+    if not (_finite_real(background) and background >= 0):
         raise InvalidArgumentError(f"background density must be finite and nonnegative, got {background!r}")
     quantum = dim.concentration_quantum(p_prime)
     atom = atom_factor * quantum
@@ -610,7 +610,7 @@ _BUBBLE_DIM = HessianDim(2, 1)
 def bubble_profile(lam: float, R: float = 1.0, grid_n: int = quad.DEFAULT_GRID_N) -> RadialProfile:
     """Exact n = 2 solution u(r) = 2 log(1 + lam^2 r^2) - log(8 lam^2)
     of the unit-weight equation."""
-    if not (np.isfinite(lam) and lam > 0):
+    if not (_finite_real(lam) and lam > 0):
         raise InvalidArgumentError(f"bubble scale must be positive, got {lam!r}")
     nodes = quad.radial_grid(R, grid_n)
     t = (lam * nodes) ** 2

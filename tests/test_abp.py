@@ -360,6 +360,53 @@ class TestFixedBudgetFamily:
         with pytest.raises(UnsupportedDimensionError):
             mollified_dirac_family(HessianDim(3, 1), w)
 
+    def test_amplitude_past_the_cap_fails_to_bracket(self):
+        # at (18, 9) the narrowest bump needs an amplitude above 1e18
+        with pytest.raises(InvalidArgumentError, match="bump amplitude search failed to bracket the budget"):
+            mollified_dirac_family(HessianDim(18, 9), OrliczWeight("exp", 9, rate=1.0))
+
+    @pytest.mark.parametrize("grid_n", [2048, 8192])
+    @pytest.mark.parametrize("nk", [(2, 1), (4, 2)])
+    def test_each_amplitude_takes_at_most_eight_budgets(self, monkeypatch, nk, grid_n):
+        # the flat budget once, then every budget integral is a gap
+        # evaluation of the member being solved
+        counts = []
+        original = abp._orlicz_budget
+
+        def counting(dim, nodes, g, weight):
+            counts.append(None)
+            return original(dim, nodes, g, weight)
+
+        monkeypatch.setattr(abp, "_orlicz_budget", counting)
+        per_member, root = [], abp._amplitude_root
+
+        def counting_root(*args):
+            start = len(counts)
+            found = root(*args)
+            per_member.append(len(counts) - start)
+            return found
+
+        monkeypatch.setattr(abp, "_amplitude_root", counting_root)
+        dim = HessianDim(*nk)
+        mollified_dirac_family(dim, OrliczWeight("exp", dim.k, rate=1.0), grid_n=grid_n)
+        assert len(per_member) == 6 and max(per_member) <= 8, per_member
+        assert len(counts) == 1 + sum(per_member)
+
+    def test_abp_suite_takes_at_most_120_budgets(self, monkeypatch):
+        # two families: a flat budget, the amplitude searches of six
+        # members and one budget per member in sample_family
+        counts = []
+        original = abp._orlicz_budget
+
+        def counting(*args):
+            counts.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(abp, "_orlicz_budget", counting)
+        rows, status = run_suite(config_from_sources(None, {"suite": "abp", "grid_n": 8192}))
+        assert status == 0
+        assert len(counts) <= 120
+
     def test_amplitudes_match_brentq(self, intermediate_dim):
         # scipy's brentq on the same budget gap is the oracle for the
         # bracketing root find; a member's height at r = 0 is 1 + amplitude.
@@ -427,13 +474,13 @@ BUDGET_WEIGHTS = {
 }
 
 # Heights 1 + A(eps) at r = 0 of the six members of the suite's families
-# (Phi = e^t, R = 1, grid 2048), taken before the budget factors were
-# hoisted; the fixed-budget record reads these heights.
+# (Phi = e^t, R = 1, grid 2048), as the secant amplitude search finds
+# them; the fixed-budget record reads these heights.
 MOLLIFIED_HEIGHTS = {
-    (2, 1): ["0x1.aeeb8a967b94ap+0", "0x1.8ca4d5550e5e5p+1", "0x1.9b7fb7b647eb6p+2",
-             "0x1.ae65b10eb1bddp+3", "0x1.bb103aaecde25p+4", "0x1.c239e4b6f0492p+5"],
-    (4, 2): ["0x1.f865333e880eep+2", "0x1.2d6500b6ab3fbp+5", "0x1.3dea825066187p+7",
-             "0x1.4252cbb9a8e7ep+9", "0x1.437150417a66bp+11", "0x1.43b93889e8bb5p+13"],
+    (2, 1): ["0x1.aeeb8a967b942p+0", "0x1.8ca4d5550e5edp+1", "0x1.9b7fb7b647eb6p+2",
+             "0x1.ae65b10eb1be4p+3", "0x1.bb103aaecde20p+4", "0x1.c239e4b6f04a3p+5"],
+    (4, 2): ["0x1.f865333e880d1p+2", "0x1.2d6500b6ab3fdp+5", "0x1.3dea825066186p+7",
+             "0x1.4252cbb9a8e82p+9", "0x1.437150417a670p+11", "0x1.43b93889e8bb3p+13"],
 }
 
 

@@ -28,7 +28,8 @@ from hessianlab.core import (
 from hessianlab import abp, radial
 from hessianlab import brezis_merle as bm
 from hessianlab import liouville as liu
-from hessianlab.errors import InvalidArgumentError, UnsupportedDimensionError
+from hessianlab.capacity import CapacityConfig
+from hessianlab.errors import InvalidArgumentError, InvalidWeightError, UnsupportedDimensionError
 from hessianlab.families import FamilySpec, make_profile
 
 
@@ -73,7 +74,9 @@ class TestElementarySymmetric:
         with pytest.raises(InvalidArgumentError):
             elem_sym_all([1.0, math.nan])
         with pytest.raises(InvalidArgumentError):
-            elem_sym_all([[1.0, 2.0]])
+            elem_sym_all(1.0)
+        with pytest.raises(InvalidArgumentError):
+            elem_sym_all(np.zeros((2, 0)))
 
 
 def per_order_routes(mat, k: int) -> tuple[float, float]:
@@ -166,6 +169,36 @@ class TestMatrixRoutes:
             for idx in combinations(range(n), k):
                 expected += float(np.linalg.det(mat[np.ix_(idx, idx)]))
             assert sums[k - 1] == expected
+
+    def test_stacks_match_one_matrix_at_a_time(self, sym_matrices):
+        # each route on one stack per size gives, bit for bit, the floats
+        # of one call per matrix
+        for n in range(2, 7):
+            mats = [mat for mat in sym_matrices if mat.shape[0] == n]
+            stack = np.stack(mats)
+            for route in (s_k_all_of_matrix, principal_minor_sums):
+                assert np.array_equal(route(stack), np.stack([route(mat) for mat in mats]))
+            spectra = np.linalg.eigvalsh(stack)
+            assert np.array_equal(elem_sym_all(spectra), np.stack([elem_sym_all(lam) for lam in spectra]))
+            # a stack of stacks keeps its leading axes
+            assert principal_minor_sums(stack.reshape(2, -1, n, n)).shape == (2, len(mats) // 2, n)
+
+    @pytest.mark.parametrize("route", [s_k_all_of_matrix, principal_minor_sums])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.inf, "matrix entries must be finite"), (1.0, "matrix is not symmetric within tolerance")],
+        ids=["non-finite", "asymmetric"],
+    )
+    def test_one_bad_matrix_fails_its_stack(self, sym_matrices, route, bad, message):
+        stack = np.stack([mat for mat in sym_matrices if mat.shape[0] == 4])
+        stack[3, 0, 1] += bad
+        with pytest.raises(InvalidArgumentError, match=message):
+            route(stack)
+
+    def test_one_matrix_keeps_its_shapes(self):
+        mat = np.diag([1.0, 2.0, 3.0])
+        assert s_k_all_of_matrix(mat).shape == principal_minor_sums(mat).shape == (3,)
+        assert elem_sym_all([1.0, 2.0, 3.0]).shape == (4,)
 
     def test_corpus_sizes(self, sym_matrices):
         assert sorted({m.shape[0] for m in sym_matrices}) == [2, 3, 4, 5, 6]
@@ -369,3 +402,45 @@ def test_matrix_routes_agree_on_random_symmetric(args):
     gap = np.abs(s_k_all_of_matrix(mat) - principal_minor_sums(mat))
     for k in range(1, n + 1):
         assert gap[k - 1] <= 1e-9 * math.comb(n, k) * spread**k
+
+
+_D42 = HessianDim(4, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: abp.OrliczWeight("exp", 1, rate="1"), InvalidWeightError, "exp weight needs rate >= 0, got '1'"),
+        (lambda: abp.OrliczWeight("power", 1, exponent="2"), InvalidWeightError,
+         "power weight needs exponent >= 0, got '2'"),
+        (lambda: abp.degiorgi_threshold("1", 1.0, 1.0), InvalidArgumentError,
+         "c0 must be finite, and positive when phi0 > 0, got '1'"),
+        (lambda: abp.degiorgi_threshold(1.0, "1", 1.0), InvalidArgumentError, "delta must be positive, got '1'"),
+        (lambda: abp.degiorgi_threshold(1.0, 1.0, "1"), InvalidArgumentError, "phi0 must be nonnegative, got '1'"),
+        (lambda: abp.degiorgi_threshold(1.0, 1.0, 1.0, "0"), InvalidArgumentError, "s0 must be finite, got '0'"),
+        (lambda: CapacityConfig(_D42, "0.5", 1.0), InvalidArgumentError,
+         "need 0 < inner < outer, got inner='0.5', outer=1.0"),
+        (lambda: CapacityConfig(_D42, 0.5, "1"), InvalidArgumentError,
+         "need 0 < inner < outer, got inner=0.5, outer='1'"),
+        (lambda: liu.singular_comparison_check(_D42, atom_factor="2"), InvalidArgumentError,
+         "the bound needs a finite atom at or above the quantum, got factor '2'"),
+        (lambda: liu.singular_comparison_check(_D42, background="0"), InvalidArgumentError,
+         "background density must be finite and nonnegative, got '0'"),
+        (lambda: liu.regular_point_classify(_D42, [(0.0, "1")]), InvalidArgumentError,
+         "atom mass must be nonnegative, got '1'"),
+        (lambda: liu.regular_point_classify(_D42, [("0", 1.0)]), InvalidArgumentError,
+         "atom location must be a radius >= 0, got '0'"),
+        (lambda: liu.harnack_ratio(liu.bubble_profile(1.0, grid_n=256), "0.5", 1.0, 1.0), InvalidArgumentError,
+         "need 0 < r <= 1, got '0.5'"),
+        (lambda: liu.harnack_ratio(liu.bubble_profile(1.0, grid_n=256), 0.5, "1", 1.0), InvalidArgumentError,
+         "density bound must be positive, got '1'"),
+        (lambda: liu.harnack_ratio(liu.bubble_profile(1.0, grid_n=256), 0.5, 1.0, "1"), InvalidArgumentError,
+         "eps must be positive, got '1'"),
+        (lambda: liu.bubble_profile("1"), InvalidArgumentError, "bubble scale must be positive, got '1'"),
+    ],
+)
+def test_string_numbers_are_refused_with_the_range_message(call, error, message):
+    # each once raised a bare TypeError from np.isfinite
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

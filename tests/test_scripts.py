@@ -124,6 +124,7 @@ class TestReportDiff:
             ("--suite", "all", "--grid-n", "100000000000"),
             bm + ("2", "--k", "1", "--beta", "2.0000000000005"),
             bm + ("5", "--k", "1", "--p", "1.6666666666675"),
+            ("--suite", "abp", "--n", "18", "--k", "9"),
             ("--suite", "bm", "--family", "mollified-log"),
             bm + ("3", "--k", "1", "--family", "newtonian"),
             bm + ("5", "--k", "1", "--family", "newtonian"),

@@ -30,12 +30,15 @@ told apart by its order there, and its later copies print as `#2`,
 `#3`, ...  A config that exits 3 has an empty report on both sides, so
 its stderr line (the error it raised) is what tells the two apart.
 
-Then the checkpoint bytes: each checkout solves S_k[u] = c e^{-u},
-u(1) = 0 cold at (2,1) c = 1.9 and (4,2) c = 20 on grids 2048 and 8192
-and prints the solution as a line `n k R boundary` and then one line
-per node with the repr of its node, value and slope, written by this
-script's own program with no library format; identical texts print one
-`same` line, and otherwise the first differing line is printed.
+Then the checkpoint bytes: each checkout solves S_k[u] = V e^{-u},
+u(1) = 0 with no initial guess, for the constant V = 1.9 at (2,1) and
+V = 20 at (4,2), whose solves start on the closed-form minimal branch,
+and for V = 1 + r^2 at (2,1), whose solve starts from u = 0, each on
+grids 2048 and 8192.  It prints the solution as a line `n k R boundary`
+and then one line per node with the repr of its node, value and slope,
+written by this script's own program with no library format; identical
+texts print one `same` line, and otherwise the first differing line is
+printed.
 
 Exits 0 when every pair of reports has the same rows and verdicts
 (numeric drift alone is shown but tolerated), and 1 when a row is
@@ -117,16 +120,22 @@ CLI_CONFIGS = (
 )
 
 
-# (n, k, c, grid) of each checkpoint compared, and the program that
-# writes one to stdout.
-CHECKPOINTS = tuple((n, k, c, grid) for n, k, c in ((2, 1, 1.9), (4, 2, 20.0)) for grid in (2048, 8192))
+# (n, k, weight, c, grid) of each checkpoint compared, and the program
+# that writes one to stdout.  The weight is "constant", V = c, or
+# "rising", V = c (1 + r^2), which keeps the solve's cold start compared.
+CHECKPOINTS = tuple(
+    (n, k, weight, c, grid)
+    for n, k, weight, c in ((2, 1, "constant", 1.9), (4, 2, "constant", 20.0), (2, 1, "rising", 1.0))
+    for grid in (2048, 8192)
+)
 CHECKPOINT_PROGRAM = """
 import sys
 import numpy as np
 from hessianlab.core import HessianDim
 from hessianlab.liouville import LiouvilleProblem, solve_liouville
-n, k, c, grid = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
-u = solve_liouville(LiouvilleProblem(HessianDim(n, k), lambda r: np.full_like(r, c), grid_n=grid))
+n, k, weight, c, grid = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3], float(sys.argv[4]), int(sys.argv[5])
+V = {"constant": lambda r: np.full_like(r, c), "rising": lambda r: c * (1.0 + r * r)}[weight]
+u = solve_liouville(LiouvilleProblem(HessianDim(n, k), V, grid_n=grid))
 print(n, k, repr(u.R), repr(u.boundary))
 for row in zip(u.nodes.tolist(), u.values.tolist(), u.slope.tolist()):
     print(*map(repr, row))
@@ -258,8 +267,9 @@ def main(argv: list[str] | None = None) -> int:
             print("\n".join(lines))
             status = status or int(breaking)
     for checkpoint in CHECKPOINTS:
-        n, k, c, grid = checkpoint
-        label = f"checkpoint ({n},{k}) c={c:g} --grid-n {grid}"
+        n, k, weight, c, grid = checkpoint
+        shown = f"c={c:g}" if weight == "constant" else f"V={c:g}(1+r^2)"
+        label = f"checkpoint ({n},{k}) {shown} --grid-n {grid}"
         base_code, base, base_err = run_checkpoint(args.base.resolve(), checkpoint)
         head_code, head, head_err = run_checkpoint(args.head.resolve(), checkpoint)
         lines = compare_checkpoint(base, head) + compare_stderr(base_err, head_err)

@@ -169,11 +169,11 @@ def orlicz_h(weight: OrliczWeight, budget: float, q: float, alpha: float) -> Orl
         raise InvalidWeightError(
             f"weight tail integral diverges (kind={weight.kind!r}); barrier undefined"
         )
-    if not (np.isfinite(q) and q > 1):
+    if not (_finite_real(q) and q > 1):
         raise InvalidArgumentError(f"need q > 1, got {q!r}")
-    if not (np.isfinite(alpha) and alpha > 0):
+    if not (_finite_real(alpha) and alpha > 0):
         raise InvalidArgumentError(f"need alpha > 0, got {alpha!r}")
-    if not (np.isfinite(budget) and budget > 0):
+    if not (_finite_real(budget) and budget > 0):
         raise InvalidArgumentError(f"need a positive finite budget, got {budget!r}")
     scale = (q / alpha) * budget ** (1.0 / weight.k)
     return OrliczBarrier(weight=weight, scale=scale, s0=scale * weight.lam)
@@ -539,7 +539,7 @@ def degiorgi_fit_and_verify(s, phi, s0: float | None = None) -> DeGiorgiData:
     scale = float(phi[0]) if phi[0] > 0 else 1.0
     if np.any(np.diff(phi) > 1e-12 * scale):
         raise InvalidArgumentError("level-set masses must be nonincreasing")
-    if s0 is not None and not np.isfinite(s0):
+    if s0 is not None and not _finite_real(s0):
         raise InvalidArgumentError(f"s0 must be finite, got {s0!r}")
     phi = np.minimum.accumulate(phi)
     s0_val = float(s[0]) if s0 is None else float(s0)
@@ -598,7 +598,7 @@ def degiorgi_from_run(solution: RadialProfile, mu: RadialMeasure, s_max: float |
     depth = -float(solution.values[0])
     if s_max is None:
         s_max = 4.0 * depth if depth > 0 else 1.0
-    elif not (np.isfinite(s_max) and s_max > 0):
+    elif not (_finite_real(s_max) and s_max > 0):
         raise InvalidArgumentError(f"s_max must be positive, got {s_max!r}")
     s = np.linspace(0.0, s_max, 33)
     phi = np.empty_like(s)

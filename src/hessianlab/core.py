@@ -142,7 +142,7 @@ class HessianDim:
     def concentration_quantum(self, p_prime: float = 1.0) -> float:
         """Mass threshold (moser_constant / p')^k below which a point
         concentration stays regular."""
-        if not np.isfinite(p_prime) or p_prime < 1.0:
+        if not _finite_real(p_prime) or p_prime < 1.0:
             raise InvalidArgumentError(f"conjugate exponent p' must be >= 1, got {p_prime!r}")
         return (self.moser_constant / p_prime) ** self.k
 

@@ -14,7 +14,12 @@ give that problem a solution; so no weight with min V > c* has one.
 The solve raises NoSolutionError when min V over the grid nodes
 exceeds c* (1 + 1e-12), the slack covering rounding in c* only.  For
 every other weight, one with no solution is still found by the loop,
-as a stall, an iteration cap or a clip/overflow.  On top of the
+as a stall, an iteration cap or a clip/overflow.  The family's
+minimal branch, the one below the fold, is closed form too
+(branch_solution).  A constant-V solve with no initial guess starts
+from it, so the loop only corrects its discretization error and ends on
+the minimal branch, where a cold start near the (4,2) fold could end on
+the upper one.  On top of the
 solver sit the diagnostics: local masses of V exp(-u), the
 uniform-boundedness check under a sub-threshold mass budget, the
 regular/singular split of limit atoms against the quantum (a0/p')^k,
@@ -25,7 +30,7 @@ point.  Sweeps are streams of (problem, profile) pairs, solved as the
 sweep checks ask for them, so a check holds one solved member at a time.
 
 Dimensions are restricted to (n, k) = (2, 1) and (4, 2): the first has
-an exact closed-form oracle (the bubble below), the second is the first
+the exact bubble below as a second oracle, the second is the first
 genuinely fully nonlinear borderline case.
 """
 
@@ -51,6 +56,7 @@ from .radial import (
     _require_radius,
     _s_k_density,
     _sampled,
+    profile_from_slope,
     s_k_radial,
     solve_dirichlet,
     value_at,
@@ -61,6 +67,7 @@ __all__ = [
     "SUPPORTED_DIMS",
     "LiouvilleProblem",
     "fold_value",
+    "branch_solution",
     "solve_liouville",
     "equation_residual",
     "solve_sequence",
@@ -166,6 +173,81 @@ def fold_value(dim: HessianDim, R: float = 1.0, boundary: float = 0.0) -> float:
         return float(unit * np.power(float(R), -n) * np.exp(float(boundary)))
 
 
+def _refuse_past_the_fold(dim: HessianDim, R: float, boundary: float, low: float, what: str) -> float:
+    """fold_value(dim, R, boundary), after raising NoSolutionError when
+    the constant weight `low` (named `what`) exceeds it by more than the
+    slack."""
+    fold = fold_value(dim, R, boundary)
+    if low > fold * (1.0 + _FOLD_SLACK):
+        raise NoSolutionError(
+            f"no fixed point: {what} = {low:.9g} is past the fold c* = {fold:.9g} of "
+            f"(n, k) = ({dim.n}, {dim.k}) with R = {R:g} and boundary {boundary:g}"
+        )
+    return fold
+
+
+def _branch_scale(k: int, q: float) -> float:
+    """The minimal branch's x in [0, k]: the root of
+    x^k (1+x)^(-k-1) = q k^k (1+k)^(-k-1), which rises on (0, k), at the
+    fraction q = c/c* of the fold; x = k from q >= 1 on."""
+    if q >= 1.0:
+        return float(k)
+    if q == 0.0:
+        return 0.0
+    if k == 1:
+        # the smaller root of q (1+x)^2 = 4x, written without cancellation
+        return q / (2.0 - q + 2.0 * math.sqrt(1.0 - q))
+    # Bisection in s = log x.  As (1+x)^(-k-1) lies between 1 and
+    # (1+k)^(-k-1) on (0, k), the root lies between k q^(1/k)
+    # (1+k)^(-(k+1)/k) and k q^(1/k).
+    log_k, log_q, log1p_k = math.log(k), math.log(q), math.log1p(k)
+    lo = log_k + (log_q - (k + 1) * log1p_k) / k
+    hi = log_k + log_q / k
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.exp(mid)
+        if k * (mid - log_k) - (k + 1) * (math.log1p(math.exp(mid)) - log1p_k) < log_q:
+            lo = mid
+        else:
+            hi = mid
+
+
+def branch_solution(
+    dim: HessianDim,
+    c: float,
+    R: float = 1.0,
+    boundary: float = 0.0,
+    grid_n: int = quad.DEFAULT_GRID_N,
+) -> RadialProfile:
+    """The minimal-branch radial solution of S_k[u] = c exp(-u) on B_R,
+    u(R) = boundary, for a constant c >= 0 and 2k = n, in closed form:
+
+        u(r) = (k+1) log(1 + x r^2/R^2) - (k+1) log(1 + x) + boundary,
+
+    x in [0, k] the root of x^k (1+x)^(-k-1) = c e^(-boundary) beta^k R^n
+    (beta^k as in fold_value).  The left side rises on (0, k) and peaks
+    at the fold x = k, where c = fold_value(dim, R, boundary) and the
+    Hessian mass is dim.concentration_quantum(); c = 0 gives
+    u = boundary.  For k = 1 x is the smaller root of a quadratic, for
+    k >= 2 a bisection in log x.  Past the fold by more than 1e-12
+    relative there is no solution, and NoSolutionError is raised as
+    solve_liouville's precheck raises it.
+    """
+    if not (_finite_real(c) and c >= 0):
+        raise InvalidArgumentError(f"constant weight must be finite and nonnegative, got {c!r}")
+    fold = _refuse_past_the_fold(dim, R, boundary, c, "c")
+    k = dim.k
+    x = _branch_scale(k, c / fold if c > 0 else 0.0)
+    nodes = quad.radial_grid(R, grid_n)
+    z = x * (nodes / R) ** 2
+    # z[-1] is x itself, so the last value is the boundary value exactly
+    log_z = np.log1p(z)
+    values = (k + 1) * (log_z - log_z[-1]) + boundary
+    slope = 2.0 * (k + 1) * z / (nodes * (1.0 + z))
+    return profile_from_slope(dim, R, nodes, slope, boundary, values=values, unbounded_origin=False)
+
+
 def _exp_measure(dim: HessianDim, R: float, nodes: np.ndarray, v: np.ndarray, u: np.ndarray) -> RadialMeasure:
     """V exp(-u) dx from samples, exp(-u) clipped at exp(700).  Overflow
     is quiet: it ends as InvalidMeasureError or an infinite total, which
@@ -225,8 +307,13 @@ def solve_liouville(
     G: u -> dirichlet_solve(V exp(-u) dx, b) with one Dirichlet
     solve per iteration; the next iterate mixes the last five images by
     the weights that minimize the mixed residual G(u) - u (Anderson
-    acceleration; Walker & Ni, SINUM 2011).  Stops when the sup-norm
-    step |G(u) - u| falls below 1e-10 (relative to max(1, sup |G(u)|)),
+    acceleration; Walker & Ni, SINUM 2011).  It starts from `initial`
+    (interpolated onto the nodes and shifted to the boundary value) when
+    one is given; else, when V is constant on the nodes, from the
+    closed-form minimal branch at that constant (branch_solution),
+    sampled on the same nodes, so the solve ends on the minimal branch;
+    else from u = boundary.  Stops when the sup-norm
+    step |G(u) - u| falls below 1e-11 (relative to max(1, sup |G(u)|)),
     when 20 steps in a row fail to halve the best step (a stall: how the
     iteration behaves past the fold of a weight the precheck passes), or
     at `max_iter`.  The last image is returned when its cumulative-mass
@@ -240,14 +327,18 @@ def solve_liouville(
     # the grid's read-only nodes, which every image shares
     nodes = quad.radial_grid(prob.R, prob.grid_n)
     v = prob.density_on(nodes)
-    fold = fold_value(prob.dim, prob.R, prob.boundary)
-    if v.min() > fold * (1.0 + _FOLD_SLACK):
-        raise NoSolutionError(
-            f"no fixed point: min V = {v.min():.9g} is past the fold c* = {fold:.9g} of "
-            f"(n, k) = ({prob.dim.n}, {prob.dim.k}) with R = {prob.R:g} and boundary {prob.boundary:g}"
-        )
+    low = float(v.min())
+    _refuse_past_the_fold(prob.dim, prob.R, prob.boundary, low, "min V")
+    if initial is not None:
+        x = np.interp(np.log(nodes), np.log(initial.nodes), initial.values)
+        x += prob.boundary - x[-1]
+    elif low == v.max():
+        # on the same nodes: branch_solution samples the grid's shared array
+        x = branch_solution(prob.dim, low, prob.R, prob.boundary, prob.grid_n).values
+    else:
+        x = np.full_like(nodes, float(prob.boundary))
     # the loop's iterates and history are freed before the residual
-    image, it, step, reason = _anderson(prob, nodes, v, initial, max_iter)
+    image, it, step, reason = _anderson(prob, nodes, v, x, max_iter)
     # Acceptance is decided by the equation residual of the last image
     # against its own density, not by why the loop stopped.
     res = math.inf if image is None else _residual(prob, v, image)
@@ -262,16 +353,11 @@ def solve_liouville(
     )
 
 
-def _anderson(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, initial: RadialProfile | None,
-              max_iter: int):
-    """The fixed-point loop of solve_liouville on the grid nodes and the
-    samples v of V there: the last image (None when it overflowed), the
-    iteration count, the last step and the stop reason."""
-    if initial is None:
-        x = np.full_like(nodes, float(prob.boundary))
-    else:
-        x = np.interp(np.log(nodes), np.log(initial.nodes), initial.values)
-        x += prob.boundary - x[-1]
+def _anderson(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, x: np.ndarray, max_iter: int):
+    """The fixed-point loop of solve_liouville from the start x, on the
+    grid nodes and the samples v of V there: the last image (None when
+    it overflowed), the iteration count, the last step and the stop
+    reason."""
     # Rows hold differences of successive residuals G(x) - x and of
     # successive images G(x); the oldest row is overwritten first.  Both
     # are one block: glibc raises its heap trim threshold to twice the
@@ -291,7 +377,7 @@ def _anderson(prob: LiouvilleProblem, nodes: np.ndarray, v: np.ndarray, initial:
         g = image.values
         f = g - x
         step = float(np.max(np.abs(f)))
-        if step <= 1e-10 * max(1.0, float(np.max(np.abs(g)))):
+        if step <= 1e-11 * max(1.0, float(np.max(np.abs(g)))):
             reason = "converged"
             break
         since_best = 0 if step <= best / 2.0 else since_best + 1

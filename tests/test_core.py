@@ -405,6 +405,7 @@ def test_matrix_routes_agree_on_random_symmetric(args):
 
 
 _D42 = HessianDim(4, 2)
+_EXP1 = abp.OrliczWeight("exp", 1, rate=1.0)
 
 
 @pytest.mark.parametrize(
@@ -437,6 +438,14 @@ _D42 = HessianDim(4, 2)
         (lambda: liu.harnack_ratio(liu.bubble_profile(1.0, grid_n=256), 0.5, 1.0, "1"), InvalidArgumentError,
          "eps must be positive, got '1'"),
         (lambda: liu.bubble_profile("1"), InvalidArgumentError, "bubble scale must be positive, got '1'"),
+        (lambda: abp.degiorgi_fit_and_verify(np.linspace(0.0, 1.0, 8), np.zeros(8), s0="0"), InvalidArgumentError,
+         "s0 must be finite, got '0'"),
+        (lambda: abp.degiorgi_from_run(liu.bubble_profile(1.0, grid_n=256), None, s_max="1"), InvalidArgumentError,
+         "s_max must be positive, got '1'"),
+        (lambda: abp.orlicz_h(_EXP1, "1", 2.0, 1.0), InvalidArgumentError, "need a positive finite budget, got '1'"),
+        (lambda: abp.orlicz_h(_EXP1, 1.0, "2", 1.0), InvalidArgumentError, "need q > 1, got '2'"),
+        (lambda: abp.orlicz_h(_EXP1, 1.0, 2.0, "1"), InvalidArgumentError, "need alpha > 0, got '1'"),
+        (lambda: _D42.concentration_quantum("1"), InvalidArgumentError, "conjugate exponent p' must be >= 1, got '1'"),
     ],
 )
 def test_string_numbers_are_refused_with_the_range_message(call, error, message):

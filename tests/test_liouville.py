@@ -19,10 +19,12 @@ from hessianlab import (
     bubble_problem,
     bubble_profile,
     bubble_residual_sup,
+    branch_solution,
     classify_alternative,
     config_from_sources,
     fold_value,
     harnack_ratio,
+    hessian_mass,
     local_mass,
     make_profile,
     regular_point_classify,
@@ -35,6 +37,7 @@ from hessianlab import (
 from hessianlab import liouville as liouville_mod
 from hessianlab import quadrature as quad
 from hessianlab.families import FamilySpec
+from hessianlab.radial import RadialMeasure, s_k_radial
 
 DIM2 = HessianDim(2, 1)
 DIM4 = HessianDim(4, 2)
@@ -228,6 +231,35 @@ class TestIterationBudget:
         solve_liouville(constant_problem(1.99, grid_n=2048))
         assert len(solves) <= 20
 
+    def test_seeded_near_the_fold(self, solves):
+        # the closed-form minimal branch is the start; cold from u = 0 this
+        # took 13 solves
+        solve_liouville(constant_problem(1.99, grid_n=2048))
+        assert len(solves) <= 6
+
+    def test_liouville_suite_at_the_fine_grid(self, solves):
+        # every solve of the suite has a constant weight, and at grid 8192
+        # most end after one solve; cold starts made 144
+        _, status = run_suite(config_from_sources(None, {"suite": "liouville", "grid_n": 8192}))
+        assert status == 0
+        assert len(solves) <= 35
+
+    def test_a_varying_weight_starts_cold(self, solves):
+        solve_liouville(LiouvilleProblem(DIM2, lambda r: 1.0 + r * r, grid_n=2048))
+        assert len(solves) == 8
+
+    @pytest.mark.parametrize("lam", [4.0, 16.0])
+    def test_a_callers_initial_is_used_as_given(self, lam):
+        # The lam-bubble with lam = 4 or 16 is an upper-branch solution of
+        # V = 1 (x = lam^2/8 > k = 1).  The solver-bubble rows start from it
+        # and must end there, 5.5 and 11.1 from the minimal branch at the
+        # center, where the solve ends when it is given no initial guess.
+        prob = bubble_problem(lam, grid_n=2048)
+        exact = bubble_profile(lam, grid_n=2048)
+        minimal = branch_solution(DIM2, 1.0, boundary=prob.boundary, grid_n=2048)
+        assert np.max(np.abs(solve_liouville(prob, initial=exact).values - exact.values)) <= 1e-8
+        assert np.max(np.abs(solve_liouville(prob).values - minimal.values)) <= 1e-8
+
     def test_fully_nonlinear_case(self, solves):
         # damped Picard needed 38 solves here
         prob = LiouvilleProblem(HessianDim(4, 2), lambda r: np.full_like(r, 25.0), grid_n=2048)
@@ -354,6 +386,86 @@ class TestFoldPrecheck:
         exact = bubble_profile(1.0, grid_n=8192)
         u = solve_liouville(prob, initial=exact)
         assert float(np.max(np.abs(u.values - exact.values))) <= 1e-9
+
+
+def mass_mismatch(dim, c, u) -> float:
+    # sup |S_k[u](B_r) - int_{B_r} c e^{-u}| over the total mass
+    target = RadialMeasure.from_density(dim, u.R, u.nodes, c * np.exp(-u.values))
+    return float(np.max(np.abs(s_k_radial(u).cumulative - target.cumulative))) / target.total
+
+
+class TestMinimalBranch:
+    """branch_solution's closed form, and the constant-V solve that
+    starts from it."""
+
+    @pytest.mark.parametrize("dim", [DIM2, DIM4], ids=lambda d: f"n{d.n}k{d.k}")
+    @pytest.mark.parametrize("grid_n", [2048, 8192])
+    @pytest.mark.parametrize("R", [1e-3, 1.0, 10.0])
+    @pytest.mark.parametrize("b", [0.0, 5.0])
+    @pytest.mark.parametrize("fraction", [0.3, 0.9, 1.0])
+    def test_solves_the_equation_on_the_grid(self, dim, grid_n, R, b, fraction):
+        # The mismatch is the quadrature's and falls at fourth order:
+        # measured at most 4.4e-9 at grid 2048 and 1.7e-11 at 8192.
+        c = fraction * fold_value(dim, R, b)
+        u = branch_solution(dim, c, R, b, grid_n)
+        assert u.nodes is quad.radial_grid(R, grid_n)
+        assert u.values[-1] == b
+        assert mass_mismatch(dim, c, u) <= 6e-9 * (2048 / grid_n) ** 4
+
+    @pytest.mark.parametrize("dim", [HessianDim(6, 3), HessianDim(8, 4)], ids=lambda d: f"n{d.n}k{d.k}")
+    @pytest.mark.parametrize("fraction", [0.3, 0.9, 1.0])
+    def test_solves_the_equation_past_the_supported_dimensions(self, dim, fraction):
+        # the bisection branch for k >= 3; measured at most 6.5e-11
+        c = fraction * fold_value(dim)
+        assert mass_mismatch(dim, c, branch_solution(dim, c, grid_n=8192)) <= 1e-10
+
+    @pytest.mark.parametrize("c", [0.3, 1.0, 1.9, 1.99, 2.0])
+    def test_agrees_with_the_quadratic_root_at_n2(self, c):
+        b = minimal_branch_scale(c)
+        u = branch_solution(DIM2, c, grid_n=256)
+        exact = 2.0 * np.log1p(b * u.nodes**2) - math.log(8.0 * b / c)
+        assert np.max(np.abs(u.values - exact)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [DIM2, DIM4, HessianDim(6, 3)], ids=lambda d: f"n{d.n}k{d.k}")
+    @pytest.mark.parametrize("R, b", [(1.0, 0.0), (1e-3, 5.0), (10.0, -2.0)])
+    def test_the_fold_carries_the_quantum(self, dim, R, b):
+        # x = k at c = c*: u(0) = b - (k+1) log(1+k), u'(R) = 2k/R, and the
+        # Hessian mass is the concentration quantum
+        k = dim.k
+        u = branch_solution(dim, fold_value(dim, R, b), R, b)
+        assert u.values[0] == pytest.approx(b - (k + 1) * math.log1p(k), abs=1e-14)
+        assert u.slope[-1] == pytest.approx(2.0 * k / R, rel=1e-15)
+        assert hessian_mass(u) == pytest.approx(dim.concentration_quantum(), rel=1e-14)
+
+    def test_zero_weight_is_the_boundary_constant(self):
+        u = branch_solution(DIM4, 0.0, boundary=0.7, grid_n=256)
+        assert np.all(u.values == 0.7) and np.all(u.slope == 0.0)
+
+    @pytest.mark.parametrize("c", ["1", math.nan, math.inf, -1.0, None])
+    def test_a_bad_weight_is_refused(self, c):
+        with pytest.raises(InvalidArgumentError, match=f"^constant weight must be finite and nonnegative, got {c!r}$"):
+            branch_solution(DIM2, c)
+
+    def test_past_the_fold_is_refused_as_the_solve_refuses_it(self):
+        with pytest.raises(NoSolutionError) as exc:
+            branch_solution(DIM4, 30.0, R=0.5, boundary=-3.0)
+        assert str(exc.value) == (
+            "no fixed point: c = 30 is past the fold c* = 25.490979 of "
+            "(n, k) = (4, 2) with R = 0.5 and boundary -3"
+        )
+        with pytest.raises(NoSolutionError, match="past the fold"):
+            branch_solution(DIM2, 2.0 * (1.0 + 1e-11))
+        # within the slack the branch is the one on the fold
+        inside = branch_solution(DIM2, 2.0 * (1.0 + 1e-13), grid_n=256)
+        assert np.array_equal(inside.values, branch_solution(DIM2, 2.0, grid_n=256).values)
+
+    @pytest.mark.parametrize("c", [25.0, 30.0, 31.5, 31.9])
+    def test_the_solve_returns_the_minimal_branch_at_n4(self, c):
+        # A cold start from u = 0 ended on the upper branch at c = 31.9,
+        # with u(0) = -3.4938 against -3.1062.  The distance to the closed
+        # form is the grid's discretization error, measured at most 8.5e-9.
+        u = solve_liouville(LiouvilleProblem(DIM4, lambda r: np.full_like(r, c), grid_n=2048))
+        assert np.max(np.abs(u.values - branch_solution(DIM4, c, grid_n=2048).values)) <= 2e-8
 
 
 class TestProblemValidation:

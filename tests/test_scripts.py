@@ -144,7 +144,7 @@ class TestReportDiff:
         assert len(report_diff.compare_checkpoint(text, text + "1.5 0.0 2.0\n")) == 1
 
     def test_checkpoint_program_writes_every_float_itself(self):
-        code, out, err = report_diff.run_checkpoint(ROOT, (2, 1, 1.9, 256))
+        code, out, err = report_diff.run_checkpoint(ROOT, (2, 1, "constant", 1.9, 256))
         assert code == 0 and err == ""
         head, *rows = out.splitlines()
         assert head.split()[:2] == ["2", "1"] and float(head.split()[2]) == 1.0
@@ -154,8 +154,17 @@ class TestReportDiff:
         assert "profile_io" not in report_diff.CHECKPOINT_PROGRAM
 
     def test_checkpoints_cover_both_dimensions_and_grids(self):
-        assert {(n, k) for n, k, _, _ in report_diff.CHECKPOINTS} == {(2, 1), (4, 2)}
+        assert {(n, k) for n, k, *_ in report_diff.CHECKPOINTS} == {(2, 1), (4, 2)}
         assert {grid for *_, grid in report_diff.CHECKPOINTS} == {2048, 8192}
+
+    def test_a_weighted_checkpoint_keeps_the_cold_start_compared(self):
+        rising = [(n, k, c, grid) for n, k, weight, c, grid in report_diff.CHECKPOINTS if weight == "rising"]
+        assert rising == [(2, 1, 1.0, 2048), (2, 1, 1.0, 8192)]
+        code, out, err = report_diff.run_checkpoint(ROOT, (2, 1, "rising", 1.0, 256))
+        assert code == 0 and err == ""
+        # the weight reaches the solve: V = 1 + r^2 sinks deeper than V = 1
+        _, constant, _ = report_diff.run_checkpoint(ROOT, (2, 1, "constant", 1.0, 256))
+        assert float(out.splitlines()[1].split()[1]) < float(constant.splitlines()[1].split()[1])
 
 
 class TestBenchVerdict:
